@@ -19,7 +19,7 @@ print("kernel of the degree-2 pullback: dim", vm.kernel_dim)
 print("pair coefficients recovered from the kernel:", vm.sextuple)
 print("product coordinates:", vm.alpha)
 
-rec = verify_quotient_map(p)
+rec = verify_quotient_map(vm)
 print()
 print("all seven kernel elements land in the target relation ideal:",
       rec["relations_in_ideal"])
@@ -32,15 +32,15 @@ print("  index 3 disagrees at every sample point; the engine keeps the")
 print("  derived form, which is the one that actually lies in the kernel")
 
 print()
-cp = central_pair(p)
+cp = central_pair(vm)
 names = ("v00", "v10", "v01", "v11")
 print("first central quadric: ", cp.omega1.text(names))
 print("second central quadric:", cp.omega2.text(names))
-rec = verify_central_pair(p)
+rec = verify_central_pair(vm)
 print("both central, independent, spanning the centralizer:",
       rec["pass"], "(dim", str(rec["centralizer_dim"]) + ")")
 
-rec = extract_c4(p)
+rec = extract_c4(vm)
 print()
 print("pushing the pair through the map:")
 print("  first quadric maps to zero mod relations:", rec["omega1_maps_to_zero"])

@@ -14,6 +14,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, sampling, veronese
 from .errors import ParameterError, SamplingExhaustedError, SkverifyError
@@ -21,7 +22,7 @@ from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3
 from .field import FieldElem, fe
 from .freealg import span
 from .graded import (abelianized_hilbert, centralizer_slice, hilbert_dims,
-                     quotient_hilbert, set_disk_cache)
+                     quotient_hilbert)
 from .heisenberg import (HeisenbergGroup, antisymmetric_character, decompose_character,
                          h3_gen_rep, h4_gen_rep, invariant_subspace, irrep_table,
                          rep_on_degree, twist_equivalence_table)
@@ -43,7 +44,6 @@ class RunConfig:
     max_degree: int | None = None
     fmt: str = "text"
     out: str | None = None
-    cache_dir: str | None = None
 
     def validate(self) -> None:
         if self.suite not in SUITES + ("all",):
@@ -290,8 +290,13 @@ def _quotient_suite(col: _Collector, plist, cfg: RunConfig) -> None:
                 col.skip(cid, params, reason)
             continue
 
-        def qmap(p=p):
-            rec = veronese.verify_quotient_map(p)
+        # one build per point; a build failure fails each check with the same notes
+        @cache
+        def vm(p=p):
+            return veronese.build_veronese(p)
+
+        def qmap(vm=vm):
+            rec = veronese.verify_quotient_map(vm())
             rec.pop("extra_relation")
             notes = ""
             if rec["reference_form_mismatches"]:
@@ -300,13 +305,13 @@ def _quotient_suite(col: _Collector, plist, cfg: RunConfig) -> None:
             return rec["pass"], rec, notes
         col.run("quotient-map", params, qmap)
 
-        def pair(p=p):
-            rec = veronese.verify_central_pair(p)
+        def pair(vm=vm):
+            rec = veronese.verify_central_pair(vm())
             return rec["pass"], rec, ""
         col.run("quotient-central-pair", params, pair)
 
-        def hilb(p=p):
-            cp = veronese.central_pair(p)
+        def hilb(p=p, vm=vm):
+            cp = veronese.central_pair(vm())
             pres = build_s4(cp.sextuple)
             both = quotient_hilbert(pres, [cp.omega1, cp.omega2], d4).dims
             want = tuple(1 if m == 0 else 4 * m for m in range(d4 + 1))
@@ -317,8 +322,8 @@ def _quotient_suite(col: _Collector, plist, cfg: RunConfig) -> None:
                         "mod_first": single, "target_even_dims": evens}, ""
         col.run("quotient-hilbert", params, hilb)
 
-        def image(p=p):
-            rec = veronese.extract_c4(p)
+        def image(vm=vm):
+            rec = veronese.extract_c4(vm())
             return rec["pass"], rec, "mu recorded, not asserted"
         col.run("quotient-c4-image", params, image)
 
@@ -327,8 +332,6 @@ def _quotient_suite(col: _Collector, plist, cfg: RunConfig) -> None:
 
 def run_suite(config: RunConfig) -> dict:
     config.validate()
-    if config.cache_dir:
-        set_disk_cache(config.cache_dir)
     suites = SUITES if config.suite == "all" else (config.suite,)
     t0 = time.perf_counter()
     col = _Collector()
@@ -453,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-degree", type=int, default=None)
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.add_argument("--out", default=None)
-    v.add_argument("--cache-dir", default=None)
     return parser
 
 
@@ -461,7 +463,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = RunConfig(suite=args.suite, abc=tuple(args.abc), alpha=tuple(args.alpha),
                        samples=args.samples, seed=args.seed, max_degree=args.max_degree,
-                       fmt=args.format, out=args.out, cache_dir=args.cache_dir)
+                       fmt=args.format, out=args.out)
     try:
         report = run_suite(config)
     except (ParameterError, SamplingExhaustedError) as exc:

@@ -216,23 +216,6 @@ def alpha_from_abc(p: AbcParams) -> AlphaTriple:
     return AlphaTriple.of(a1, a2, a3)
 
 
-def tau_order_flag(p: AbcParams) -> str:
-    """Order of the translation point [a:b:c] on its curve: order1/2/3 or generic."""
-    from . import pointscheme as ps
-    if not is_smooth_hesse(p):
-        raise ParameterError("flag needs a smooth curve")
-    origin = ps.hesse_origin()
-    tau = ps.ProjPoint.of(p.a, p.b, p.c)
-    if tau == origin:
-        return "order1"
-    t2 = ps.hesse_add(p, tau, tau)
-    if t2 == origin:
-        return "order2"
-    if ps.hesse_add(p, t2, tau) == origin:
-        return "order3"
-    return "generic"
-
-
 def s2_central_quartic(p: AbcParams) -> NcPoly:
     """The degree-4 element asserted central in the 2-generator family:
 

@@ -216,10 +216,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def nonpivots(self) -> tuple[int, ...]:
-        pivset = set(self.pivots)
-        return tuple(c for c in range(self.ncols) if c not in pivset)
-
     def reduce_row(self, row: linalg.Row) -> linalg.Row:
         return linalg.reduce_mod(row, self.pivots, self.rows)
 

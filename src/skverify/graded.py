@@ -9,8 +9,7 @@ which covers every position a relation can occupy inside a degree-m word: the
 first summand collects all placements not starting at position 0, the second
 the rest.
 Slices are canonical Subspace objects and are memoized per (presentation,
-degree), with an optional on-disk cache layered underneath; the cache is an
-optimization only and never changes results.
+degree).
 
 The centralizer of the generators in degree k is solved as a kernel problem:
 c commutes with every generator modulo the ideal iff all commutators [x_i, c]
@@ -20,11 +19,7 @@ returned subspace holds canonical representatives: the kernel reduced mod J_k.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass
-from fractions import Fraction
-from pathlib import Path
 
 from . import linalg
 from .errors import DegreeError, ParameterError, ShapeError
@@ -78,11 +73,6 @@ class Presentation:
         """Presentation with extra homogeneous elements added to the relations."""
         return Presentation.make(self.gen_names, self.relation_polys() + list(extras))
 
-    def content_key(self) -> str:
-        state = (self.gen_names,
-                 tuple((d, s.pivots, _rows_state(s.rows)) for d, s in self.relations))
-        return hashlib.sha256(repr(state).encode()).hexdigest()[:24]
-
 
 @dataclass(frozen=True)
 class HilbertRecord:
@@ -117,25 +107,6 @@ class NormalCertificate:
 
 
 _SLICE_CACHE: dict[tuple[Presentation, int], Subspace] = {}
-_DISK_CACHE: Path | None = None
-
-
-def set_disk_cache(path) -> None:
-    """Point the slice cache at a directory, or disable with None."""
-    global _DISK_CACHE
-    _DISK_CACHE = Path(path) if path is not None else None
-    if _DISK_CACHE is not None:
-        _DISK_CACHE.mkdir(parents=True, exist_ok=True)
-
-
-def _rows_state(rows):
-    return tuple(tuple((c, tuple((f.numerator, f.denominator) for f in v.coeffs))
-                       for c, v in sorted(r.items())) for r in rows)
-
-
-def _rows_from_state(state):
-    return tuple({c: FieldElem(tuple(Fraction(n, d) for n, d in coeffs))
-                  for c, coeffs in r} for r in state)
 
 
 def ideal_slice(p: Presentation, m: int) -> Subspace:
@@ -152,14 +123,6 @@ def ideal_slice(p: Presentation, m: int) -> Subspace:
     hit = _SLICE_CACHE.get(key)
     if hit is not None:
         return hit
-    disk_key = None
-    if _DISK_CACHE is not None:
-        disk_key = _DISK_CACHE / f"slice-{p.content_key()}-{m}.pkl"
-        if disk_key.exists():
-            pivots, state = pickle.loads(disk_key.read_bytes())
-            s = Subspace(n, m, pivots, _rows_from_state(state))
-            _SLICE_CACHE[key] = s
-            return s
     rows: list[linalg.Row] = []
     prev = ideal_slice(p, m - 1)
     shift = n ** (m - 1)
@@ -176,8 +139,6 @@ def ideal_slice(p: Presentation, m: int) -> Subspace:
                 rows.append({c * pad + w: v for c, v in row.items()})
     s = span_rows(n, m, rows)
     _SLICE_CACHE[key] = s
-    if disk_key is not None:
-        disk_key.write_bytes(pickle.dumps((s.pivots, _rows_state(s.rows))))
     return s
 
 

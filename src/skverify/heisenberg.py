@@ -7,56 +7,48 @@ product rule is
     (i1,j1,k1)(i2,j2,k2) = (i1+i2, j1+j2, k1+k2 - j1*i2)   (mod n).
 
 All the representations used here have generalized permutation matrices over
-Q(zeta_12), so every trace, inner product and projector is exact.  Characters
-decide decompositions; multiplicities that fail to be nonnegative integers
-raise, since that can only mean the input matrices violate the presentation.
+Q(zeta_12) and are stored in that monomial form, so products, powers and
+traces cost O(dim) and every trace, inner product and projector is exact.
+Characters decide decompositions; multiplicities that fail to be nonnegative
+integers raise, since that can only mean the input matrices violate the
+presentation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import linalg
 from .errors import NotASubrepError, RepresentationInvalidError, ShapeError
 from .field import ONE, ZERO, FieldElem, fe, root_of_unity
 from .freealg import Subspace, index_to_word, span_rows
 
 Matrix = tuple[tuple[FieldElem, ...], ...]
+# Column j of a monomial matrix as (target row, nonzero scalar).
+Monomial = tuple[tuple[int, FieldElem], ...]
 
 
-def mat_id(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+def _monomial(m: Matrix, label: str) -> Monomial:
+    """Monomial form of a dense square matrix; each column needs exactly one nonzero entry."""
+    out = []
+    for j in range(len(m)):
+        hits = [(i, fe(row[j])) for i, row in enumerate(m) if fe(row[j])]
+        if len(hits) != 1:
+            raise RepresentationInvalidError(f"{label}: column {j} is not monomial")
+        out.append(hits[0])
+    return tuple(out)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
-                       for j in range(n)) for i in range(n))
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product a*b: column j of b names e_r and a scalar, column r of a does the rest."""
+    return tuple((a[r][0], a[r][1] * s) for r, s in b)
 
 
-def mat_pow(a: Matrix, e: int) -> Matrix:
-    out = mat_id(len(a))
+def _mono_pow(a: Monomial, e: int) -> Monomial:
+    out = tuple((j, ONE) for j in range(len(a)))
     for _ in range(e):
-        out = mat_mul(out, a)
+        out = _mono_mul(out, a)
     return out
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    """Inverse via row reduction of [a | id]; raises on singular input."""
-    from . import linalg
-    n = len(a)
-    rows = []
-    for i in range(n):
-        row = {j: a[i][j] for j in range(n) if a[i][j]}
-        row[n + i] = ONE
-        rows.append(row)
-    pivots, prows = linalg.rref(rows)
-    if pivots != tuple(range(n)):
-        raise ShapeError("matrix is singular")
-    return tuple(tuple(prows[i].get(n + j, ZERO) for j in range(n)) for i in range(n))
-
-
-def mat_trace(a: Matrix) -> FieldElem:
-    return sum((a[i][i] for i in range(len(a))), ZERO)
 
 
 class HeisenbergGroup:
@@ -134,48 +126,60 @@ class Character:
 class GroupRep:
     """Representation given by the matrices of e1 and e2.
 
-    The defining relations e1^n = e2^n = 1, z = [e1,e2] central with z^n = 1
-    are checked at construction; matrices act on column vectors, so column j
-    of e1 is the image of basis vector j.
+    The generators are passed as dense matrices acting on column vectors, so
+    column j of e1 is the image of basis vector j, and are stored in monomial
+    form; a column with other than one nonzero entry is rejected.  The
+    defining relations e1^n = e2^n = 1, z = [e1,e2] central with z^n = 1 are
+    checked at construction.
     """
 
     def __init__(self, group: HeisenbergGroup, e1: Matrix, e2: Matrix, label: str) -> None:
         self.group = group
-        self.e1 = tuple(tuple(fe(x) for x in row) for row in e1)
-        self.e2 = tuple(tuple(fe(x) for x in row) for row in e2)
+        self.e1 = _monomial(e1, label)
+        self.e2 = _monomial(e2, label)
         self.label = label
         self.dim = len(self.e1)
         n = group.n
-        ident = mat_id(self.dim)
-        if mat_pow(self.e1, n) != ident or mat_pow(self.e2, n) != ident:
+        ident = _mono_pow(self.e1, 0)
+        if _mono_pow(self.e1, n) != ident or _mono_pow(self.e2, n) != ident:
             raise RepresentationInvalidError(f"{label}: generator order is not {n}")
-        z = mat_mul(mat_mul(self.e1, self.e2),
-                    mat_mul(mat_pow(self.e1, n - 1), mat_pow(self.e2, n - 1)))
+        z = _mono_mul(_mono_mul(self.e1, self.e2),
+                      _mono_mul(_mono_pow(self.e1, n - 1), _mono_pow(self.e2, n - 1)))
         self._z = z
-        if mat_pow(z, n) != ident:
+        if _mono_pow(z, n) != ident:
             raise RepresentationInvalidError(f"{label}: commutator order does not divide {n}")
-        if mat_mul(z, self.e1) != mat_mul(self.e1, z) or mat_mul(z, self.e2) != mat_mul(self.e2, z):
+        if (_mono_mul(z, self.e1) != _mono_mul(self.e1, z)
+                or _mono_mul(z, self.e2) != _mono_mul(self.e2, z)):
             raise RepresentationInvalidError(f"{label}: commutator is not central")
         self._matrices: dict = {}
 
-    def matrix(self, g) -> Matrix:
+    def matrix(self, g) -> Monomial:
         m = self._matrices.get(g)
         if m is None:
             i, j, k = g
-            m = mat_mul(mat_pow(self.e1, i), mat_mul(mat_pow(self.e2, j), mat_pow(self._z, k)))
+            m = _mono_mul(_mono_pow(self.e1, i),
+                          _mono_mul(_mono_pow(self.e2, j), _mono_pow(self._z, k)))
             self._matrices[g] = m
         return m
 
     def character(self) -> Character:
-        return Character(self.group, {g: mat_trace(self.matrix(g)) for g in self.group.elements()})
+        def trace(m: Monomial) -> FieldElem:
+            return sum((s for j, (r, s) in enumerate(m) if r == j), ZERO)
+        return Character(self.group, {g: trace(self.matrix(g)) for g in self.group.elements()})
 
     def conjugate(self, c: Matrix, label: str) -> "GroupRep":
         """The same representation written in the basis given by the columns of c."""
-        cinv = mat_inv(c)
-        return GroupRep(self.group,
-                        mat_mul(cinv, mat_mul(self.e1, c)),
-                        mat_mul(cinv, mat_mul(self.e2, c)),
-                        label)
+        cols = [{i: fe(row[k]) for i, row in enumerate(c) if fe(row[k])}
+                for k in range(self.dim)]
+        if len(linalg.rref(cols)[0]) != self.dim:
+            raise ShapeError("basis matrix is singular")
+
+        def rewrite(m: Monomial) -> Matrix:
+            # column k: the coordinates of m(c_k) in the basis c
+            images = [{m[j][0]: v * m[j][1] for j, v in col.items()} for col in cols]
+            return tuple(zip(*(linalg.solve_columns(cols, t) for t in images)))
+
+        return GroupRep(self.group, rewrite(self.e1), rewrite(self.e2), label)
 
     def __repr__(self):
         return f"GroupRep({self.label}, dim={self.dim})"
@@ -196,33 +200,22 @@ class TensorPowerRep:
         return self.base.character() ** self.degree
 
     def act_row(self, g, row) -> dict:
-        """Apply g to a sparse vector over degree-d word columns."""
+        """Apply g to a sparse vector over degree-d word columns.
+
+        g sends each word to one word times a scalar, and distinct words to
+        distinct words, so no two input columns meet in the output.
+        """
         m = self.base.matrix(g)
         dim = self.base.dim
         out: dict = {}
         for col, coeff in row.items():
-            letters = index_to_word(col, dim, self.degree)
-            acc = {0: coeff}
-            for a in letters:
-                nxt: dict = {}
-                for idx, v in acc.items():
-                    base_idx = idx * dim
-                    for r in range(dim):
-                        e = m[r][a]
-                        if e:
-                            key = base_idx + r
-                            s = nxt.get(key, ZERO) + v * e
-                            if s:
-                                nxt[key] = s
-                            elif key in nxt:
-                                del nxt[key]
-                acc = nxt
-            for k, v in acc.items():
-                s = out.get(k, ZERO) + v
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
+            idx = 0
+            for a in index_to_word(col, dim, self.degree):
+                r, s = m[a]
+                idx = idx * dim + r
+                coeff = coeff * s
+            if coeff:
+                out[idx] = coeff
         return out
 
     def __repr__(self):

@@ -20,6 +20,8 @@ standard chord-tangent group structure.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import (OffCurveError, ParameterError, RankError, ShapeError,
                      SingularCurveError, VerificationError)
 from . import linalg
@@ -315,6 +317,22 @@ def s3_degree3_overlap(p: AbcParams) -> dict:
     }
 
 
+def tau_order_flag(p: AbcParams) -> str:
+    """Order of the translation point [a:b:c] on its curve: order1/2/3 or generic."""
+    if not is_smooth_hesse(p):
+        raise ParameterError("flag needs a smooth curve")
+    origin = hesse_origin()
+    tau = ProjPoint.of(p.a, p.b, p.c)
+    if tau == origin:
+        return "order1"
+    t2 = hesse_add(p, tau, tau)
+    if t2 == origin:
+        return "order2"
+    if hesse_add(p, t2, tau) == origin:
+        return "order3"
+    return "generic"
+
+
 def verify_c3_description(p: AbcParams) -> dict:
     """Certify the degree-3 central element against the invariant cubics.
 
@@ -327,7 +345,6 @@ def verify_c3_description(p: AbcParams) -> dict:
     """
     if not is_smooth_hesse(p):
         raise SingularCurveError(f"{p} fails the smoothness criterion")
-    from .families import tau_order_flag
     flag = tau_order_flag(p)
     if flag in ("order1", "order3"):
         raise ParameterError(f"translation point has {flag}: not in the verified regime")
@@ -445,7 +462,6 @@ def s4_minor_membership(l10, l01, l11) -> dict:
     q1, q2, lam = quadric_pair(l10, l01, l11)
     minors = []
     rows6 = list(range(6))
-    from itertools import combinations
     for quad in combinations(rows6, 4):
         minors.append(_det([assembled[r] for r in quad]))
     members = _quartic_membership(minors, q1, q2)
@@ -466,21 +482,4 @@ def s4_minor_membership(l10, l01, l11) -> dict:
         "perturbed_failures": sum(1 for b in perturbed if not b),
         "pass": all(members) and assembled == reference
                 and sum(1 for b in perturbed if not b) >= 1,
-    }
-
-
-def s2_centralizer_record(p: AbcParams) -> dict:
-    """Degree-4 centralizer of the 2-generator family; membership of the quartic."""
-    from .families import build_s2, s2_central_quartic
-    pres = build_s2(p)
-    cs = centralizer_slice(pres, 4)
-    j4 = ideal_slice(pres, 4)
-    c4 = s2_central_quartic(p)
-    if not c4:
-        raise ParameterError("closed-form quartic vanishes identically at these parameters")
-    resid = j4.reduce(c4)
-    return {
-        "centralizer_dim": cs.dim,
-        "quartic_in_centralizer": bool(resid) and cs.contains(resid),
-        "quartic_nonzero_mod_ideal": bool(resid),
     }

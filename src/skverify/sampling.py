@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .errors import ParameterError, SamplingExhaustedError
 from .families import (AbcParams, AlphaTriple, alpha_from_abc, s2_central_quartic,
-                       is_smooth_hesse, tau_order_flag)
+                       is_smooth_hesse)
 from .field import FieldElem, fe, root_of_unity
+from .pointscheme import tau_order_flag
 
 log = logging.getLogger(__name__)
 

@@ -27,10 +27,13 @@ from .families import (AbcParams, AlphaTriple, SextupleParams, alpha_from_abc,
                        build_s2, build_s4, s2_central_quartic, s2_relation_polys,
                        s4_relation_polys, S4_NAMES)
 from .field import ONE, ZERO, FieldElem, fe
-from .freealg import NcPoly, span_rows, substitute
-from .graded import (Presentation, centralizer_slice, ideal_slice,
-                     normality_automorphism)
-from .heisenberg import (h2_gen_rep, h4_gen_rep_pm, mat_mul, rep_on_degree)
+from .freealg import NcPoly, proportional, span_rows, substitute
+from .graded import centralizer_slice, ideal_slice, normality_automorphism
+from .heisenberg import h2_gen_rep, h4_gen_rep_pm, rep_on_degree
+
+# signs of v00, v10, v01, v11 under e1^2 and e2^2: (-1)^i and (-1)^j on v_{i,j}
+_SIGN_E1 = (1, -1, 1, -1)
+_SIGN_E2 = (1, 1, -1, -1)
 
 
 def quadratic_images() -> list[NcPoly]:
@@ -87,9 +90,6 @@ class VeroneseMap:
     extra: NcPoly            # the central quadric spanning the rest of the kernel
     kernel_dim: int
 
-    def source(self) -> Presentation:
-        return build_s4(self.sextuple)
-
     def apply(self, poly: NcPoly) -> NcPoly:
         """Image of a polynomial in the 4 symbols inside the 2-generator algebra."""
         return substitute(poly, list(self.images))
@@ -101,6 +101,28 @@ _PAIRS = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
 
 def _unit_row(i: int) -> linalg.Row:
     return {i: ONE}
+
+
+def _pair_slots(pair) -> tuple[int, int, int, int]:
+    """Row slots of the words st, ts, uv, vu for a pair group ((s,t),(u,v))."""
+    (s, t), (u, v) = pair
+    return 4 * s + t, 4 * t + s, 4 * u + v, 4 * v + u
+
+
+def _pair_rows(pair, a: FieldElem, b: FieldElem) -> list[linalg.Row]:
+    """The relations [s,t] - a{u,v} and [u,v] - b{s,t} as degree-2 symbol rows."""
+    st, ts, uv, vu = _pair_slots(pair)
+    rows = [{st: ONE, ts: -ONE, uv: -a, vu: -a}, {uv: ONE, vu: -ONE, st: -b, ts: -b}]
+    return [{c: v for c, v in r.items() if v} for r in rows]
+
+
+def _squares(coeffs) -> NcPoly:
+    """sum n_i v_i^2 over the four generators."""
+    vgens = NcPoly.gens(4)
+    out = NcPoly.zero(4)
+    for g, coeff in zip(vgens, coeffs):
+        out = out + (g * g) * coeff
+    return out
 
 
 def _pair_forms(meet_rows, st, ts, uv, vu):
@@ -165,27 +187,20 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
         raise VerificationError(f"degree-2 kernel has dimension {kdim}, expected 7")
     coeffs = []
     pair_rows = []
-    for (s, t), (u, v) in _PAIRS:
-        st, ts = 4 * s + t, 4 * t + s
-        uv, vu = 4 * u + v, 4 * v + u
-        meet = linalg.intersect(kernel, [_unit_row(c) for c in (st, ts, uv, vu)], 16)
-        a, b = _pair_forms(meet, st, ts, uv, vu)
+    for pair in _PAIRS:
+        slots = _pair_slots(pair)
+        meet = linalg.intersect(kernel, [_unit_row(c) for c in slots], 16)
+        a, b = _pair_forms(meet, *slots)
         coeffs.extend([a, b])
-        row_a = {st: ONE, ts: -ONE, uv: -a, vu: -a}
-        row_b = {uv: ONE, vu: -ONE, st: -b, ts: -b}
-        if span_rows(4, 2, [row_a, row_b]).rows != span_rows(4, 2, [dict(r) for r in meet]).rows:
+        rows = _pair_rows(pair, a, b)
+        if span_rows(4, 2, rows).rows != span_rows(4, 2, [dict(r) for r in meet]).rows:
             raise VerificationError("extracted pair does not span its kernel slice")
-        pair_rows.extend([row_a, row_b])
+        pair_rows.extend(rows)
     sextuple = SextupleParams.of(*coeffs)
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
-    extra_row = {0: a + c, 5: c - a, 10: a + b, 15: b - a}   # diagonal slots i*4+i
-    if span_rows(4, 2, pair_rows + [dict(extra_row)]).rows != span_rows(4, 2, [dict(r) for r in kernel]).rows:
+    extra = _squares((a + c, c - a, a + b, b - a))
+    if span_rows(4, 2, pair_rows + [extra.to_row(2)]).rows != span_rows(4, 2, [dict(r) for r in kernel]).rows:
         raise VerificationError("six pairs plus the extra quadric do not span the kernel")
-    vgens = NcPoly.gens(4)
-    extra = NcPoly.zero(4)
-    for idx, coeff in extra_row.items():
-        i, j = divmod(idx, 4)
-        extra = extra + (vgens[i] * vgens[j]) * coeff
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple,
                        alpha=sextuple.alpha(), extra=extra, kernel_dim=kdim)
 
@@ -207,17 +222,12 @@ def closed_form_sextuple(p: AbcParams) -> SextupleParams:
 
 def _kernel_element_rows(vm: VeroneseMap) -> list[linalg.Row]:
     """The six pair relations and the extra quadric as degree-2 symbol rows."""
-    s = vm.sextuple
-    coeffs = (s.a10, s.b10, s.a01, s.b01, s.a11, s.b11)
+    coeffs = tuple(vm.sextuple)
     rows = []
-    for k, ((a, b), (u, v)) in enumerate(_PAIRS):
-        st, ts = 4 * a + b, 4 * b + a
-        uv, vu = 4 * u + v, 4 * v + u
-        ca, cb = coeffs[2 * k], coeffs[2 * k + 1]
-        rows.append({st: ONE, ts: -ONE, uv: -ca, vu: -ca})
-        rows.append({uv: ONE, vu: -ONE, st: -cb, ts: -cb})
-    rows.append({c: v for c, v in vm.extra.to_row(2).items()})
-    return [{c: v for c, v in r.items() if v} for r in rows]
+    for k, pair in enumerate(_PAIRS):
+        rows.extend(_pair_rows(pair, coeffs[2 * k], coeffs[2 * k + 1]))
+    rows.append(vm.extra.to_row(2))
+    return rows
 
 
 def _reference_pair_rows(p: AbcParams) -> list[linalg.Row]:
@@ -241,50 +251,37 @@ def _reference_pair_rows(p: AbcParams) -> list[linalg.Row]:
 
 def _bicharacter(row: linalg.Row):
     """(i, j) with signs (-1)^i, (-1)^j under the two diagonal involutions."""
-    sign_e1 = (1, -1, 1, -1)
-    sign_e2 = (1, 1, -1, -1)
     seen = set()
     for col in row:
         i, j = divmod(col, 4)
-        seen.add((sign_e1[i] * sign_e1[j], sign_e2[i] * sign_e2[j]))
+        seen.add((_SIGN_E1[i] * _SIGN_E1[j], _SIGN_E2[i] * _SIGN_E2[j]))
     if len(seen) != 1:
         return None
     s1, s2 = seen.pop()
     return (0 if s1 == 1 else 1, 0 if s2 == 1 else 1)
 
 
-def verify_quotient_map(p: AbcParams) -> dict:
+def verify_quotient_map(vm: VeroneseMap) -> dict:
     """Full certification chain for the quotient map at one parameter point."""
+    p = vm.params
     gammas = gamma_expansions(p)
-    vm = build_veronese(p)
     closed = closed_form_sextuple(p)
     alpha_closed = alpha_from_abc(p)
     pm = h4_gen_rep_pm()
-    e1sq = mat_mul(pm.e1, pm.e1)
-    e2sq = mat_mul(pm.e2, pm.e2)
-    # signs: e1^2 acts by (-1)^i on v_{i,j}; e2^2 by (-1)^j
-    sign_e1 = (1, -1, 1, -1)
-    sign_e2 = (1, 1, -1, -1)
-    diag_ok = all(e1sq[i][j] == fe(sign_e1[i] if i == j else 0) for i in range(4) for j in range(4)) \
-        and all(e2sq[i][j] == fe(sign_e2[i] if i == j else 0) for i in range(4) for j in range(4))
+    diag_ok = all(pm.matrix(g) == tuple((i, fe(sign)) for i, sign in enumerate(signs))
+                  for g, signs in (((2, 0, 0), _SIGN_E1), ((0, 2, 0), _SIGN_E2)))
     tp2 = rep_on_degree(h2_gen_rep(), 2)
     equiv_ok = True
     for idx, img in enumerate(vm.images):
         row = img.to_row(2)
-        for g, signs in (((1, 0, 0), sign_e1), ((0, 1, 0), sign_e2)):
+        for g, signs in (((1, 0, 0), _SIGN_E1), ((0, 1, 0), _SIGN_E2)):
             acted = tp2.act_row(g, row)
             want = {c: v * fe(signs[idx]) for c, v in row.items()}
             if acted != want:
                 equiv_ok = False
     elements = _kernel_element_rows(vm)
     j4 = ideal_slice(build_s2(p), 4)
-    in_ideal = []
-    for row in elements:
-        img = NcPoly.zero(2)
-        for col, coeff in row.items():
-            i, j = divmod(col, 4)
-            img = img + (vm.images[i] * vm.images[j]) * coeff
-        in_ideal.append(not j4.reduce_row(img.to_row(4)))
+    in_ideal = [j4.contains(vm.apply(NcPoly.from_row(4, 2, row))) for row in elements]
     characters = [_bicharacter(r) for r in elements]
     expected_chars = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0)]
     kspan = span_rows(4, 2, [dict(r) for r in elements])
@@ -364,27 +361,22 @@ def _square_translates(s: SextupleParams):
     return t1, t2
 
 
-def central_pair(p: AbcParams) -> CentralPair:
+def central_pair(vm: VeroneseMap) -> CentralPair:
     """omega1 is the extra kernel quadric; omega2 its symmetry translate.
 
     Both are supported on generator squares, so the translate is computed
     with the in-field squared scalars from _square_translates.
     """
-    vm = build_veronese(p)
     t1, _ = _square_translates(vm.sextuple)
-    n2 = t1(_square_coeffs(vm.extra))
-    vgens = NcPoly.gens(4)
-    omega2 = NcPoly.zero(4)
-    for g, coeff in zip(vgens, n2):
-        omega2 = omega2 + (g * g) * coeff
+    omega2 = _squares(t1(_square_coeffs(vm.extra)))
     if not omega2:
         raise VerificationError("translate of the extra quadric vanished")
     return CentralPair(omega1=vm.extra, omega2=omega2, sextuple=vm.sextuple)
 
 
-def verify_central_pair(p: AbcParams) -> dict:
+def verify_central_pair(vm: VeroneseMap) -> dict:
     """Centrality and independence of the pair inside the derived algebra."""
-    cp = central_pair(p)
+    cp = central_pair(vm)
     pres = build_s4(cp.sextuple)
     cert1 = normality_automorphism(pres, cp.omega1)
     cert2 = normality_automorphism(pres, cp.omega2)
@@ -403,38 +395,29 @@ def verify_central_pair(p: AbcParams) -> dict:
     }
     _, t2 = _square_translates(cp.sextuple)
     if t2 is not None:
-        n_alt = t2(_square_coeffs(cp.omega1))
-        vgens = NcPoly.gens(4)
-        alt = NcPoly.zero(4)
-        for g, coeff in zip(vgens, n_alt):
-            alt = alt + (g * g) * coeff
+        alt = _squares(t2(_square_coeffs(cp.omega1)))
         record["second_translate_in_span"] = pair_span.contains(j2.reduce(alt))
     record["pass"] = (cert1.is_central and cert2.is_central and independent
                       and record["centralizer_is_pair_span"])
     return record
 
 
-def extract_c4(p: AbcParams) -> dict:
+def extract_c4(vm: VeroneseMap) -> dict:
     """Push the central pair through the map: omega1 dies, omega2 hits the quartic.
 
     The surviving image is compared to the closed-form quartic up to a scalar
     mu, which is reported, not pinned: its value depends on the chosen
     normalizations of both sides.
     """
-    cp = central_pair(p)
-    vm = build_veronese(p)
-    target = build_s2(p)
-    j4 = ideal_slice(target, 4)
-    img1 = j4.reduce_row(vm.apply(cp.omega1).to_row(4))
-    img2 = j4.reduce_row(vm.apply(cp.omega2).to_row(4))
+    p = vm.params
+    cp = central_pair(vm)
+    j4 = ideal_slice(build_s2(p), 4)
+    img1 = j4.reduce(vm.apply(cp.omega1))
+    img2 = j4.reduce(vm.apply(cp.omega2))
     c4 = s2_central_quartic(p)
     if not c4:
         raise ParameterError("closed-form quartic vanishes at these parameters")
-    c4red = j4.reduce_row(c4.to_row(4))
-    mu = None
-    if img2 and c4red:
-        ratio = _row_ratio(img2, c4red)
-        mu = ratio
+    mu = proportional(img2, j4.reduce(c4)) if img2 else None
     tp4 = rep_on_degree(h2_gen_rep(), 4)
     c4row = c4.to_row(4)
     invariant = all(tp4.act_row(g, c4row) == c4row for g in ((1, 0, 0), (0, 1, 0)))
@@ -447,16 +430,20 @@ def extract_c4(p: AbcParams) -> dict:
     }
 
 
-def _row_ratio(r1: linalg.Row, r2: linalg.Row):
-    if r1.keys() != r2.keys():
-        return None
-    it = iter(sorted(r2))
-    c0 = next(it)
-    ratio = r1[c0] / r2[c0]
-    for c in it:
-        if r1[c] != ratio * r2[c]:
-            return None
-    return ratio
+def s2_centralizer_record(p: AbcParams) -> dict:
+    """Degree-4 centralizer of the 2-generator family; membership of the quartic."""
+    pres = build_s2(p)
+    cs = centralizer_slice(pres, 4)
+    j4 = ideal_slice(pres, 4)
+    c4 = s2_central_quartic(p)
+    if not c4:
+        raise ParameterError("closed-form quartic vanishes identically at these parameters")
+    resid = j4.reduce(c4)
+    return {
+        "centralizer_dim": cs.dim,
+        "quartic_in_centralizer": bool(resid) and cs.contains(resid),
+        "quartic_nonzero_mod_ideal": bool(resid),
+    }
 
 
 def verify_c4_central(p: AbcParams) -> dict:
@@ -466,7 +453,6 @@ def verify_c4_central(p: AbcParams) -> dict:
     if not c4:
         raise ParameterError("closed-form quartic vanishes at these parameters")
     cert = normality_automorphism(pres, c4)
-    from .pointscheme import s2_centralizer_record
     rec = s2_centralizer_record(p)
     rec["sigma_is_identity"] = cert.is_central
     tp4 = rep_on_degree(h2_gen_rep(), 4)

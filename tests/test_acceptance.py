@@ -19,8 +19,9 @@ from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
                                   s3_degree3_overlap, s3_next_point,
                                   s4_minor_membership, verify_c3_description)
 from skverify.sampling import sample_parameters
-from skverify.veronese import (central_pair, extract_c4, verify_c4_central,
-                               verify_central_pair, verify_quotient_map)
+from skverify.veronese import (build_veronese, central_pair, extract_c4,
+                               verify_c4_central, verify_central_pair,
+                               verify_quotient_map)
 
 SEED = 7
 ABC3 = sample_parameters("s3", 3, SEED)
@@ -115,11 +116,11 @@ def test_criterion_06_central_pair_and_quotient_series():
         pres = build_s4(SextupleParams.from_alpha(t))
         ok &= centralizer_slice(pres, 2).dim == 2
     for p in ABC2:
-        rec = verify_central_pair(p)
+        rec = verify_central_pair(build_veronese(p))
         ok &= rec["omega1_central"] and rec["omega2_central"]
         ok &= rec["independent_mod_relations"]
         ok &= rec["pass"]
-        cp = central_pair(p)
+        cp = central_pair(build_veronese(p))
         pres = build_s4(cp.sextuple)
         dims = quotient_hilbert(pres, [cp.omega1, cp.omega2], 5).dims
         ok &= dims == (1, 4, 8, 12, 16, 20)
@@ -129,7 +130,7 @@ def test_criterion_06_central_pair_and_quotient_series():
 def test_criterion_07_quotient_map():
     ok = True
     for p in ABC2:
-        rec = verify_quotient_map(p)
+        rec = verify_quotient_map(build_veronese(p))
         ok &= rec["pass"]
         ok &= rec["kernel_dim"] == 7
         ok &= rec["relations_in_ideal"] == (True,) * 7
@@ -138,7 +139,7 @@ def test_criterion_07_quotient_map():
         ok &= rec["fivefold_holds"]
         ok &= rec["elements_are_eigenvectors"]
         ok &= rec["image_equivariance"]
-        img = extract_c4(p)
+        img = extract_c4(build_veronese(p))
         ok &= img["omega1_maps_to_zero"]
         ok &= img["mu_nonzero"]
     verdict(7, "equivariant quotient map onto the squared generators", ok)

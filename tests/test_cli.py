@@ -5,9 +5,8 @@ import json
 import pytest
 
 import skverify.cli as cli
-import skverify.graded as graded_module
 from skverify.cli import RunConfig, main, render_report, run_suite
-from skverify.graded import set_disk_cache
+from skverify.errors import VerificationError
 
 
 def strip_timing(text):
@@ -85,6 +84,19 @@ def test_forced_failure_sets_exit_one(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_quotient_build_failure_fails_each_check(capsys, monkeypatch):
+    def broken(p):
+        raise VerificationError(f"no kernel at {p}")
+
+    monkeypatch.setattr(cli.veronese, "build_veronese", broken)
+    assert main(["verify", "quotient", "--abc", "1,2,3", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 4
+    for c in checks:
+        assert c["status"] == "fail"
+        assert c["notes"] == "VerificationError: no kernel at [1:2:3]"
+
+
 def test_malformed_abc_exits_two():
     with pytest.raises(SystemExit) as ei:
         main(["verify", "s3", "--abc", "1,2"])
@@ -102,20 +114,12 @@ def test_bad_degree_bound_exits_two(capsys):
     assert capsys.readouterr().err
 
 
-def test_output_file_and_cache_dir(tmp_path, capsys):
+def test_output_file(tmp_path, capsys):
     out = tmp_path / "report.txt"
-    cache = tmp_path / "cache"
-    graded_module._SLICE_CACHE.clear()
-    try:
-        code = main(["verify", "s3", "--abc", "1,2,3", "--seed", "5",
-                     "--out", str(out), "--cache-dir", str(cache)])
-        assert code == 0
-        text = out.read_text()
-        assert text.startswith("skverify")
-        assert any(cache.iterdir())
-    finally:
-        set_disk_cache(None)
-        graded_module._SLICE_CACHE.clear()
+    code = main(["verify", "s3", "--abc", "1,2,3", "--seed", "5", "--out", str(out)])
+    assert code == 0
+    text = out.read_text()
+    assert text.startswith("skverify")
 
 
 def test_max_degree_truncates_hilbert_checks(capsys):

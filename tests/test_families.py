@@ -11,9 +11,10 @@ from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
                                alpha_from_abc, build_s2, build_s3, build_s4,
                                is_smooth_hesse, s2_central_quartic,
                                s2_relation_polys, s3_relation_polys,
-                               s4_relation_polys, tau_order_flag)
+                               s4_relation_polys)
 from skverify.field import fe, root_of_unity
 from skverify.freealg import NcPoly, span
+from skverify.pointscheme import tau_order_flag
 
 
 def test_projective_normalization():

@@ -14,9 +14,7 @@ from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
 from skverify.freealg import NcPoly, acomm, comm
 from skverify.graded import (Presentation, abelianized_hilbert,
                              centralizer_slice, hilbert_dims, ideal_slice,
-                             normality_automorphism, quotient_hilbert,
-                             set_disk_cache)
-import skverify.graded as graded_module
+                             normality_automorphism, quotient_hilbert)
 
 
 def series_coeffs(numer, denom, count):
@@ -162,18 +160,3 @@ def test_normality_certificates_on_toy_quotients():
     xsq = Presentation.make("xy", [x * x])
     cert = normality_automorphism(xsq, x)
     assert not cert.is_normal and cert.sigma is None
-
-
-def test_disk_cache_round_trip(tmp_path):
-    p = build_s3(AbcParams.of(1, 2, 3))
-    try:
-        set_disk_cache(str(tmp_path))
-        graded_module._SLICE_CACHE.clear()
-        first = hilbert_dims(p, 5).dims
-        assert any(tmp_path.iterdir())
-        # force the reload path
-        graded_module._SLICE_CACHE.clear()
-        assert hilbert_dims(p, 5).dims == first
-    finally:
-        set_disk_cache(None)
-        graded_module._SLICE_CACHE.clear()

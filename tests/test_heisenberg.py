@@ -1,17 +1,46 @@
-"""Finite Heisenberg groups and their exact representation theory."""
+"""Finite Heisenberg groups and their exact representation theory.
+
+The package stores representations as monomial matrices; the dense matrix
+algebra below is the independent oracle they are checked against.
+"""
 
 import pytest
 
+from skverify import linalg
 from skverify.errors import NotASubrepError, RepresentationInvalidError
 from skverify.field import ONE, ZERO, fe, root_of_unity
-from skverify.freealg import NcPoly, span
+from skverify.freealg import NcPoly, Subspace, index_to_word, span
 from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup,
                                  antisymmetric_character, decompose,
                                  decompose_character, h2_gen_rep, h3_gen_rep,
                                  h4_gen_rep, h4_gen_rep_pm, h4_pm_basis,
                                  invariant_subspace, irrep_table, is_subrep,
-                                 mat_id, mat_inv, mat_mul, rep_on_degree,
-                                 subspace_character, twist_equivalence_table)
+                                 rep_on_degree, subspace_character,
+                                 twist_equivalence_table)
+
+
+def mat_id(n):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def mat_mul(a, b):
+    n = len(a)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO)
+                       for j in range(n)) for i in range(n))
+
+
+def mat_inv(a):
+    """Inverse via row reduction of [a | id]."""
+    n = len(a)
+    rows = [{**{j: a[i][j] for j in range(n) if a[i][j]}, n + i: ONE} for i in range(n)]
+    pivots, prows = linalg.rref(rows)
+    assert pivots == tuple(range(n))
+    return tuple(tuple(prows[i].get(n + j, ZERO) for j in range(n)) for i in range(n))
+
+
+def dense(m):
+    """The dense matrix of a monomial form: column j is scalar * e_row."""
+    return tuple(tuple(s if r == i else ZERO for r, s in m) for i in range(len(m)))
 
 
 def test_group_orders_and_inverses():
@@ -27,10 +56,11 @@ def test_generator_reps_satisfy_weyl_commutation():
     # e1 e2 = (primitive n-th root) e2 e1, and both generators have order n
     for n, rep in ((2, h2_gen_rep()), (3, h3_gen_rep()), (4, h4_gen_rep())):
         z = root_of_unity(n)
-        lhs = mat_mul(rep.e1, rep.e2)
-        rhs = tuple(tuple(z * v for v in row) for row in mat_mul(rep.e2, rep.e1))
+        e1, e2 = dense(rep.e1), dense(rep.e2)
+        lhs = mat_mul(e1, e2)
+        rhs = tuple(tuple(z * v for v in row) for row in mat_mul(e2, e1))
         assert lhs == rhs
-        for gen in (rep.e1, rep.e2):
+        for gen in (e1, e2):
             power = gen
             for _ in range(n - 1):
                 power = mat_mul(power, gen)
@@ -56,8 +86,47 @@ def test_rep_matrices_respect_group_law():
     elems = list(G.elements())
     for g in elems[:6]:
         for h in elems[:6]:
-            assert mat_mul(rep.matrix(g), rep.matrix(h)) == rep.matrix(G.mul(g, h))
-        assert mat_inv(rep.matrix(g)) == rep.matrix(G.inv(g))
+            assert (mat_mul(dense(rep.matrix(g)), dense(rep.matrix(h)))
+                    == dense(rep.matrix(G.mul(g, h))))
+        assert mat_inv(dense(rep.matrix(g))) == dense(rep.matrix(G.inv(g)))
+
+
+def test_monomial_matrices_match_dense_products():
+    reps = irrep_table(2) + irrep_table(3) + irrep_table(4) + (h4_gen_rep_pm(),)
+    for rep in reps:
+        n = rep.group.n
+        e1, e2 = dense(rep.e1), dense(rep.e2)
+
+        def powers(m):
+            out = [mat_id(rep.dim)]
+            for _ in range(n - 1):
+                out.append(mat_mul(out[-1], m))
+            return out
+
+        p1, p2 = powers(e1), powers(e2)
+        z = mat_mul(mat_mul(e1, e2), mat_mul(p1[n - 1], p2[n - 1]))
+        pz = powers(z)
+        for i, j, k in rep.group.elements():
+            want = mat_mul(p1[i], mat_mul(p2[j], pz[k]))
+            assert dense(rep.matrix((i, j, k))) == want, (rep.label, (i, j, k))
+
+
+def test_tensor_action_matches_dense_kronecker_product():
+    # word a_1..a_d goes to sum over words r_1..r_d of prod m[r_k][a_k]
+    for rep, d in ((h3_gen_rep(), 3), (h4_gen_rep_pm(), 2)):
+        tp = rep_on_degree(rep, d)
+        words = [index_to_word(c, rep.dim, d) for c in range(tp.dim)]
+        for g in rep.group.elements():
+            m = dense(rep.matrix(g))
+            for col, word in enumerate(words):
+                want = {}
+                for out, image in enumerate(words):
+                    v = ONE
+                    for r, a in zip(image, word):
+                        v = v * m[r][a]
+                    if v:
+                        want[out] = v
+                assert tp.act_row(g, {col: ONE}) == want
 
 
 def test_tensor_square_decompositions():
@@ -88,7 +157,7 @@ def test_bad_generator_matrices_rejected():
     G = HeisenbergGroup(2)
     bad = h4_gen_rep()
     with pytest.raises(RepresentationInvalidError):
-        GroupRep(G, bad.e1, bad.e2, "broken")
+        GroupRep(G, dense(bad.e1), dense(bad.e2), "broken")
 
 
 def test_invariant_subspace_of_cubics():
@@ -124,7 +193,6 @@ def test_is_subrep_and_rejection():
 
 def test_subspace_character_of_full_space():
     tp = rep_on_degree(h3_gen_rep(), 2)
-    from skverify.freealg import Subspace
     chi = subspace_character(Subspace.full(3, 2), tp)
     base = h3_gen_rep().character()
     G = base.group
@@ -148,13 +216,18 @@ def test_pm_basis_conjugates_generator_rep():
     pm = h4_gen_rep_pm()
     basis = h4_pm_basis()
     binv = mat_inv(basis)
-    assert mat_mul(binv, mat_mul(rep.e1, basis)) == pm.e1
-    assert mat_mul(binv, mat_mul(rep.e2, basis)) == pm.e2
+    assert mat_mul(binv, mat_mul(dense(rep.e1), basis)) == dense(pm.e1)
+    assert mat_mul(binv, mat_mul(dense(rep.e2), basis)) == dense(pm.e2)
 
 
 def test_conjugate_rep_has_same_character():
     rep = h3_gen_rep()
-    basis = ((fe(1), fe(1), fe(0)), (fe(0), fe(1), fe(0)), (fe(0), fe(0), fe(1)))
+    # a scaled signed permutation keeps every generator monomial
+    basis = ((fe(0), fe(2), fe(0)), (fe(0), fe(0), fe(-1)), (fe(3), fe(0), fe(0)))
     conj = rep.conjugate(basis, "H3:conj")
     av, bv = rep.character().values, conj.character().values
     assert av == bv
+    # a shear mixes two basis vectors, so the rewritten generators are not monomial
+    shear = ((fe(1), fe(1), fe(0)), (fe(0), fe(1), fe(0)), (fe(0), fe(0), fe(1)))
+    with pytest.raises(RepresentationInvalidError):
+        rep.conjugate(shear, "H3:shear")

@@ -12,10 +12,11 @@ from skverify.freealg import span
 from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
                                   hesse_neg, hesse_origin,
                                   hesse_tangent_third, invariant_cubic_basis,
-                                  on_hesse, s2_centralizer_record,
-                                  s2_point_determinant, s3_degree3_overlap,
-                                  s3_next_point, s3_point_matrix,
+                                  on_hesse, s2_point_determinant,
+                                  s3_degree3_overlap, s3_next_point,
+                                  s3_point_matrix,
                                   s4_minor_membership, verify_c3_description)
+from skverify.veronese import s2_centralizer_record
 
 CURVES = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),
           AbcParams.of(1, -1, Fraction(5, 7))]

@@ -79,7 +79,7 @@ def test_closed_form_sextuple_values():
 
 def test_quotient_map_certificate():
     for p in POINTS:
-        rec = verify_quotient_map(p)
+        rec = verify_quotient_map(build_veronese(p))
         assert rec["pass"]
         assert rec["kernel_dim"] == 7
         assert rec["sextuple_matches_closed_form"]
@@ -98,7 +98,7 @@ def test_reference_pair_forms_reveal_one_mismatch():
     # the fourth catalogued pair form fails kernel membership at every
     # sample point; the derived replacement is what the engine certifies
     for p in POINTS:
-        rec = verify_quotient_map(p)
+        rec = verify_quotient_map(build_veronese(p))
         assert rec["reference_forms_in_kernel"] == (
             True, True, True, False, True, True)
         assert rec["reference_form_mismatches"] == (3,)
@@ -127,7 +127,7 @@ def test_degenerate_parameters_rejected():
 
 def test_central_pair_certificate():
     for p in POINTS:
-        rec = verify_central_pair(p)
+        rec = verify_central_pair(build_veronese(p))
         assert rec["pass"]
         assert rec["omega1_central"] and rec["omega2_central"]
         assert rec["independent_mod_relations"]
@@ -138,18 +138,18 @@ def test_central_pair_certificate():
 def test_central_pair_needs_all_six_coefficients():
     # 2a = b - c makes one pair coefficient vanish and the translate undefined
     with pytest.raises(ParameterError):
-        central_pair(AbcParams.of(2, 1, 5))
+        central_pair(build_veronese(AbcParams.of(2, 1, 5)))
 
 
 def test_quartic_image_extraction():
     for p in POINTS:
-        rec = extract_c4(p)
+        rec = extract_c4(build_veronese(p))
         assert rec["pass"]
         assert rec["omega1_maps_to_zero"]
         assert rec["mu_nonzero"]
         assert rec["quartic_invariant"]
     # normalization-dependent regression pin at the reference point
-    assert extract_c4(AbcParams.of(1, 2, 3))["mu"] == fe(1)
+    assert extract_c4(build_veronese(AbcParams.of(1, 2, 3)))["mu"] == fe(1)
 
 
 def test_quartic_normality_certificate():
@@ -174,7 +174,7 @@ def test_quartic_degenerates_to_commutator_square():
 
 def test_quotient_hilbert_matches_even_slice():
     for p in POINTS:
-        cp = central_pair(p)
+        cp = central_pair(build_veronese(p))
         from skverify.families import build_s4
         pres = build_s4(cp.sextuple)
         both = quotient_hilbert(pres, [cp.omega1, cp.omega2], 5).dims
