@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -72,6 +74,19 @@ def _stringify(value):
     return str(value)
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def _layer(exc: BaseException) -> str:
+    """The innermost skverify module in the traceback of ``exc``."""
+    layer = "skverify"
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        path = os.path.abspath(frame.f_code.co_filename)
+        if os.path.dirname(path) == _PACKAGE_DIR:
+            layer = "skverify." + os.path.splitext(os.path.basename(path))[0]
+    return layer
+
+
 class _Collector:
     def __init__(self) -> None:
         self.checks: list[dict] = []
@@ -84,6 +99,13 @@ class _Collector:
             status = "pass" if ok else "fail"
         except SkverifyError as exc:
             status, data, notes = "fail", {}, f"{type(exc).__name__}: {exc}"
+        except Exception as exc:
+            # an internal fault is not a verdict on the mathematics: record it
+            # as an error, print the traceback, and go on with the other checks
+            print(f"skverify: internal error in {cid} [{params}]", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            status, data = "error", {}
+            notes = f"{type(exc).__name__}: {exc} (in {_layer(exc)})"
         self.timing[f"{cid} [{params}]"] = round(time.perf_counter() - t0, 3)
         self.checks.append({"id": cid, "params": params, "status": status,
                             "data": _stringify(data), "notes": notes})
@@ -367,6 +389,7 @@ def run_suite(config: RunConfig) -> dict:
     passed = sum(1 for c in checks if c["status"] == "pass")
     failed = sum(1 for c in checks if c["status"] == "fail")
     skipped = sum(1 for c in checks if c["status"] == "skipped-degenerate")
+    errors = sum(1 for c in checks if c["status"] == "error")
     return {
         "engine": {"name": "skverify", "version": __version__, "prng": "splitmix64"},
         "config": {
@@ -381,7 +404,7 @@ def run_suite(config: RunConfig) -> dict:
         "sampling": sampling_echo,
         "checks": checks,
         "summary": {"total": len(checks), "passed": passed,
-                    "failed": failed, "skipped": skipped},
+                    "failed": failed, "skipped": skipped, "errors": errors},
         "timing": {"total_seconds": round(time.perf_counter() - t0, 3),
                    "checks": col.timing},
     }
@@ -400,7 +423,7 @@ def render_report(report: dict, fmt: str) -> str:
                      f"rejected={len(info['rejected'])}")
         for ev in info["rejected"]:
             lines.append(f"sampling {kind} rejection: {ev['candidate']} -- {ev['reason']}")
-    tag = {"pass": "PASS", "fail": "FAIL", "skipped-degenerate": "SKIP"}
+    tag = {"pass": "PASS", "fail": "FAIL", "skipped-degenerate": "SKIP", "error": "ERROR"}
     for c in report["checks"]:
         parts = [tag[c["status"]], c["id"]]
         if c["params"]:
@@ -411,7 +434,7 @@ def render_report(report: dict, fmt: str) -> str:
         lines.append(" ".join(parts))
     s = report["summary"]
     lines.append(f"summary: total={s['total']} passed={s['passed']} "
-                 f"failed={s['failed']} skipped={s['skipped']}")
+                 f"failed={s['failed']} skipped={s['skipped']} errors={s['errors']}")
     lines.append(f"timing: total={report['timing']['total_seconds']}s")
     for key, secs in report["timing"]["checks"].items():
         lines.append(f"timing: {key} {secs}s")
@@ -459,6 +482,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same directory.
+
+    The report appears whole or not at all: a crash or a failed write leaves
+    an earlier file at ``path`` untouched and removes the temp file.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = RunConfig(suite=args.suite, abc=tuple(args.abc), alpha=tuple(args.alpha),
@@ -472,14 +515,16 @@ def main(argv=None) -> int:
     text = render_report(report, config.fmt)
     if config.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+            _write_atomic(config.out, text)
         except OSError as exc:
             print(f"skverify: cannot write report: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)
-    return 0 if report["summary"]["failed"] == 0 else 1
+    summary = report["summary"]
+    if summary["errors"]:
+        return 3
+    return 0 if summary["failed"] == 0 else 1
 
 
 if __name__ == "__main__":

@@ -7,20 +7,43 @@ in its kernels.  For the 3-generator family this is the classical 3x3 matrix
 whose determinant cuts out a Hesse cubic, and the kernel walk is translation
 by tau = [a:b:c] under the chord-tangent group law with origin [1:-1:0].
 
-The group law is computed exactly via polarization: restricted to the line
-s*P + t*Q the cubic form f factors through the known roots at P and Q,
+The group law is the closed Hessian formula on primitive integer triples
+(gcd 1, first nonzero entry positive), so equal points have equal triples.
+[1:-1:0] is the standard Hessian neutral element and negation swaps X and Y.
+The sum is the addition formula of Joye and Quisquater (CHES 2001),
+
+    X3 = Y1^2 X2 Z2 - Y2^2 X1 Z1,  Y3 = X1^2 Y2 Z2 - X2^2 Y1 Z1,
+    Z3 = Z1^2 X2 Y2 - Z2^2 X1 Y1,
+
+and, where that vanishes, the rotated formula of Bernstein, Chuengsatiansup,
+Kohel and Lange (LATINCRYPT 2015),
+
+    X3 = X1 Y1 X2^2 - Y2 Z2 Z1^2,  Y3 = X1 Z1 Z2^2 - X2 Y2 Y1^2,
+    Z3 = Y1 Z1 Y2^2 - X2 Z2 X1^2.
+
+The first vanishes when P - Q is one of the three flexes on Z = 0: the
+origin, [1:-w:0] or [1:-w^2:0] with w a primitive cube root of unity, so for
+rational points only when P = Q.  On a smooth curve the two formulas never
+vanish together.  Neither involves the curve parameters, so the curve is
+only used to check the inputs.
+
+Polarization gives the independent chord construction: restricted to the
+line s*P + t*Q the cubic form f factors through the known roots at P and Q,
 
     f(sP + tQ) = s^2 t (grad f(P).Q) + s t^2 (grad f(Q).P),
 
 so the third intersection needs no root finding and stays in the ground
-field.  [1:-1:0] is a base point of the pencil (an inflection of every smooth
-member), which makes neg(P) = third(P, O) and add = third(third(P,Q), O) the
-standard chord-tangent group structure.
+field.  It supplies the tangent-third of the degree-3 centre certificate and
+cross-checks the closed formula in the group-law record: [1:-1:0] is an
+inflection of every smooth member of the pencil, so
+third(third(P, Q), O) = P + Q.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (OffCurveError, ParameterError, RankError, ShapeError,
                      SingularCurveError, VerificationError)
@@ -170,12 +193,86 @@ def hesse_cubic(p: AbcParams) -> MultiPoly:
         - fe(a ** 3 + b ** 3 + c ** 3) * (x * y * z)
 
 
+_ORIGIN = (1, -1, 0)
+
+
 def hesse_origin() -> ProjPoint:
-    return ProjPoint.of(1, -1, 0)
+    return ProjPoint(_ORIGIN)
 
 
 def on_hesse(p: AbcParams, pt: ProjPoint) -> bool:
     return not hesse_cubic(p).evaluate([tuple(pt)])
+
+
+def _primitive(v: tuple) -> tuple[int, int, int]:
+    """The integer triple scaled to gcd 1 with its first nonzero entry positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return (v[0] // g, v[1] // g, v[2] // g)
+
+
+def _integer_triple(coords) -> tuple[int, int, int]:
+    """Primitive integer form of a rational projective triple."""
+    fr = [Fraction(c) for c in coords]
+    den = lcm(*(f.denominator for f in fr))
+    return _primitive(tuple(f.numerator * (den // f.denominator) for f in fr))
+
+
+def _coords(pt: ProjPoint) -> tuple:
+    """Primitive integer triple of a rational point; the field coordinates otherwise."""
+    if all(c.is_rational() for c in pt):
+        return _integer_triple(c.rational() for c in pt)
+    return tuple(pt)
+
+
+def _smooth_cubic(p: AbcParams) -> tuple[int, int]:
+    """(ABC, A^3 + B^3 + C^3) for the primitive integer form (A, B, C) of [a:b:c]."""
+    if not is_smooth_hesse(p):
+        raise SingularCurveError(f"{p} fails the smoothness criterion")
+    a, b, c = _integer_triple(p)
+    return a * b * c, a ** 3 + b ** 3 + c ** 3
+
+
+def _on_cubic(cubic: tuple[int, int], v) -> bool:
+    """ABC(X^3 + Y^3 + Z^3) = (A^3 + B^3 + C^3) XYZ."""
+    k, s = cubic
+    x, y, z = v
+    return k * (x ** 3 + y ** 3 + z ** 3) == s * x * y * z
+
+
+def _require_on(cubic: tuple[int, int], v, p: AbcParams):
+    if not _on_cubic(cubic, v):
+        raise OffCurveError(f"{ProjPoint(v)} is not on the curve at {p}")
+    return v
+
+
+def _sum(u, v) -> tuple:
+    """u + v by the closed formulas (module docstring), not normalized.
+
+    The coordinates may be integers or field elements alike.
+    """
+    x1, y1, z1 = u
+    x2, y2, z2 = v
+    w = (y1 * y1 * x2 * z2 - y2 * y2 * x1 * z1,
+         x1 * x1 * y2 * z2 - x2 * x2 * y1 * z1,
+         z1 * z1 * x2 * y2 - z2 * z2 * x1 * y1)
+    if any(w):
+        return w
+    w = (x1 * y1 * x2 * x2 - y2 * z2 * z1 * z1,
+         x1 * z1 * z2 * z2 - x2 * y2 * y1 * y1,
+         y1 * z1 * y2 * y2 - x2 * z2 * x1 * x1)
+    if any(w):
+        return w
+    raise SingularCurveError("both addition formulas vanish")
+
+
+def _add(u: tuple, v: tuple) -> tuple[int, int, int]:
+    return _primitive(_sum(u, v))
+
+
+def _neg(u: tuple) -> tuple[int, int, int]:
+    return _primitive((u[1], u[0], u[2]))
 
 
 def _require_curve(p: AbcParams, *pts: ProjPoint) -> MultiPoly:
@@ -233,11 +330,14 @@ def hesse_third(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
 
 
 def hesse_neg(p: AbcParams, pt: ProjPoint) -> ProjPoint:
-    return hesse_third(p, pt, hesse_origin())
+    x, y, z = _require_on(_smooth_cubic(p), _coords(pt), p)
+    return ProjPoint((y, x, z))
 
 
 def hesse_add(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
-    return hesse_third(p, hesse_third(p, pt1, pt2), hesse_origin())
+    cubic = _smooth_cubic(p)
+    return ProjPoint(_sum(_require_on(cubic, _coords(pt1), p),
+                          _require_on(cubic, _coords(pt2), p)))
 
 
 def hesse_tangent_third(p: AbcParams, pt: ProjPoint) -> ProjPoint:
@@ -245,38 +345,77 @@ def hesse_tangent_third(p: AbcParams, pt: ProjPoint) -> ProjPoint:
     return hesse_third(p, pt, pt)
 
 
+def tau_order(p: AbcParams) -> int | None:
+    """Order of tau = [a:b:c] on its curve; None for infinite order.
+
+    The curve, its origin and tau are defined over Q, so by Mazur's theorem a
+    torsion tau has order at most 12: no n <= 12 with n*tau = O means none.
+    """
+    if not is_smooth_hesse(p):
+        raise ParameterError("tau order needs a smooth curve")
+    tau = _integer_triple(p)
+    q = tau
+    for n in range(1, 13):
+        if q == _ORIGIN:
+            return n
+        q = _add(q, tau)
+    return None
+
+
+def tau_order_flag(p: AbcParams) -> str:
+    """order1/2/3 for those orders of the translation point [a:b:c], else generic."""
+    n = tau_order(p)
+    return f"order{n}" if n in (1, 2, 3) else "generic"
+
+
 def group_law_record(p: AbcParams, count: int = 10) -> dict:
-    """Group axioms of the chord construction on the first multiples of [a:b:c].
+    """Group axioms of the closed formula on the first multiples of [a:b:c].
 
     pts[k] is the (k+1)-fold multiple, so besides identity, inverses,
     commutativity and associativity the walk itself is cross-checked:
-    pts[i] + pts[j] must land on pts[i+j+1].
+    pts[i] + pts[j] must land on pts[i+j+1].  The chord construction
+    recomputes the walk steps pts[k] + tau and the pair sums independently
+    (chord_agrees); tau_order is the exact order of tau, or "infinite".
     """
-    tau = ProjPoint.of(p.a, p.b, p.c)
-    origin = hesse_origin()
+    cubic = _smooth_cubic(p)
+
+    def add(u, v):
+        return _add(_require_on(cubic, u, p), _require_on(cubic, v, p))
+
+    tau = _integer_triple(p)
     pts = [tau]
     while len(pts) < count:
-        pts.append(hesse_add(p, pts[-1], tau))
+        pts.append(add(pts[-1], tau))
     sums = {}
     for i in range(count):
         for j in range(i, count):
-            sums[(i, j)] = hesse_add(p, pts[i], pts[j])
+            sums[(i, j)] = add(pts[i], pts[j])
+    origin = hesse_origin()
+    proj = [ProjPoint(q) for q in pts]
+
+    def chord(i, j):
+        return _coords(hesse_third(p, hesse_third(p, proj[i], proj[j]), origin))
+
+    order = tau_order(p)
     record = {
         "count": count,
-        "tau_on_curve": on_hesse(p, tau),
-        "multiples_on_curve": all(on_hesse(p, q) for q in pts),
-        "identity": all(hesse_add(p, q, origin) == q for q in pts),
-        "inverses": all(hesse_add(p, q, hesse_neg(p, q)) == origin for q in pts),
-        "commutative": all(sums[(i, j)] == hesse_add(p, pts[j], pts[i])
+        "tau_order": "infinite" if order is None else order,
+        "tau_on_curve": _on_cubic(cubic, tau),
+        "multiples_on_curve": all(_on_cubic(cubic, q) for q in pts),
+        "identity": all(add(q, _ORIGIN) == q for q in pts),
+        "inverses": all(add(q, _neg(q)) == _ORIGIN for q in pts),
+        "commutative": all(sums[(i, j)] == add(pts[j], pts[i])
                            for i in range(count) for j in range(i + 1, count)),
         "multiple_consistency": all(sums[(i, j)] == pts[i + j + 1]
                                     for i in range(count) for j in range(i, count)
                                     if i + j + 1 < count),
         "associative": all(
-            hesse_add(p, sums[(i, j)], pts[k]) == hesse_add(p, pts[i], sums[(j, k)])
+            add(sums[(i, j)], pts[k]) == add(pts[i], sums[(j, k)])
             for i in range(count) for j in range(i, count) for k in range(j, count)),
+        "chord_agrees": (all(chord(k, 0) == pts[k + 1] for k in range(count - 1))
+                         and all(chord(i, j) == s for (i, j), s in sums.items())),
     }
-    record["pass"] = all(v for k, v in record.items() if k != "count")
+    record["pass"] = all(v for k, v in record.items() if k not in ("count", "tau_order"))
     return record
 
 
@@ -315,22 +454,6 @@ def s3_degree3_overlap(p: AbcParams) -> dict:
         "invariant_dim": inv.dim,
         "invariant_is_meet": inv.rows == meet.rows,
     }
-
-
-def tau_order_flag(p: AbcParams) -> str:
-    """Order of the translation point [a:b:c] on its curve: order1/2/3 or generic."""
-    if not is_smooth_hesse(p):
-        raise ParameterError("flag needs a smooth curve")
-    origin = hesse_origin()
-    tau = ProjPoint.of(p.a, p.b, p.c)
-    if tau == origin:
-        return "order1"
-    t2 = hesse_add(p, tau, tau)
-    if t2 == origin:
-        return "order2"
-    if hesse_add(p, t2, tau) == origin:
-        return "order3"
-    return "generic"
 
 
 def verify_c3_description(p: AbcParams) -> dict:

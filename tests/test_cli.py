@@ -29,6 +29,7 @@ def test_json_report_schema(capsys):
         assert set(check) == {"id", "params", "status", "data", "notes"}
         assert check["status"] in ("pass", "fail", "skipped-degenerate")
     assert report["summary"]["failed"] == 0
+    assert report["summary"]["errors"] == 0
     assert report["summary"]["total"] == len(report["checks"])
 
 
@@ -120,6 +121,7 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert text.startswith("skverify")
+    assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
 
 
 def test_max_degree_truncates_hilbert_checks(capsys):
@@ -128,3 +130,50 @@ def test_max_degree_truncates_hilbert_checks(capsys):
     report = json.loads(capsys.readouterr().out)
     hil = [c for c in report["checks"] if c["id"] == "s3-hilbert"][0]
     assert len(hil["data"]["dims"]) == 4
+
+
+def test_internal_error_is_recorded_and_exits_three(capsys, monkeypatch):
+    def boom(p, count):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "group_law_record", boom)
+    assert main(["verify", "s3", "--abc", "1,2,3", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    assert status.pop("s3-group-law") == "error"
+    assert len(status) == 5 and set(status.values()) == {"pass"}
+    law = next(c for c in report["checks"] if c["id"] == "s3-group-law")
+    assert law["notes"] == "KeyError: 'boom' (in skverify.cli)"
+    assert report["summary"]["errors"] == 1
+    assert report["summary"]["failed"] == 0
+    assert "KeyError: 'boom'" in captured.err
+
+
+def test_internal_error_names_the_innermost_layer(capsys, monkeypatch):
+    def broken(p, pt1, pt2):
+        raise ZeroDivisionError("no chord")
+
+    # both the tangent-third and the chord cross-check go through hesse_third
+    monkeypatch.setattr("skverify.pointscheme.hesse_third", broken)
+    assert main(["verify", "s3", "--abc", "1,2,3"]) == 3
+    out = capsys.readouterr().out
+    errors = [l for l in out.splitlines() if l.startswith("ERROR")]
+    assert [l.split()[1] for l in errors] == ["s3-center-cubic", "s3-group-law"]
+    for line in errors:
+        assert line.endswith("(ZeroDivisionError: no chord (in skverify.pointscheme))")
+    assert "passed=4 failed=0 skipped=0 errors=2" in out
+
+
+def test_output_file_is_replaced_atomically(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "report.txt"
+    out.write_text("earlier report\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    assert main(["verify", "reps", "--out", str(out)]) == 2
+    assert out.read_text() == "earlier report\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["report.txt"]
+    assert "disk full" in capsys.readouterr().err

@@ -145,6 +145,8 @@ def test_translation_point_order_flags():
     assert tau_order_flag(AbcParams.of(1, 2, 3)) == "generic"
     # equal first two coordinates force a self-inverse point
     assert tau_order_flag(AbcParams.of(1, 1, 2)) == "order2"
+    # order 6: only orders 1-3 get their own flag
+    assert tau_order_flag(AbcParams.of(1, -12, -12)) == "generic"
     with pytest.raises(ParameterError):
         tau_order_flag(AbcParams.of(1, 1, 1))
 

@@ -4,22 +4,44 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skverify.errors import OffCurveError
-from skverify.families import AbcParams
+from skverify.families import AbcParams, is_smooth_hesse
 from skverify.field import fe, root_of_unity
 from skverify.freealg import span
 from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
-                                  hesse_neg, hesse_origin,
-                                  hesse_tangent_third, invariant_cubic_basis,
+                                  hesse_neg, hesse_origin, hesse_tangent_third,
+                                  hesse_third, invariant_cubic_basis,
                                   on_hesse, s2_point_determinant,
                                   s3_degree3_overlap, s3_next_point,
-                                  s3_point_matrix,
-                                  s4_minor_membership, verify_c3_description)
+                                  s3_point_matrix, s4_minor_membership,
+                                  tau_order, verify_c3_description)
 from skverify.veronese import s2_centralizer_record
 
 CURVES = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),
           AbcParams.of(1, -1, Fraction(5, 7))]
+# translation points of finite order, checked by chord_order below
+TORSION = {AbcParams.of(1, 1, -12): 2, AbcParams.of(1, -12, -12): 6,
+           AbcParams.of(1, 1, 2): 2}
+# the two inflections other than the origin that every curve of the pencil shares
+FLEXES = [ProjPoint.of(1, 0, -1), ProjPoint.of(0, 1, -1)]
+
+
+def chord_add(p, u, v):
+    """The chord construction's sum: third(third(u, v), O)."""
+    return hesse_third(p, hesse_third(p, u, v), hesse_origin())
+
+
+def chord_order(p):
+    tau = ProjPoint.of(p.a, p.b, p.c)
+    q = tau
+    for n in range(1, 13):
+        if q == hesse_origin():
+            return n
+        q = chord_add(p, q, tau)
+    return None
 
 
 def test_origin_and_translation_point_lie_on_curve():
@@ -38,14 +60,68 @@ def test_chord_tangent_closure():
 
 
 def test_group_law_axioms_on_ten_multiples():
-    for p in CURVES:
+    orders = [(p, "infinite") for p in CURVES] + [(AbcParams.of(1, -12, -12), 6)]
+    for p, order in orders:
         rec = group_law_record(p, 10)
         assert rec["count"] == 10
+        assert rec["tau_order"] == order
         assert rec["pass"]
         for key in ("tau_on_curve", "multiples_on_curve", "identity",
                     "inverses", "commutative", "multiple_consistency",
-                    "associative"):
-            assert rec[key], key
+                    "associative", "chord_agrees"):
+            assert rec[key] is True, key
+
+
+def test_tau_order_matches_chord_oracle():
+    for p, order in list(TORSION.items()) + [(p, None) for p in CURVES]:
+        assert tau_order(p) == order
+        assert chord_order(p) == order
+
+
+def check_against_chord(p, steps):
+    """Closed law against the chord construction along the multiples of tau,
+    on doublings, inverses and translations by the two shared flexes."""
+    tau = ProjPoint.of(p.a, p.b, p.c)
+    q = tau
+    for _ in range(steps):
+        neg = hesse_neg(p, q)
+        assert neg == hesse_third(p, q, hesse_origin())
+        for other in [tau, q, neg] + FLEXES:
+            assert hesse_add(p, q, other) == chord_add(p, q, other)
+        q = hesse_add(p, q, tau)
+
+
+@st.composite
+def smooth_params(draw):
+    num = st.integers(-9, 9)
+    den = st.integers(1, 9)
+    p = AbcParams.of(1, Fraction(draw(num), draw(den)), Fraction(draw(num), draw(den)))
+    assume(is_smooth_hesse(p))
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_params())
+def test_closed_law_matches_chord_construction(p):
+    check_against_chord(p, 3)
+
+
+def test_closed_law_matches_chord_on_torsion_walks():
+    # the walks pass through the origin: order 6 and order 2
+    for p in (AbcParams.of(1, -12, -12), AbcParams.of(1, 1, 2)):
+        check_against_chord(p, 7)
+
+
+def test_closed_law_on_cyclotomic_points():
+    # u - v = [1:-w:0] is where the first formula vanishes off the diagonal
+    flex = ProjPoint.of(1, -root_of_unity(3), 0)
+    for p in CURVES:
+        tau = ProjPoint.of(p.a, p.b, p.c)
+        shifted = chord_add(p, flex, tau)
+        for u, v in ((flex, tau), (flex, flex), (tau, hesse_neg(p, flex)),
+                     (shifted, tau)):
+            assert on_hesse(p, u) and on_hesse(p, v)
+            assert hesse_add(p, u, v) == chord_add(p, u, v)
 
 
 def test_tangent_third_is_negated_double():
