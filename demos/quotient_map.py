@@ -8,7 +8,7 @@ in from a table; the closed forms are only compared at the end.
 """
 
 from skverify.families import AbcParams
-from skverify.veronese import (build_veronese, central_pair, extract_c4,
+from skverify.veronese import (build_veronese, extract_c4,
                                verify_central_pair, verify_quotient_map)
 
 p = AbcParams.of(1, 2, 3)
@@ -32,7 +32,7 @@ print("  index 3 disagrees at every sample point; the engine keeps the")
 print("  derived form, which is the one that actually lies in the kernel")
 
 print()
-cp = central_pair(vm)
+cp = vm.central_pair
 names = ("v00", "v10", "v01", "v11")
 print("first central quadric: ", cp.omega1.text(names))
 print("second central quadric:", cp.omega2.text(names))

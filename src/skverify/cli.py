@@ -333,7 +333,7 @@ def _quotient_suite(col: _Collector, plist, cfg: RunConfig) -> None:
         col.run("quotient-central-pair", params, pair)
 
         def hilb(p=p, vm=vm):
-            cp = veronese.central_pair(vm())
+            cp = vm().central_pair
             pres = build_s4(cp.sextuple)
             both = quotient_hilbert(pres, [cp.omega1, cp.omega2], d4).dims
             want = tuple(1 if m == 0 else 4 * m for m in range(d4 + 1))
@@ -509,10 +509,17 @@ def main(argv=None) -> int:
                        fmt=args.format, out=args.out)
     try:
         report = run_suite(config)
+        text = render_report(report, config.fmt)
     except (ParameterError, SamplingExhaustedError) as exc:
         print(f"skverify: {exc}", file=sys.stderr)
         return 2
-    text = render_report(report, config.fmt)
+    except Exception as exc:
+        # outside any check (a reject predicate, sampling, rendering): no
+        # report can be trusted, so none is written
+        traceback.print_exc(file=sys.stderr)
+        print(f"skverify: internal error: {type(exc).__name__}: {exc} (in {_layer(exc)})",
+              file=sys.stderr)
+        return 3
     if config.out:
         try:
             _write_atomic(config.out, text)

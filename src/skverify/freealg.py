@@ -193,7 +193,7 @@ def acomm(p: NcPoly, q: NcPoly) -> NcPoly:
 class Subspace:
     """Subspace of one homogeneous component, held as canonical RREF rows."""
 
-    __slots__ = ("ngens", "degree", "ncols", "pivots", "rows", "_hash")
+    __slots__ = ("ngens", "degree", "ncols", "pivots", "rows")
 
     def __init__(self, ngens: int, degree: int, pivots, rows) -> None:
         self.ngens = ngens
@@ -201,7 +201,6 @@ class Subspace:
         self.ncols = ngens ** degree
         self.pivots = tuple(pivots)
         self.rows = tuple(rows)
-        self._hash = None
 
     @staticmethod
     def zero(ngens: int, degree: int) -> "Subspace":
@@ -236,12 +235,6 @@ class Subspace:
             return NotImplemented
         return (self.ngens == other.ngens and self.degree == other.degree
                 and self.pivots == other.pivots and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            canon = tuple(tuple(sorted(r.items())) for r in self.rows)
-            self._hash = hash((self.ngens, self.degree, self.pivots, canon))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Subspace(ngens={self.ngens}, degree={self.degree}, dim={self.dim})"

@@ -1,20 +1,21 @@
-"""Graded algebras presented by homogeneous relations.
+"""Graded algebras presented by homogeneous relations, in standard words.
 
-The degree-m slice of the two-sided ideal generated by relation spaces R_d is
-computed by the one-step recurrence
+Words of one degree are ordered by their base-n numeral (freealg); the
+standard words S_m are those that are not the lowest word of any element of
+the ideal slice J_m.  A relation can always be moved to the end of a word and
+the order is compatible with concatenation, so J_m = J_{m-1} V + sum_d
+S_{m-d} R_d, and A_m is the span of S_{m-1} x V modulo the canonical RREF of
 
-    J_m  =  V * J_{m-1}  +  sum_d  R_d * V^{m-d},
+    K_m  =  span{ NF_{m-1}((u r)[:-1]) * (u r)[-1] : u in S_{m-d}, r in R_d }.
 
-which covers every position a relation can occupy inside a degree-m word: the
-first summand collects all placements not starting at position 0, the second
-the rest.
-Slices are canonical Subspace objects and are memoized per (presentation,
-degree).
-
-The centralizer of the generators in degree k is solved as a kernel problem:
-c commutes with every generator modulo the ideal iff all commutators [x_i, c]
-reduce to zero modulo J_{k+1}.  That kernel automatically contains J_k, so the
-returned subspace holds canonical representatives: the kernel reduced mod J_k.
+S_m is S_{m-1} x V minus the pivots of K_m, and NF_m(w) is
+NF_{m-1}(w[:-1]) * w[-1] reduced modulo K_m: the one element of w + J_m on
+S_m, the non-pivot columns of the RREF of J_m, hence the residue modulo that
+RREF.  This is the diamond lemma (Bergman, Adv. Math. 1978) in linear-algebra
+form; its rows grow polynomially in m where J_m has n^m columns.  Each public
+function builds its own engine, and only the engine memoizes.  Centralizers
+are kernels of s -> NF(x_i s - s x_i) from A_k to A_{k+1}, and normality
+automorphisms are solved in A_{k+1} coordinates.
 """
 
 from __future__ import annotations
@@ -59,15 +60,8 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.gen_names)
 
-    @property
-    def degree_ceiling(self) -> int:
-        return 6 if self.ngens <= 3 else 5
-
     def relation_polys(self) -> list[NcPoly]:
-        out = []
-        for _, s in self.relations:
-            out.extend(s.basis())
-        return out
+        return [b for _, s in self.relations for b in s.basis()]
 
     def adjoin(self, extras) -> "Presentation":
         """Presentation with extra homogeneous elements added to the relations."""
@@ -100,53 +94,76 @@ class NormalCertificate:
 
     @property
     def is_central(self) -> bool:
-        if self.sigma is None:
-            return False
-        return all(self.sigma[i][j] == (ONE if i == j else ZERO)
-                   for i in range(len(self.sigma)) for j in range(len(self.sigma)))
+        return self.sigma is not None and all(
+            v == (ONE if i == j else ZERO) for i, row in enumerate(self.sigma)
+            for j, v in enumerate(row))
 
 
-_SLICE_CACHE: dict[tuple[Presentation, int], Subspace] = {}
+class Quotient:
+    """The quotient algebra of a presentation, in standard-word coordinates.
 
+    Rows are keyed by word index, as in freealg; degrees are built on demand.
+    """
 
-def ideal_slice(p: Presentation, m: int) -> Subspace:
-    """Degree-m slice of the two-sided ideal generated by the relations."""
-    if m < 0:
-        raise DegreeError("negative degree")
-    if m > p.degree_ceiling:
-        raise DegreeError(f"degree {m} above supported ceiling {p.degree_ceiling}")
-    n = p.ngens
-    min_rel = p.relations[0][0]
-    if m < min_rel:
-        return Subspace.zero(n, m)
-    key = (p, m)
-    hit = _SLICE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    rows: list[linalg.Row] = []
-    prev = ideal_slice(p, m - 1)
-    shift = n ** (m - 1)
-    for row in prev.rows:
-        for g in range(n):
-            base = g * shift
-            rows.append({base + c: v for c, v in row.items()})
-    for d, rel in p.relations:
-        if d > m:
-            break
-        pad = n ** (m - d)
-        for row in rel.rows:
-            for w in range(pad):
-                rows.append({c * pad + w: v for c, v in row.items()})
-    s = span_rows(n, m, rows)
-    _SLICE_CACHE[key] = s
-    return s
+    def __init__(self, p: Presentation) -> None:
+        self.p = p
+        self._std: list[tuple[int, ...]] = [(0,)]     # S_m, ascending word indices
+        self._kern: list[tuple] = [((), ())]           # RREF (pivots, rows) of K_m
+        self._nf: list[dict[int, linalg.Row]] = [{0: {0: ONE}}]
+
+    def standard(self, m: int) -> tuple[int, ...]:
+        """Word indices of the standard words of degree m, ascending."""
+        while len(self._std) <= m:
+            self._extend()
+        return self._std[m]
+
+    def normal_row(self, row: linalg.Row, m: int) -> linalg.Row:
+        """Normal form of a degree-m row: its residue modulo J_m."""
+        self.standard(m)
+        return linalg.reduce_mod(self._shift(row, m), *self._kern[m]) if m else dict(row)
+
+    def normal_form(self, poly: NcPoly) -> NcPoly:
+        """Normal form of a homogeneous polynomial; zero iff it lies in J."""
+        if not poly:
+            return poly
+        m = poly.degree()
+        return NcPoly.from_row(poly.ngens, m, self.normal_row(poly.to_row(m), m))
+
+    def _shift(self, row: linalg.Row, m: int) -> linalg.Row:
+        """Sum of c * NF_{m-1}(w[:-1]) * w[-1] over the terms c*w of a degree-m row."""
+        n = self.p.ngens
+        out: linalg.Row = {}
+        for w, c in row.items():
+            last = w % n
+            for k, v in self._word(w // n, m - 1).items():
+                out[k * n + last] = out.get(k * n + last, ZERO) + c * v
+        return {k: v for k, v in out.items() if v}
+
+    def _word(self, w: int, m: int) -> linalg.Row:
+        memo = self._nf[m]
+        if w not in memo:
+            memo[w] = linalg.reduce_mod(self._shift({w: ONE}, m), *self._kern[m])
+        return memo[w]
+
+    def _extend(self) -> None:
+        m = len(self._std)
+        n = self.p.ngens
+        rows = [self._shift({u * n ** d + t: c for t, c in r.items()}, m)
+                for d, rel in self.p.relations if d <= m
+                for u in self._std[m - d] for r in rel.rows]
+        pivots, prows = linalg.rref(rows)
+        pivset = set(pivots)
+        std = tuple(w for s in self._std[m - 1] for w in range(s * n, s * n + n)
+                    if w not in pivset)
+        self._kern.append((pivots, prows))
+        self._std.append(std)
+        self._nf.append({})
 
 
 def hilbert_dims(p: Presentation, max_degree: int) -> HilbertRecord:
     """Dimensions of the graded quotient in degrees 0..max_degree."""
-    n = p.ngens
-    dims = tuple(n ** m - ideal_slice(p, m).dim for m in range(max_degree + 1))
-    return HilbertRecord(dims)
+    q = Quotient(p)
+    return HilbertRecord(tuple(len(q.standard(m)) for m in range(max_degree + 1)))
 
 
 def quotient_hilbert(p: Presentation, extras, max_degree: int) -> HilbertRecord:
@@ -166,31 +183,18 @@ def centralizer_slice(p: Presentation, k: int) -> Subspace:
     """Canonical representatives of degree-k elements central in the quotient."""
     if k < 1:
         raise DegreeError("degree must be >= 1")
-    n = p.ngens
-    jk = ideal_slice(p, k)
-    jk1 = ideal_slice(p, k + 1)
-    nk = n ** k
-    eqrows: dict[int, linalg.Row] = {}
-    for widx in range(nk):
-        acc: linalg.Row = {}
+    n, q = p.ngens, Quotient(p)
+    std, nk = q.standard(k), n ** k
+    eqrows: dict[tuple[int, int], linalg.Row] = {}
+    for col, s in enumerate(std):
         for i in range(n):
-            left = i * nk + widx       # word  x_i * w
-            right = widx * n + i       # word  w * x_i
+            left, right = i * nk + s, s * n + i      # words x_i * s and s * x_i
             if left == right:
                 continue
-            resid = jk1.reduce_row({left: ONE, right: -ONE})
-            for c, v in resid.items():
-                key = i * (nk * n) + c
-                w = acc.get(key, ZERO) + v
-                if w:
-                    acc[key] = w
-                elif key in acc:
-                    del acc[key]
-        for r, v in acc.items():
-            eqrows.setdefault(r, {})[widx] = v
-    kernel = linalg.nullspace([eqrows[r] for r in sorted(eqrows)], nk)
-    reps = [jk.reduce_row(v) for v in kernel]
-    return span_rows(n, k, reps)
+            for c, v in q.normal_row({left: ONE, right: -ONE}, k + 1).items():
+                eqrows.setdefault((i, c), {})[col] = v
+    kernel = linalg.nullspace([eqrows[key] for key in sorted(eqrows)], len(std))
+    return span_rows(n, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
 
 
 def normality_automorphism(p: Presentation, c: NcPoly) -> NormalCertificate:
@@ -200,18 +204,13 @@ def normality_automorphism(p: Presentation, c: NcPoly) -> NormalCertificate:
     k = c.degree()
     if k < 1:
         raise DegreeError("degree must be >= 1")
-    n = p.ngens
-    if ideal_slice(p, k).contains(c):
+    q, gens = Quotient(p), NcPoly.gens(p.ngens)
+    if not q.normal_form(c):
         raise ParameterError("element vanishes in the quotient algebra")
-    jk1 = ideal_slice(p, k + 1)
-    crow = c.to_row(k)
-    nk = n ** k
-    right = [jk1.reduce_row({col * n + j: v for col, v in crow.items()})
-             for j in range(n)]
+    right = [q.normal_row((c * g).to_row(k + 1), k + 1) for g in gens]
     sigma = []
-    for i in range(n):
-        target = jk1.reduce_row({i * nk + col: v for col, v in crow.items()})
-        x = linalg.solve_columns(right, target)
+    for g in gens:
+        x = linalg.solve_columns(right, q.normal_row((g * c).to_row(k + 1), k + 1))
         if x is None:
             return NormalCertificate(degree=k, sigma=None)
         sigma.append(tuple(x))

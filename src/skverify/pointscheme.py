@@ -45,15 +45,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import (OffCurveError, ParameterError, RankError, ShapeError,
-                     SingularCurveError, VerificationError)
+from .errors import OffCurveError, ParameterError, RankError, ShapeError, SingularCurveError
 from . import linalg
 from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
                        s2_relation_polys, s3_relation_polys, s4_relation_polys)
 from .field import ONE, ZERO, FieldElem, fe, root_of_unity
-from .freealg import (MultiPoly, NcPoly, Subspace, multilinearize, proportional,
-                      span, span_rows, sum_and_intersect)
-from .graded import centralizer_slice, ideal_slice, normality_automorphism
+from .freealg import MultiPoly, NcPoly, multilinearize, proportional, span, sum_and_intersect
+from .graded import Quotient, centralizer_slice, normality_automorphism
 from .heisenberg import h3_gen_rep, invariant_subspace, rep_on_degree
 
 
@@ -275,58 +273,56 @@ def _neg(u: tuple) -> tuple[int, int, int]:
     return _primitive((u[1], u[0], u[2]))
 
 
-def _require_curve(p: AbcParams, *pts: ProjPoint) -> MultiPoly:
-    if not is_smooth_hesse(p):
-        raise SingularCurveError(f"{p} fails the smoothness criterion")
-    f = hesse_cubic(p)
-    for pt in pts:
-        if f.evaluate([tuple(pt)]):
-            raise OffCurveError(f"{pt} is not on the curve at {p}")
-    return f
+def _grad(cubic: tuple[int, int], v) -> tuple:
+    """Gradient (3kX^2 - sYZ, 3kY^2 - sXZ, 3kZ^2 - sXY) of the cubic form at v."""
+    k, s = cubic
+    x, y, z = v
+    return (3 * k * x * x - s * y * z, 3 * k * y * y - s * x * z, 3 * k * z * z - s * x * y)
 
 
-def _grad_at(f: MultiPoly, pt) -> tuple[FieldElem, FieldElem, FieldElem]:
-    return tuple(f.derivative(0, j).evaluate([pt]) for j in range(3))
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _dot(u, v) -> FieldElem:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def _combine(s, pt1, t, pt2) -> ProjPoint:
-    return ProjPoint.of(*(s * a + t * b for a, b in zip(pt1, pt2)))
+def _combine(s, u, t, v) -> ProjPoint:
+    return ProjPoint.of(*(s * a + t * b for a, b in zip(u, v)))
 
 
 def hesse_third(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
-    """Third intersection of the curve with the line (or tangent) through the points."""
-    f = _require_curve(p, pt1, pt2)
+    """Third intersection of the curve with the line (or tangent) through the points.
+
+    Rational points run on their integer triples; the result is projective,
+    so the scale of the cubic form does not matter.
+    """
+    cubic = _smooth_cubic(p)
+    u, v = (_require_on(cubic, _coords(pt), p) for pt in (pt1, pt2))
     if pt1 == pt2:
-        n = _grad_at(f, tuple(pt1))
-        n0, n1, n2 = n
+        n0, n1, n2 = _grad(cubic, u)
         # directions orthogonal to the gradient; the point itself is one (Euler),
         # pick a second, independent one
         d = None
-        for cand in ((ZERO, n2, -n1), (-n2, ZERO, n0), (n1, -n0, ZERO)):
+        for cand in ((0, n2, -n1), (-n2, 0, n0), (n1, -n0, 0)):
             if not any(cand):
                 continue
-            u, v = tuple(pt1), cand
-            minors = (u[0] * v[1] - u[1] * v[0], u[0] * v[2] - u[2] * v[0],
-                      u[1] * v[2] - u[2] * v[1])
+            minors = (u[0] * cand[1] - u[1] * cand[0], u[0] * cand[2] - u[2] * cand[0],
+                      u[1] * cand[2] - u[2] * cand[1])
             if any(minors):
                 d = cand
                 break
         if d is None:
             raise SingularCurveError("gradient vanishes: singular point")
-        big_a = _dot(_grad_at(f, d), tuple(pt1))
-        big_b = f.evaluate([d])
-        if not big_a and not big_b:
+        # on the tangent s*u + t*d the cubic is t^2 (s grad(d).u + t f(d)), and
+        # grad(d).d = 3 f(d) by Euler
+        g = _grad(cubic, d)
+        big_a, big_b3 = 3 * _dot(g, u), _dot(g, d)
+        if not big_a and not big_b3:
             raise SingularCurveError("tangent line lies on the curve")
-        return _combine(big_b, pt1, -big_a, d)
-    g1 = _dot(_grad_at(f, tuple(pt1)), tuple(pt2))
-    g2 = _dot(_grad_at(f, tuple(pt2)), tuple(pt1))
+        return _combine(big_b3, u, -big_a, d)
+    g1 = _dot(_grad(cubic, u), v)
+    g2 = _dot(_grad(cubic, v), u)
     if not g1 and not g2:
         raise SingularCurveError("chord lies on the curve")
-    return _combine(g2, pt1, -g1, pt2)
+    return _combine(g2, u, -g1, v)
 
 
 def hesse_neg(p: AbcParams, pt: ProjPoint) -> ProjPoint:
@@ -483,11 +479,11 @@ def verify_c3_description(p: AbcParams) -> dict:
         record["reason"] = "centralizer dimension is not 1"
         return record
     c3 = cents.basis()[0]
-    j3 = ideal_slice(pres, 3)
+    nf = Quotient(pres).normal_form
     tangent = hesse_tangent_third(p, ProjPoint.of(p.a, p.b, p.c))
     record["coefficient_triple"] = tuple(tangent)
     combo = sum((t * f for t, f in zip(tangent, basis)), NcPoly.zero(3))
-    ratio = proportional(j3.reduce(combo), j3.reduce(c3))
+    ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio
     cert = normality_automorphism(pres, c3)
     record["sigma_is_identity"] = cert.is_central

@@ -20,6 +20,7 @@ against the closed-form extra relation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import ParameterError, VerificationError
@@ -28,7 +29,7 @@ from .families import (AbcParams, AlphaTriple, SextupleParams, alpha_from_abc,
                        s4_relation_polys, S4_NAMES)
 from .field import ONE, ZERO, FieldElem, fe
 from .freealg import NcPoly, proportional, span_rows, substitute
-from .graded import centralizer_slice, ideal_slice, normality_automorphism
+from .graded import Quotient, centralizer_slice, normality_automorphism
 from .heisenberg import h2_gen_rep, h4_gen_rep_pm, rep_on_degree
 
 # signs of v00, v10, v01, v11 under e1^2 and e2^2: (-1)^i and (-1)^j on v_{i,j}
@@ -93,6 +94,20 @@ class VeroneseMap:
     def apply(self, poly: NcPoly) -> NcPoly:
         """Image of a polynomial in the 4 symbols inside the 2-generator algebra."""
         return substitute(poly, list(self.images))
+
+    @cached_property
+    def central_pair(self) -> "CentralPair":
+        """omega1 is the extra kernel quadric; omega2 its symmetry translate.
+
+        Both are supported on generator squares, so the translate is computed
+        with the in-field squared scalars from _square_translates.  The pair is
+        derived once per map; a failure is raised again on every access.
+        """
+        t1, _ = _square_translates(self.sextuple)
+        omega2 = _squares(t1(_square_coeffs(self.extra)))
+        if not omega2:
+            raise VerificationError("translate of the extra quadric vanished")
+        return CentralPair(omega1=self.extra, omega2=omega2, sextuple=self.sextuple)
 
 
 # pair groups: ((s,t),(u,v)) index positions in generator order v00,v10,v01,v11
@@ -169,14 +184,9 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     if p.a == 0 or p.b == p.c or p.b == -p.c:
         raise ParameterError("quotient construction needs a != 0 and b != +-c")
     images = quadratic_images()
-    target = build_s2(p)
-    j4 = ideal_slice(target, 4)
-    rows = []
-    for i in range(4):
-        for j in range(4):
-            prod = images[i] * images[j]
-            red = j4.reduce_row(prod.to_row(4))
-            rows.append(red)
+    q = Quotient(build_s2(p))
+    rows = [q.normal_row((images[i] * images[j]).to_row(4), 4)
+            for i in range(4) for j in range(4)]
     eqrows: dict[int, linalg.Row] = {}
     for idx, r in enumerate(rows):
         for c, v in r.items():
@@ -280,8 +290,8 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
             if acted != want:
                 equiv_ok = False
     elements = _kernel_element_rows(vm)
-    j4 = ideal_slice(build_s2(p), 4)
-    in_ideal = [j4.contains(vm.apply(NcPoly.from_row(4, 2, row))) for row in elements]
+    nf = Quotient(build_s2(p)).normal_form
+    in_ideal = [not nf(vm.apply(NcPoly.from_row(4, 2, row))) for row in elements]
     characters = [_bicharacter(r) for r in elements]
     expected_chars = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0)]
     kspan = span_rows(4, 2, [dict(r) for r in elements])
@@ -361,29 +371,16 @@ def _square_translates(s: SextupleParams):
     return t1, t2
 
 
-def central_pair(vm: VeroneseMap) -> CentralPair:
-    """omega1 is the extra kernel quadric; omega2 its symmetry translate.
-
-    Both are supported on generator squares, so the translate is computed
-    with the in-field squared scalars from _square_translates.
-    """
-    t1, _ = _square_translates(vm.sextuple)
-    omega2 = _squares(t1(_square_coeffs(vm.extra)))
-    if not omega2:
-        raise VerificationError("translate of the extra quadric vanished")
-    return CentralPair(omega1=vm.extra, omega2=omega2, sextuple=vm.sextuple)
-
-
 def verify_central_pair(vm: VeroneseMap) -> dict:
     """Centrality and independence of the pair inside the derived algebra."""
-    cp = central_pair(vm)
+    cp = vm.central_pair
     pres = build_s4(cp.sextuple)
     cert1 = normality_automorphism(pres, cp.omega1)
     cert2 = normality_automorphism(pres, cp.omega2)
     cs = centralizer_slice(pres, 2)
-    j2 = ideal_slice(pres, 2)
-    r1 = j2.reduce(cp.omega1)
-    r2 = j2.reduce(cp.omega2)
+    nf = Quotient(pres).normal_form
+    r1 = nf(cp.omega1)
+    r2 = nf(cp.omega2)
     pair_span = span_rows(4, 2, [r1.to_row(2), r2.to_row(2)])
     independent = pair_span.dim == 2
     record = {
@@ -396,7 +393,7 @@ def verify_central_pair(vm: VeroneseMap) -> dict:
     _, t2 = _square_translates(cp.sextuple)
     if t2 is not None:
         alt = _squares(t2(_square_coeffs(cp.omega1)))
-        record["second_translate_in_span"] = pair_span.contains(j2.reduce(alt))
+        record["second_translate_in_span"] = pair_span.contains(nf(alt))
     record["pass"] = (cert1.is_central and cert2.is_central and independent
                       and record["centralizer_is_pair_span"])
     return record
@@ -410,14 +407,14 @@ def extract_c4(vm: VeroneseMap) -> dict:
     normalizations of both sides.
     """
     p = vm.params
-    cp = central_pair(vm)
-    j4 = ideal_slice(build_s2(p), 4)
-    img1 = j4.reduce(vm.apply(cp.omega1))
-    img2 = j4.reduce(vm.apply(cp.omega2))
+    cp = vm.central_pair
+    nf = Quotient(build_s2(p)).normal_form
+    img1 = nf(vm.apply(cp.omega1))
+    img2 = nf(vm.apply(cp.omega2))
     c4 = s2_central_quartic(p)
     if not c4:
         raise ParameterError("closed-form quartic vanishes at these parameters")
-    mu = proportional(img2, j4.reduce(c4)) if img2 else None
+    mu = proportional(img2, nf(c4)) if img2 else None
     tp4 = rep_on_degree(h2_gen_rep(), 4)
     c4row = c4.to_row(4)
     invariant = all(tp4.act_row(g, c4row) == c4row for g in ((1, 0, 0), (0, 1, 0)))
@@ -434,11 +431,10 @@ def s2_centralizer_record(p: AbcParams) -> dict:
     """Degree-4 centralizer of the 2-generator family; membership of the quartic."""
     pres = build_s2(p)
     cs = centralizer_slice(pres, 4)
-    j4 = ideal_slice(pres, 4)
     c4 = s2_central_quartic(p)
     if not c4:
         raise ParameterError("closed-form quartic vanishes identically at these parameters")
-    resid = j4.reduce(c4)
+    resid = Quotient(pres).normal_form(c4)
     return {
         "centralizer_dim": cs.dim,
         "quartic_in_centralizer": bool(resid) and cs.contains(resid),

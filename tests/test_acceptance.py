@@ -19,7 +19,7 @@ from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
                                   s3_degree3_overlap, s3_next_point,
                                   s4_minor_membership, verify_c3_description)
 from skverify.sampling import sample_parameters
-from skverify.veronese import (build_veronese, central_pair, extract_c4,
+from skverify.veronese import (build_veronese, extract_c4,
                                verify_c4_central, verify_central_pair,
                                verify_quotient_map)
 
@@ -120,7 +120,7 @@ def test_criterion_06_central_pair_and_quotient_series():
         ok &= rec["omega1_central"] and rec["omega2_central"]
         ok &= rec["independent_mod_relations"]
         ok &= rec["pass"]
-        cp = central_pair(build_veronese(p))
+        cp = build_veronese(p).central_pair
         pres = build_s4(cp.sextuple)
         dims = quotient_hilbert(pres, [cp.omega1, cp.omega2], 5).dims
         ok &= dims == (1, 4, 8, 12, 16, 20)

@@ -165,6 +165,19 @@ def test_internal_error_names_the_innermost_layer(capsys, monkeypatch):
     assert "passed=4 failed=0 skipped=0 errors=2" in out
 
 
+def test_internal_error_outside_a_check_exits_three(capsys, monkeypatch):
+    def boom(p):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli.sampling, "s3_reject_reason", boom)
+    assert main(["verify", "s3", "--abc", "1,2,3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert captured.err.rstrip().endswith(
+        "skverify: internal error: KeyError: 'boom' (in skverify.cli)")
+
+
 def test_output_file_is_replaced_atomically(tmp_path, capsys, monkeypatch):
     out = tmp_path / "report.txt"
     out.write_text("earlier report\n")

@@ -1,19 +1,19 @@
-"""Graded quotients: ideal slices, Hilbert dimensions, centralizers, normality.
+"""Graded quotients: normal forms, Hilbert dimensions, centralizers, normality.
 
-Small presentations with hand-countable monomial bases pin down the slice
-recurrence before the three main families rely on it.
+Small presentations with hand-countable monomial bases pin down the graded
+engine before the three main families rely on it.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from skverify.errors import DegreeError, ParameterError
+from skverify.errors import ParameterError
 from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
                                alpha_from_abc, build_s2, build_s3, build_s4)
 from skverify.freealg import NcPoly, acomm, comm
-from skverify.graded import (Presentation, abelianized_hilbert,
-                             centralizer_slice, hilbert_dims, ideal_slice,
+from skverify.graded import (Presentation, Quotient, abelianized_hilbert,
+                             centralizer_slice, hilbert_dims,
                              normality_automorphism, quotient_hilbert)
 
 
@@ -71,8 +71,7 @@ def test_ideal_slice_absorbs_products():
     rel = x * x - y * y
     for left, right in ((x, y), (y * x, NcPoly.one(2)), (NcPoly.one(2), x * y)):
         elem = left * rel * right
-        s = ideal_slice(p, elem.degree())
-        assert s.contains(elem)
+        assert not Quotient(p).normal_form(elem)
 
 
 def test_empty_relation_set_rejected():
@@ -80,12 +79,12 @@ def test_empty_relation_set_rejected():
         Presentation.make("xy", [])
 
 
-def test_degree_ceiling_enforced():
-    x, y = NcPoly.gens(2)
-    p = Presentation.make("xy", [comm(x, y)])
-    assert p.degree_ceiling == 6
-    with pytest.raises(DegreeError):
-        hilbert_dims(p, p.degree_ceiling + 1)
+def test_polynomial_growth_above_the_old_ceilings():
+    # full slices stopped at degree 6 (s3) and 5 (s4) for cost alone
+    assert hilbert_dims(build_s3(S3_POINTS[1]), 8).dims == (
+        1, 3, 6, 10, 15, 21, 28, 36, 45)
+    s4 = build_s4(SextupleParams.from_alpha(alpha_from_abc(S2_POINTS[0])))
+    assert hilbert_dims(s4, 6).dims == (1, 4, 10, 20, 35, 56, 84)
 
 
 def test_three_generator_family_matches_polynomial_growth():

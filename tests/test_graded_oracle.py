@@ -1,0 +1,163 @@
+"""The graded engine against the full ideal slices it replaced.
+
+The oracle builds J_m inside V^{tensor m} by the recurrence
+
+    J_m  =  V * J_{m-1}  +  sum_d  R_d * V^{m-d}
+
+and reduces modulo the canonical RREF of J_m.  Its residues, Hilbert
+dimensions, centralizer bases and normality matrices must equal the engine's
+exactly, on random rational parameters and through the degrees the command
+line uses.
+"""
+
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from skverify import linalg
+from skverify.errors import ParameterError
+from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
+                               alpha_from_abc, build_s2, build_s3, build_s4)
+from skverify.field import ONE, fe
+from skverify.freealg import NcPoly, Subspace, span_rows
+from skverify.graded import (NormalCertificate, Quotient, centralizer_slice,
+                             hilbert_dims, normality_automorphism)
+
+
+class SliceOracle:
+    """Degree slices J_m of the relation ideal, as canonical subspaces."""
+
+    def __init__(self, p):
+        self.p = p
+        self.slices = {}
+
+    def slice(self, m: int) -> Subspace:
+        p, n = self.p, self.p.ngens
+        if m < p.relations[0][0]:
+            return Subspace.zero(n, m)
+        if m not in self.slices:
+            shift = n ** (m - 1)
+            rows = [{g * shift + c: v for c, v in row.items()}
+                    for row in self.slice(m - 1).rows for g in range(n)]
+            for d, rel in p.relations:
+                if d > m:
+                    break
+                pad = n ** (m - d)
+                rows.extend({c * pad + w: v for c, v in row.items()}
+                            for row in rel.rows for w in range(pad))
+            self.slices[m] = span_rows(n, m, rows)
+        return self.slices[m]
+
+    def hilbert(self, top: int) -> tuple:
+        return tuple(self.p.ngens ** m - self.slice(m).dim for m in range(top + 1))
+
+    def centralizer(self, k: int) -> Subspace:
+        n = self.p.ngens
+        jk, jk1 = self.slice(k), self.slice(k + 1)
+        nk = n ** k
+        eqrows = {}
+        for widx in range(nk):
+            for i in range(n):
+                left, right = i * nk + widx, widx * n + i
+                if left == right:
+                    continue
+                for c, v in jk1.reduce_row({left: ONE, right: -ONE}).items():
+                    eqrows.setdefault(i * (nk * n) + c, {})[widx] = v
+        kernel = linalg.nullspace([eqrows[r] for r in sorted(eqrows)], nk)
+        return span_rows(n, k, [jk.reduce_row(v) for v in kernel])
+
+    def normality(self, c: NcPoly) -> NormalCertificate:
+        n, k = self.p.ngens, c.degree()
+        if self.slice(k).contains(c):
+            raise ParameterError("element vanishes in the quotient algebra")
+        jk1 = self.slice(k + 1)
+        crow = c.to_row(k)
+        nk = n ** k
+        right = [jk1.reduce_row({col * n + j: v for col, v in crow.items()})
+                 for j in range(n)]
+        sigma = []
+        for i in range(n):
+            target = jk1.reduce_row({i * nk + col: v for col, v in crow.items()})
+            x = linalg.solve_columns(right, target)
+            if x is None:
+                return NormalCertificate(degree=k, sigma=None)
+            sigma.append(tuple(x))
+        return NormalCertificate(degree=k, sigma=tuple(sigma))
+
+
+def normality_or_error(solve, c):
+    try:
+        return solve(c)
+    except ParameterError:
+        return "vanishes"
+
+
+def assert_engine_matches(pres, top, centralizer_degrees, elements=()):
+    """Hilbert dims and every word's normal form to ``top``; centralizers and
+    the normality solve of each centralizer basis element and of ``elements``."""
+    oracle = SliceOracle(pres)
+    engine = Quotient(pres)
+    n = pres.ngens
+    assert hilbert_dims(pres, top).dims == oracle.hilbert(top)
+    for m in range(top + 1):
+        jm = oracle.slice(m)
+        for w in range(n ** m):
+            assert engine.normal_row({w: ONE}, m) == jm.reduce_row({w: ONE}), (m, w)
+    for c in elements:
+        want = oracle.slice(c.degree()).reduce(c)
+        assert engine.normal_form(c) == want
+        assert (normality_or_error(lambda e: normality_automorphism(pres, e), c)
+                == normality_or_error(oracle.normality, c))
+    for k in centralizer_degrees:
+        cents = centralizer_slice(pres, k)
+        assert cents == oracle.centralizer(k)
+        for c in cents.basis():
+            assert normality_automorphism(pres, c) == oracle.normality(c)
+
+
+small = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def abc_points(draw):
+    return AbcParams.of(1, draw(small), draw(small))
+
+
+@st.composite
+def elements(draw, ngens, degree):
+    words = st.tuples(*[st.integers(0, ngens - 1)] * degree)
+    coeffs = st.integers(-3, 3).filter(bool)
+    terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=4))
+    return NcPoly(ngens, terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(abc_points(), st.data())
+def test_engine_matches_slices_on_random_s3(p, data):
+    elems = [data.draw(elements(3, k)) for k in (2, 3)]
+    assert_engine_matches(build_s3(p), 4, (1, 2, 3), elems)
+
+
+@settings(max_examples=25, deadline=None)
+@given(abc_points(), st.data())
+def test_engine_matches_slices_on_random_s2(p, data):
+    elems = [data.draw(elements(2, k)) for k in (2, 3, 4)]
+    assert_engine_matches(build_s2(p), 4, (1, 2, 3), elems)
+
+
+@settings(max_examples=15, deadline=None)
+@given(small, small, st.data())
+def test_engine_matches_slices_on_random_s4(a1, a2, data):
+    assume(1 + a1 * a2 != 0)
+    pres = build_s4(SextupleParams.from_alpha(AlphaTriple.complete(a1, a2)))
+    elems = [data.draw(elements(4, k)) for k in (2, 3)]
+    assert_engine_matches(pres, 4, (1, 2), elems)
+
+
+def test_engine_matches_slices_through_the_old_ceilings():
+    p = AbcParams.of(1, Fraction(-1, 3), -2)
+    assert_engine_matches(build_s3(p), 6, (3,))
+    assert_engine_matches(build_s2(p), 6, (4,))
+    s4 = build_s4(SextupleParams.from_alpha(alpha_from_abc(AbcParams.of(1, 2, 3))))
+    assert_engine_matches(s4, 5, (2,), [NcPoly.gens(4)[0] * NcPoly.gens(4)[1] * fe(2)])

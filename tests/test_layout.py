@@ -2,6 +2,8 @@
 
 Every import in the package sits at module level: a function-local import
 hides a dependency between modules, usually one that points the wrong way.
+No module-level name starts out as an empty container: that is what a
+process-global memo looks like, and such state outlives the run it served.
 """
 
 import ast
@@ -21,3 +23,22 @@ def test_no_function_local_imports():
                 found.update(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                              if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not found, f"function-local imports: {sorted(found)}"
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "set", "list") and not node.args
+            and not node.keywords)
+
+
+def test_no_module_level_empty_containers():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                if _is_empty_container(node.value):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert not found, f"module-level empty containers: {sorted(found)}"
