@@ -5,8 +5,8 @@ one.  Centrality is never assumed: the centralizer slice is computed as a
 nullspace and the normality automorphism is solved for explicitly.
 """
 
-from skverify.families import AbcParams
-from skverify.graded import centralizer_slice, quotient_hilbert
+from skverify.families import AbcParams, build_s3
+from skverify.graded import Quotient, quotient_hilbert
 from skverify.pointscheme import verify_c3_description
 from skverify.veronese import verify_c4_central
 
@@ -20,9 +20,8 @@ print("  (that triple is the third intersection of the tangent line")
 print("   at the translation point with its curve)")
 print("normality automorphism is the identity:", rec["sigma_is_identity"])
 
-from skverify.families import build_s3
 pres = build_s3(p)
-c3 = centralizer_slice(pres, 3).basis()[0]
+c3 = Quotient(pres).centralizer_slice(3).basis()[0]
 print()
 print("quotient by the central cubic grows like a plane curve:")
 print("  ", quotient_hilbert(pres, [c3], 6).dims)

@@ -23,8 +23,7 @@ from .errors import ParameterError, SamplingExhaustedError, SkverifyError
 from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3, build_s4
 from .field import FieldElem, fe
 from .freealg import span
-from .graded import (abelianized_hilbert, centralizer_slice, hilbert_dims,
-                     quotient_hilbert)
+from .graded import Quotient, abelianized_hilbert, hilbert_dims, quotient_hilbert
 from .heisenberg import (HeisenbergGroup, antisymmetric_character, decompose_character,
                          h3_gen_rep, h4_gen_rep, invariant_subspace, irrep_table,
                          rep_on_degree, twist_equivalence_table)
@@ -209,7 +208,7 @@ def _s3_suite(col: _Collector, plist, cfg: RunConfig) -> None:
 
         def cq(p=p):
             pres = build_s3(p)
-            c3 = centralizer_slice(pres, 3).basis()[0]
+            c3 = Quotient(pres).centralizer_slice(3).basis()[0]
             dims = quotient_hilbert(pres, [c3], d3).dims
             want = tuple(1 if m == 0 else (3 if m == 1 else 3 * m) for m in range(d3 + 1))
             return dims == want, {"dims": dims, "expected": want}, ""
@@ -280,7 +279,7 @@ def _s4_suite(col: _Collector, alphas, lambdas, cfg: RunConfig) -> None:
         col.run("s4-hilbert", params, hilb)
 
         def cent(pres=pres):
-            dim = centralizer_slice(pres, 2).dim
+            dim = Quotient(pres).centralizer_slice(2).dim
             return dim == 2, {"centralizer_dim": dim}, ""
         col.run("s4-centralizer-dim", params, cent)
 

@@ -8,89 +8,123 @@ unity.  This is the smallest field containing every constant the engine needs:
     -1     = t^6
     sqrt 3 = 2t - t^3
 
-Reduction uses t^4 = t^2 - 1 (hence t^5 = t^3 - t, t^6 = -1).  Coefficients
-are fractions.Fraction, so everything downstream is exact by construction.
+Reduction uses t^4 = t^2 - 1 (hence t^5 = t^3 - t, t^6 = -1).
+
+An element is four integer numerators over one denominator,
+
+    x = (n0 + n1 t + n2 t^2 + n3 t^3) / den,
+
+held as ``num = (n0, n1, n2, n3)`` and ``den``.  The form is canonical:
+den > 0 and gcd(n0, n1, n2, n3, den) = 1, so zero is ((0, 0, 0, 0), 1) and
+two elements are equal exactly when their pairs are.  Every operation is
+integer tuple arithmetic followed by one gcd; ``coeffs`` gives the four
+rational coefficients as Fractions, for rendering.
+
+The inverse uses the Galois norm.  With sigma_7 the automorphism t -> -t,
+y = x * conj(x) lies in the real subfield Q(sqrt 3), N = y * sigma_7(y) is
+rational, and x^-1 = conj(x) * sigma_7(y) / N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import UnsupportedOrderError
 
-# Exact rational scalar used throughout the package.
-Rational = Fraction
+I4 = tuple[int, int, int, int]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to a rational")
+def mul_i4(a: I4, b: I4) -> I4:
+    """Product of two integer coefficient tuples, reduced by t^4 = t^2 - 1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    if not (a1 or a2 or a3):
+        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
+    # t^4 = t^2 - 1, t^5 = t^3 - t, t^6 = -1
+    c4 = a1 * b3 + a2 * b2 + a3 * b1
+    c5 = a2 * b3 + a3 * b2
+    return (a0 * b0 - c4 - a3 * b3, a0 * b1 + a1 * b0 - c5,
+            a0 * b2 + a1 * b1 + a2 * b0 + c4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c5)
 
 
 class FieldElem:
-    """Element of Q[t]/(t^4 - t^2 + 1), coefficient tuple low to high."""
+    """Element of Q[t]/(t^4 - t^2 + 1): integer numerators ``num`` (low to
+    high) over the positive denominator ``den``, in lowest terms."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    num: I4
+    den: int
 
     def __init__(self, coeffs) -> None:
         c = tuple(_as_fraction(x) for x in coeffs)
         if len(c) != 4:
             raise ValueError("FieldElem needs exactly 4 coefficients")
-        self.coeffs = c
+        den = lcm(*(f.denominator for f in c))
+        self.num = tuple(f.numerator * (den // f.denominator) for f in c)
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(x) -> "FieldElem":
         """Coerce an int, Fraction or FieldElem."""
-        if isinstance(x, FieldElem):
-            return x
-        return FieldElem((_as_fraction(x), 0, 0, 0))
+        o = _coerce(x)
+        if o is None:
+            raise TypeError(f"cannot coerce {x!r} to a rational")
+        return o
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        d = self.den
+        return tuple(Fraction(n, d) for n in self.num)
+
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        c = self.coeffs
-        return not (c[1] or c[2] or c[3])
+        n = self.num
+        return not (n[1] or n[2] or n[3])
 
     def rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.is_rational() and self.den == 1
 
     def conj(self) -> "FieldElem":
         """Complex conjugation, the automorphism t -> t^-1."""
-        c0, c1, c2, c3 = self.coeffs
-        return FieldElem((c0 + c2, c1, -c2, -c1 - c3))
+        n0, n1, n2, n3 = self.num
+        return _elem((n0 + n2, n1, -n2, -n1 - n3), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = _coerce(other)
+        o = other if other.__class__ is FieldElem else _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        return FieldElem((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            return _reduced(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], da)
+        return _reduced(a[0] * db + b[0] * da, a[1] * db + b[1] * da,
+                        a[2] * db + b[2] * da, a[3] * db + b[3] * da, da * db)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _coerce(other)
+        o = other if other.__class__ is FieldElem else _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        return FieldElem((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if da == db:
+            return _reduced(a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3], da)
+        return _reduced(a[0] * db - b[0] * da, a[1] * db - b[1] * da,
+                        a[2] * db - b[2] * da, a[3] * db - b[3] * da, da * db)
 
     def __rsub__(self, other):
         o = _coerce(other)
@@ -99,50 +133,37 @@ class FieldElem:
         return o - self
 
     def __neg__(self) -> "FieldElem":
-        a = self.coeffs
-        return FieldElem((-a[0], -a[1], -a[2], -a[3]))
+        a = self.num
+        return _elem((-a[0], -a[1], -a[2], -a[3]), self.den)
 
     def __mul__(self, other):
-        o = _coerce(other)
+        o = other if other.__class__ is FieldElem else _coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not (a[1] or a[2] or a[3]):           # rational fast path
-            r = a[0]
-            return FieldElem((r * b[0], r * b[1], r * b[2], r * b[3]))
-        if not (b[1] or b[2] or b[3]):
-            r = b[0]
-            return FieldElem((r * a[0], r * a[1], r * a[2], r * a[3]))
-        c0 = a[0] * b[0]
-        c1 = a[0] * b[1] + a[1] * b[0]
-        c2 = a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
-        c3 = a[0] * b[3] + a[1] * b[2] + a[2] * b[1] + a[3] * b[0]
-        c4 = a[1] * b[3] + a[2] * b[2] + a[3] * b[1]
-        c5 = a[2] * b[3] + a[3] * b[2]
-        c6 = a[3] * b[3]
-        # t^4 = t^2 - 1, t^5 = t^3 - t, t^6 = -1
-        return FieldElem((c0 - c4 - c6, c1 - c5, c2 + c4, c3 + c5))
+        a0, a1, a2, a3 = self.num
+        b0, b1, b2, b3 = o.num
+        d = self.den * o.den
+        if not (a1 or a2 or a3):           # rational fast path
+            return _reduced(a0 * b0, a0 * b1, a0 * b2, a0 * b3, d)
+        if not (b1 or b2 or b3):
+            return _reduced(b0 * a0, b0 * a1, b0 * a2, b0 * a3, d)
+        return _reduced(*mul_i4(self.num, o.num), d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        """Multiplicative inverse via extended Euclid in Q[t]."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.is_rational():
-            return FieldElem((1 / self.coeffs[0], 0, 0, 0))
-        r0: list[Fraction] = [Fraction(1), Fraction(0), Fraction(-1), Fraction(0), Fraction(1)]
-        r1 = [Fraction(c) for c in self.coeffs]
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-        while _pdeg(r1) > 0:
-            q, r2 = _pdivmod(r0, r1)
-            s2 = _psub(s0, _pmul(q, s1))
-            r0, r1, s0, s1 = r1, r2, s1, s2
-        lead = r1[0]   # nonzero constant: the modulus is irreducible over Q
-        inv = [c / lead for c in s1]
-        inv += [Fraction(0)] * (4 - len(inv))
-        return FieldElem(tuple(inv[:4]))
+        """Multiplicative inverse via the Galois norm (module docstring)."""
+        n, d = self.num, self.den
+        if not (n[1] or n[2] or n[3]):
+            if not n[0]:
+                raise ZeroDivisionError("inverse of zero field element")
+            return _elem((d if n[0] > 0 else -d, 0, 0, 0), abs(n[0]))
+        c = (n[0] + n[2], n[1], -n[2], -n[1] - n[3])
+        y = mul_i4(n, c)
+        s = (y[0], -y[1], y[2], -y[3])
+        norm = mul_i4(y, s)[0]           # x^-1 = conj(x) s d / norm
+        m = mul_i4(c, s)
+        return _reduced(m[0] * d, m[1] * d, m[2] * d, m[3] * d, norm)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -173,13 +194,13 @@ class FieldElem:
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = _coerce(other)
+        o = other if other.__class__ is FieldElem else _coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     # -- rendering ---------------------------------------------------------
 
@@ -199,55 +220,58 @@ class FieldElem:
     __repr__ = __str__
 
 
+_new = object.__new__
+
+
+def _elem(num: I4, den: int) -> FieldElem:
+    """A FieldElem from parts already in canonical form."""
+    x = _new(FieldElem)
+    x.num = num
+    x.den = den
+    return x
+
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, den: int) -> FieldElem:
+    """(n0, n1, n2, n3) / den in canonical form; den must be nonzero."""
+    g = gcd(n0, n1, n2, n3, den)
+    if den < 0:
+        g = -g
+    x = _new(FieldElem)
+    if g == 1:
+        x.num = (n0, n1, n2, n3)
+        x.den = den
+    else:
+        x.num = (n0 // g, n1 // g, n2 // g, n3 // g)
+        x.den = den // g
+    return x
+
+
+def ratio(num: I4, den: int) -> FieldElem:
+    """The element num / den for integer numerators and a nonzero den."""
+    return _reduced(*num, den)
+
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"cannot coerce {x!r} to a rational")
+
+
 def _coerce(x):
     if isinstance(x, FieldElem):
         return x
-    if isinstance(x, (int, Fraction)):
-        return FieldElem((x, 0, 0, 0))
+    if isinstance(x, int):
+        return _elem((int(x), 0, 0, 0), 1)
+    if isinstance(x, Fraction):
+        return _elem((x.numerator, 0, 0, 0), x.denominator)
     return None
 
 
-# dense little polynomials over Q, low to high, for the inverse only
-
-def _pdeg(p) -> int:
-    d = len(p) - 1
-    while d >= 0 and not p[d]:
-        d -= 1
-    return d
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _psub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)]
-
-
-def _pdivmod(a, b):
-    a = list(a)
-    db, lead = _pdeg(b), None
-    lead = b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(_pdeg(a), db - 1, -1):
-        if a[i]:
-            f = a[i] / lead
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a
-
-
-ZERO = FieldElem((0, 0, 0, 0))
-ONE = FieldElem((1, 0, 0, 0))
-ZETA12 = FieldElem((0, 1, 0, 0))
+ZERO = _elem((0, 0, 0, 0), 1)
+ONE = _elem((1, 0, 0, 0), 1)
+ZETA12 = _elem((0, 1, 0, 0), 1)
 
 
 def root_of_unity(n: int) -> FieldElem:

@@ -12,10 +12,11 @@ S_m is S_{m-1} x V minus the pivots of K_m, and NF_m(w) is
 NF_{m-1}(w[:-1]) * w[-1] reduced modulo K_m: the one element of w + J_m on
 S_m, the non-pivot columns of the RREF of J_m, hence the residue modulo that
 RREF.  This is the diamond lemma (Bergman, Adv. Math. 1978) in linear-algebra
-form; its rows grow polynomially in m where J_m has n^m columns.  Each public
-function builds its own engine, and only the engine memoizes.  Centralizers
-are kernels of s -> NF(x_i s - s x_i) from A_k to A_{k+1}, and normality
-automorphisms are solved in A_{k+1} coordinates.
+form; its rows grow polynomially in m where J_m has n^m columns.  Only the
+engine, a Quotient, memoizes, so a check that asks one algebra several
+questions builds one.  Centralizers are kernels of s -> NF(x_i s - s x_i)
+from A_k to A_{k+1}, and normality automorphisms are solved in A_{k+1}
+coordinates.
 """
 
 from __future__ import annotations
@@ -129,6 +130,42 @@ class Quotient:
         m = poly.degree()
         return NcPoly.from_row(poly.ngens, m, self.normal_row(poly.to_row(m), m))
 
+    def centralizer_slice(self, k: int) -> Subspace:
+        """Canonical representatives of degree-k elements central in the quotient."""
+        if k < 1:
+            raise DegreeError("degree must be >= 1")
+        n = self.p.ngens
+        std, nk = self.standard(k), n ** k
+        eqrows: dict[tuple[int, int], linalg.Row] = {}
+        for col, s in enumerate(std):
+            for i in range(n):
+                left, right = i * nk + s, s * n + i      # words x_i * s and s * x_i
+                if left == right:
+                    continue
+                for c, v in self.normal_row({left: ONE, right: -ONE}, k + 1).items():
+                    eqrows.setdefault((i, c), {})[col] = v
+        kernel = linalg.nullspace([eqrows[key] for key in sorted(eqrows)], len(std))
+        return span_rows(n, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
+
+    def normality_automorphism(self, c: NcPoly) -> NormalCertificate:
+        """Solve v*c = c*sigma(v) mod the ideal for a generator matrix sigma."""
+        if not c.is_homogeneous() or not c:
+            raise ShapeError("need a nonzero homogeneous element")
+        k = c.degree()
+        if k < 1:
+            raise DegreeError("degree must be >= 1")
+        gens = NcPoly.gens(self.p.ngens)
+        if not self.normal_form(c):
+            raise ParameterError("element vanishes in the quotient algebra")
+        right = [self.normal_row((c * g).to_row(k + 1), k + 1) for g in gens]
+        sigma = []
+        for g in gens:
+            x = linalg.solve_columns(right, self.normal_row((g * c).to_row(k + 1), k + 1))
+            if x is None:
+                return NormalCertificate(degree=k, sigma=None)
+            sigma.append(tuple(x))
+        return NormalCertificate(degree=k, sigma=tuple(sigma))
+
     def _shift(self, row: linalg.Row, m: int) -> linalg.Row:
         """Sum of c * NF_{m-1}(w[:-1]) * w[-1] over the terms c*w of a degree-m row."""
         n = self.p.ngens
@@ -177,41 +214,3 @@ def abelianized_hilbert(p: Presentation, max_degree: int) -> HilbertRecord:
     comms = [gens[i] * gens[j] - gens[j] * gens[i]
              for i in range(p.ngens) for j in range(i + 1, p.ngens)]
     return hilbert_dims(p.adjoin(comms), max_degree)
-
-
-def centralizer_slice(p: Presentation, k: int) -> Subspace:
-    """Canonical representatives of degree-k elements central in the quotient."""
-    if k < 1:
-        raise DegreeError("degree must be >= 1")
-    n, q = p.ngens, Quotient(p)
-    std, nk = q.standard(k), n ** k
-    eqrows: dict[tuple[int, int], linalg.Row] = {}
-    for col, s in enumerate(std):
-        for i in range(n):
-            left, right = i * nk + s, s * n + i      # words x_i * s and s * x_i
-            if left == right:
-                continue
-            for c, v in q.normal_row({left: ONE, right: -ONE}, k + 1).items():
-                eqrows.setdefault((i, c), {})[col] = v
-    kernel = linalg.nullspace([eqrows[key] for key in sorted(eqrows)], len(std))
-    return span_rows(n, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
-
-
-def normality_automorphism(p: Presentation, c: NcPoly) -> NormalCertificate:
-    """Solve v*c = c*sigma(v) mod the ideal for a generator matrix sigma."""
-    if not c.is_homogeneous() or not c:
-        raise ShapeError("need a nonzero homogeneous element")
-    k = c.degree()
-    if k < 1:
-        raise DegreeError("degree must be >= 1")
-    q, gens = Quotient(p), NcPoly.gens(p.ngens)
-    if not q.normal_form(c):
-        raise ParameterError("element vanishes in the quotient algebra")
-    right = [q.normal_row((c * g).to_row(k + 1), k + 1) for g in gens]
-    sigma = []
-    for g in gens:
-        x = linalg.solve_columns(right, q.normal_row((g * c).to_row(k + 1), k + 1))
-        if x is None:
-            return NormalCertificate(degree=k, sigma=None)
-        sigma.append(tuple(x))
-    return NormalCertificate(degree=k, sigma=tuple(sigma))

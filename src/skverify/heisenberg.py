@@ -288,10 +288,10 @@ def decompose_character(group: HeisenbergGroup, chi: Character, total_dim: int) 
     dim_sum = 0
     for irr in irrep_table(group.n):
         m = chi.inner(irr.character())
-        if not m.is_integer() or m.coeffs[0] < 0:
+        if not m.is_integer() or m.num[0] < 0:
             raise RepresentationInvalidError(
                 f"multiplicity of {irr.label} is {m}, not a nonnegative integer")
-        mult = int(m.coeffs[0])
+        mult = m.num[0]
         if mult:
             out[irr.label] = mult
             dim_sum += mult * irr.dim

@@ -12,10 +12,9 @@ yields byte-identical output.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .field import ZERO, FieldElem
+from .field import I4, ONE, ZERO, FieldElem, mul_i4, ratio
 
 Row = dict[int, FieldElem]
 
@@ -23,14 +22,8 @@ Row = dict[int, FieldElem]
 # -- integer row kernels ----------------------------------------------------
 
 def _int_row_rat(row: Row) -> dict[int, int]:
-    den = lcm(*(v.coeffs[0].denominator for v in row.values())) if row else 1
-    out = {}
-    for c, v in row.items():
-        f = v.coeffs[0]
-        n = f.numerator * (den // f.denominator)
-        if n:
-            out[c] = n
-    return _strip_rat(out)
+    den = lcm(*(v.den for v in row.values())) if row else 1
+    return _strip_rat({c: v.num[0] * (den // v.den) for c, v in row.items() if v})
 
 
 def _strip_rat(row: dict[int, int]) -> dict[int, int]:
@@ -64,33 +57,10 @@ def _elim_rat(row: dict[int, int], b: dict[int, int], c: int) -> dict[int, int]:
     return new
 
 
-I4 = tuple[int, int, int, int]
-
-
-def _i4_mul(a: I4, b: I4) -> I4:
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    if not (a1 or a2 or a3):
-        return (a0 * b0, a0 * b1, a0 * b2, a0 * b3)
-    c0 = a0 * b0
-    c1 = a0 * b1 + a1 * b0
-    c2 = a0 * b2 + a1 * b1 + a2 * b0
-    c3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
-    c4 = a1 * b3 + a2 * b2 + a3 * b1
-    c5 = a2 * b3 + a3 * b2
-    c6 = a3 * b3
-    return (c0 - c4 - c6, c1 - c5, c2 + c4, c3 + c5)
-
-
 def _int_row_cyc(row: Row) -> dict[int, I4]:
-    dens = [f.denominator for v in row.values() for f in v.coeffs]
-    den = lcm(*dens) if dens else 1
-    out = {}
-    for c, v in row.items():
-        t = tuple(f.numerator * (den // f.denominator) for f in v.coeffs)
-        if any(t):
-            out[c] = t
-    return _strip_cyc(out)
+    den = lcm(*(v.den for v in row.values())) if row else 1
+    return _strip_cyc({c: tuple(n * (den // v.den) for n in v.num)
+                       for c, v in row.items() if v})
 
 
 def _strip_cyc(row: dict[int, I4]) -> dict[int, I4]:
@@ -110,12 +80,12 @@ def _elim_cyc(row: dict[int, I4], b: dict[int, I4], c: int) -> dict[int, I4]:
     new = {}
     for k, v in row.items():
         if k != c:
-            new[k] = _i4_mul(p, v)
+            new[k] = mul_i4(p, v)
     zero = (0, 0, 0, 0)
     for k, v in b.items():
         if k == c:
             continue
-        qv = _i4_mul(q, v)
+        qv = mul_i4(q, v)
         w0 = new.get(k, zero)
         w = (w0[0] - qv[0], w0[1] - qv[1], w0[2] - qv[2], w0[3] - qv[3])
         if any(w):
@@ -164,7 +134,7 @@ def rref(rows) -> tuple[tuple[int, ...], tuple[Row, ...]]:
         for c in pivots:
             row = basis[c]
             p = row[c]
-            out.append({k: FieldElem((Fraction(v, p), 0, 0, 0)) for k, v in row.items()})
+            out.append({k: ratio((v, 0, 0, 0), p) for k, v in row.items()})
         return pivots, tuple(out)
     basis = _forward((_int_row_cyc(r) for r in rows), _elim_cyc, _strip_cyc)
     _backsub(basis, _elim_cyc, _strip_cyc)
@@ -172,8 +142,8 @@ def rref(rows) -> tuple[tuple[int, ...], tuple[Row, ...]]:
     out = []
     for c in pivots:
         row = basis[c]
-        pinv = FieldElem(row[c]).inverse()
-        out.append({k: pinv * FieldElem(v) for k, v in row.items()})
+        pinv = ratio(row[c], 1).inverse()
+        out.append({k: pinv * ratio(v, 1) for k, v in row.items()})
     return pivots, tuple(out)
 
 
@@ -203,7 +173,7 @@ def nullspace(rows, ncols: int) -> list[Row]:
     for f in range(ncols):
         if f in pivset:
             continue
-        v: Row = {f: FieldElem((1, 0, 0, 0))}
+        v: Row = {f: ONE}
         for p, prow in zip(pivots, prows):
             e = prow.get(f)
             if e:

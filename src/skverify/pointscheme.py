@@ -51,7 +51,7 @@ from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
                        s2_relation_polys, s3_relation_polys, s4_relation_polys)
 from .field import ONE, ZERO, FieldElem, fe, root_of_unity
 from .freealg import MultiPoly, NcPoly, multilinearize, proportional, span, sum_and_intersect
-from .graded import Quotient, centralizer_slice, normality_automorphism
+from .graded import Quotient
 from .heisenberg import h3_gen_rep, invariant_subspace, rep_on_degree
 
 
@@ -467,8 +467,8 @@ def verify_c3_description(p: AbcParams) -> dict:
     flag = tau_order_flag(p)
     if flag in ("order1", "order3"):
         raise ParameterError(f"translation point has {flag}: not in the verified regime")
-    pres = build_s3(p)
-    cents = centralizer_slice(pres, 3)
+    q = Quotient(build_s3(p))
+    cents = q.centralizer_slice(3)
     record: dict = {"tau_flag": flag, "centralizer_dim": cents.dim}
     basis = invariant_cubic_basis()
     inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3))
@@ -479,13 +479,13 @@ def verify_c3_description(p: AbcParams) -> dict:
         record["reason"] = "centralizer dimension is not 1"
         return record
     c3 = cents.basis()[0]
-    nf = Quotient(pres).normal_form
+    nf = q.normal_form
     tangent = hesse_tangent_third(p, ProjPoint.of(p.a, p.b, p.c))
     record["coefficient_triple"] = tuple(tangent)
     combo = sum((t * f for t, f in zip(tangent, basis)), NcPoly.zero(3))
     ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio
-    cert = normality_automorphism(pres, c3)
+    cert = q.normality_automorphism(c3)
     record["sigma_is_identity"] = cert.is_central
     record["pass"] = bool(record["invariant_basis_match"] and ratio and cert.is_central)
     return record

@@ -29,7 +29,7 @@ from .families import (AbcParams, AlphaTriple, SextupleParams, alpha_from_abc,
                        s4_relation_polys, S4_NAMES)
 from .field import ONE, ZERO, FieldElem, fe
 from .freealg import NcPoly, proportional, span_rows, substitute
-from .graded import Quotient, centralizer_slice, normality_automorphism
+from .graded import Quotient
 from .heisenberg import h2_gen_rep, h4_gen_rep_pm, rep_on_degree
 
 # signs of v00, v10, v01, v11 under e1^2 and e2^2: (-1)^i and (-1)^j on v_{i,j}
@@ -374,11 +374,11 @@ def _square_translates(s: SextupleParams):
 def verify_central_pair(vm: VeroneseMap) -> dict:
     """Centrality and independence of the pair inside the derived algebra."""
     cp = vm.central_pair
-    pres = build_s4(cp.sextuple)
-    cert1 = normality_automorphism(pres, cp.omega1)
-    cert2 = normality_automorphism(pres, cp.omega2)
-    cs = centralizer_slice(pres, 2)
-    nf = Quotient(pres).normal_form
+    q = Quotient(build_s4(cp.sextuple))
+    cert1 = q.normality_automorphism(cp.omega1)
+    cert2 = q.normality_automorphism(cp.omega2)
+    cs = q.centralizer_slice(2)
+    nf = q.normal_form
     r1 = nf(cp.omega1)
     r2 = nf(cp.omega2)
     pair_span = span_rows(4, 2, [r1.to_row(2), r2.to_row(2)])
@@ -427,14 +427,10 @@ def extract_c4(vm: VeroneseMap) -> dict:
     }
 
 
-def s2_centralizer_record(p: AbcParams) -> dict:
-    """Degree-4 centralizer of the 2-generator family; membership of the quartic."""
-    pres = build_s2(p)
-    cs = centralizer_slice(pres, 4)
-    c4 = s2_central_quartic(p)
-    if not c4:
-        raise ParameterError("closed-form quartic vanishes identically at these parameters")
-    resid = Quotient(pres).normal_form(c4)
+def s2_centralizer_record(q: Quotient, c4: NcPoly) -> dict:
+    """Degree-4 centralizer of a 2-generator quotient; membership of the quartic."""
+    cs = q.centralizer_slice(4)
+    resid = q.normal_form(c4)
     return {
         "centralizer_dim": cs.dim,
         "quartic_in_centralizer": bool(resid) and cs.contains(resid),
@@ -444,12 +440,12 @@ def s2_centralizer_record(p: AbcParams) -> dict:
 
 def verify_c4_central(p: AbcParams) -> dict:
     """Normality certificate for the closed-form quartic in the 2-generator algebra."""
-    pres = build_s2(p)
+    q = Quotient(build_s2(p))
     c4 = s2_central_quartic(p)
     if not c4:
         raise ParameterError("closed-form quartic vanishes at these parameters")
-    cert = normality_automorphism(pres, c4)
-    rec = s2_centralizer_record(p)
+    cert = q.normality_automorphism(c4)
+    rec = s2_centralizer_record(q, c4)
     rec["sigma_is_identity"] = cert.is_central
     tp4 = rep_on_degree(h2_gen_rep(), 4)
     row = c4.to_row(4)

@@ -8,7 +8,7 @@ message scrolls away.  All comparisons are exact; nothing is approximate.
 from skverify.cli import main
 from skverify.families import SextupleParams, build_s2, build_s3, build_s4
 from skverify.freealg import member
-from skverify.graded import centralizer_slice, hilbert_dims, quotient_hilbert
+from skverify.graded import Quotient, hilbert_dims, quotient_hilbert
 from skverify.heisenberg import (HeisenbergGroup, antisymmetric_character,
                                  decompose, decompose_character, h3_gen_rep,
                                  h4_gen_rep, invariant_subspace, irrep_table,
@@ -114,7 +114,7 @@ def test_criterion_06_central_pair_and_quotient_series():
     ok = True
     for t in ALPHAS:
         pres = build_s4(SextupleParams.from_alpha(t))
-        ok &= centralizer_slice(pres, 2).dim == 2
+        ok &= Quotient(pres).centralizer_slice(2).dim == 2
     for p in ABC2:
         rec = verify_central_pair(build_veronese(p))
         ok &= rec["omega1_central"] and rec["omega2_central"]

@@ -12,9 +12,8 @@ from skverify.errors import ParameterError
 from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
                                alpha_from_abc, build_s2, build_s3, build_s4)
 from skverify.freealg import NcPoly, acomm, comm
-from skverify.graded import (Presentation, Quotient, abelianized_hilbert,
-                             centralizer_slice, hilbert_dims,
-                             normality_automorphism, quotient_hilbert)
+from skverify.graded import (Presentation, Quotient, abelianized_hilbert, hilbert_dims,
+                             quotient_hilbert)
 
 
 def series_coeffs(numer, denom, count):
@@ -113,7 +112,7 @@ def test_quotient_by_central_cubic_matches_curve_series():
     assert want == (1, 3, 6, 9, 12, 15, 18)
     for p in S3_POINTS:
         pres = build_s3(p)
-        c3 = centralizer_slice(pres, 3).basis()[0]
+        c3 = Quotient(pres).centralizer_slice(3).basis()[0]
         dims = quotient_hilbert(pres, [c3], 6).dims
         assert dims == want
 
@@ -135,27 +134,27 @@ def test_abelianized_four_generator_family():
 def test_centralizer_in_commutative_quotient_is_everything():
     x, y = NcPoly.gens(2)
     p = Presentation.make("xy", [comm(x, y)])
-    assert centralizer_slice(p, 2).dim == 3
-    assert centralizer_slice(p, 3).dim == 4
+    assert Quotient(p).centralizer_slice(2).dim == 3
+    assert Quotient(p).centralizer_slice(3).dim == 4
 
 
 def test_centralizer_detects_noncommutativity():
     x, y = NcPoly.gens(2)
     p = Presentation.make("xy", [x * x])
-    assert centralizer_slice(p, 1).dim == 0
+    assert Quotient(p).centralizer_slice(1).dim == 0
 
 
 def test_normality_certificates_on_toy_quotients():
     x, y = NcPoly.gens(2)
     comm2 = Presentation.make("xy", [comm(x, y)])
-    cert = normality_automorphism(comm2, x)
+    cert = Quotient(comm2).normality_automorphism(x)
     assert cert.is_central and cert.is_normal
 
     skew = Presentation.make("xy", [acomm(x, y)])
-    cert = normality_automorphism(skew, x)
+    cert = Quotient(skew).normality_automorphism(x)
     assert cert.is_normal and not cert.is_central
     assert cert.sigma == ((1, 0), (0, -1))
 
     xsq = Presentation.make("xy", [x * x])
-    cert = normality_automorphism(xsq, x)
+    cert = Quotient(xsq).normality_automorphism(x)
     assert not cert.is_normal and cert.sigma is None

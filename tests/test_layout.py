@@ -4,6 +4,9 @@ Every import in the package sits at module level: a function-local import
 hides a dependency between modules, usually one that points the wrong way.
 No module-level name starts out as an empty container: that is what a
 process-global memo looks like, and such state outlives the run it served.
+The layers built on the field do not import fractions: field arithmetic runs
+on integer numerators, and Fraction arithmetic above it would bring back a
+normalising gcd per coefficient.
 """
 
 import ast
@@ -42,3 +45,23 @@ def test_no_module_level_empty_containers():
                 if _is_empty_container(node.value):
                     found.add(f"{path.name}:{node.lineno}")
     assert not found, f"module-level empty containers: {sorted(found)}"
+
+
+FRACTION_FREE = ("linalg", "graded", "heisenberg", "freealg", "veronese")
+
+
+def test_hot_layers_do_not_import_fractions():
+    found = set()
+    for name in FRACTION_FREE:
+        path = PACKAGE / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in mods):
+                found.add(f"{path.name}:{node.lineno}")
+    assert not found, f"fractions imported by a hot layer: {sorted(found)}"

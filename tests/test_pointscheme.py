@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skverify.errors import OffCurveError
-from skverify.families import AbcParams, is_smooth_hesse
+from skverify.families import AbcParams, build_s2, is_smooth_hesse, s2_central_quartic
 from skverify.field import fe, root_of_unity
 from skverify.freealg import span
 from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
@@ -18,6 +18,7 @@ from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
                                   s3_degree3_overlap, s3_next_point,
                                   s3_point_matrix, s4_minor_membership,
                                   tau_order, verify_c3_description)
+from skverify.graded import Quotient
 from skverify.veronese import s2_centralizer_record
 
 CURVES = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),
@@ -184,7 +185,8 @@ def test_center_cubic_certificate():
 
 
 def test_quartic_centralizer_record():
-    rec = s2_centralizer_record(AbcParams.of(1, 2, 3))
+    p = AbcParams.of(1, 2, 3)
+    rec = s2_centralizer_record(Quotient(build_s2(p)), s2_central_quartic(p))
     assert rec["quartic_in_centralizer"]
     assert rec["quartic_nonzero_mod_ideal"]
     assert rec["centralizer_dim"] >= 1
