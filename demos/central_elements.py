@@ -5,29 +5,29 @@ one.  Centrality is never assumed: the centralizer slice is computed as a
 nullspace and the normality automorphism is solved for explicitly.
 """
 
-from skverify.families import AbcParams, build_s3
-from skverify.graded import Quotient, quotient_hilbert
+from skverify.families import AbcParams, build_s2, build_s3
+from skverify.graded import Quotient
 from skverify.pointscheme import verify_c3_description
 from skverify.veronese import verify_c4_central
 
 p = AbcParams.of(1, 2, 3)
 
 print("parameters", p)
-rec = verify_c3_description(p)
+q = Quotient(build_s3(p))
+rec = verify_c3_description(p, q)
 print("degree-3 centralizer dimension:", rec["centralizer_dim"])
 print("coefficients in the invariant cubic basis:", rec["coefficient_triple"])
 print("  (that triple is the third intersection of the tangent line")
 print("   at the translation point with its curve)")
 print("normality automorphism is the identity:", rec["sigma_is_identity"])
 
-pres = build_s3(p)
-c3 = Quotient(pres).centralizer_slice(3).basis()[0]
+c3 = q.centralizer_slice(3).basis()[0]
 print()
 print("quotient by the central cubic grows like a plane curve:")
-print("  ", quotient_hilbert(pres, [c3], 6).dims)
+print("  ", Quotient(q.p.adjoin([c3])).hilbert_dims(6))
 
 print()
-rec = verify_c4_central(p)
+rec = verify_c4_central(p, Quotient(build_s2(p)))
 print("two-generator family, degree-4 centralizer dim:", rec["centralizer_dim"])
 print("closed-form quartic sits inside it:", rec["quartic_in_centralizer"])
 print("invariant under the sign action:", rec["quartic_invariant"])

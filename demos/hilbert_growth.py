@@ -8,18 +8,18 @@ check anyone should run.
 
 from skverify.families import (AbcParams, SextupleParams, alpha_from_abc,
                                build_s2, build_s3, build_s4)
-from skverify.graded import abelianized_hilbert, hilbert_dims
+from skverify.graded import Quotient
 
 p = AbcParams.of(1, 2, 3)
 
 print("three generators, quadratic relations, parameters", p)
-dims = hilbert_dims(build_s3(p), 6).dims
+dims = Quotient(build_s3(p)).hilbert_dims(6)
 print("  computed:", dims)
 print("  binomial:", tuple((m + 1) * (m + 2) // 2 for m in range(7)))
 
 print()
 print("two generators, cubic relations, same parameters")
-dims = hilbert_dims(build_s2(p), 6).dims
+dims = Quotient(build_s2(p)).hilbert_dims(6)
 print("  computed:      ", dims)
 print("  quarter-square:", tuple((m + 2) ** 2 // 4 for m in range(7)))
 
@@ -27,11 +27,11 @@ print()
 t = alpha_from_abc(p)
 print("four generators, six quadratic relations, product coordinates", t)
 s = SextupleParams.from_alpha(t)
-dims = hilbert_dims(build_s4(s), 5).dims
+dims = Quotient(build_s4(s)).hilbert_dims(5)
 print("  computed:", dims)
 print("  binomial:", tuple((m + 1) * (m + 2) * (m + 3) // 6 for m in range(6)))
 
 print()
 print("forcing the four generators to commute collapses the growth:")
-print("  abelianized:", abelianized_hilbert(build_s4(s), 4).dims)
+print("  abelianized:", Quotient(build_s4(s).abelianized()).hilbert_dims(4))
 print("  (only the powers of the generators survive)")

@@ -23,7 +23,7 @@ from .errors import ParameterError, SamplingExhaustedError, SkverifyError
 from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3, build_s4
 from .field import FieldElem, fe
 from .freealg import span
-from .graded import Quotient, abelianized_hilbert, hilbert_dims, quotient_hilbert
+from .graded import Quotient
 from .heisenberg import (HeisenbergGroup, antisymmetric_character, decompose_character,
                          h3_gen_rep, h4_gen_rep, invariant_subspace, irrep_table,
                          rep_on_degree, twist_equivalence_table)
@@ -187,8 +187,13 @@ def _s3_suite(col: _Collector, plist, cfg: RunConfig) -> None:
                 col.skip(cid, params, reason)
             continue
 
-        def hilb(p=p):
-            dims = hilbert_dims(build_s3(p), d3).dims
+        # one engine per point; a build failure fails each check with the same notes
+        @cache
+        def alg(p=p):
+            return Quotient(build_s3(p))
+
+        def hilb(alg=alg):
+            dims = alg().hilbert_dims(d3)
             want = tuple((m + 1) * (m + 2) // 2 for m in range(d3 + 1))
             return dims == want, {"dims": dims, "expected": want}, ""
         col.run("s3-hilbert", params, hilb)
@@ -201,15 +206,14 @@ def _s3_suite(col: _Collector, plist, cfg: RunConfig) -> None:
             return ok, rec, ""
         col.run("s3-relation-overlap", params, overlap)
 
-        def center(p=p):
-            rec = verify_c3_description(p)
+        def center(p=p, alg=alg):
+            rec = verify_c3_description(p, alg())
             return rec["pass"], rec, ""
         col.run("s3-center-cubic", params, center)
 
-        def cq(p=p):
-            pres = build_s3(p)
-            c3 = Quotient(pres).centralizer_slice(3).basis()[0]
-            dims = quotient_hilbert(pres, [c3], d3).dims
+        def cq(alg=alg):
+            c3 = alg().centralizer_slice(3).basis()[0]
+            dims = Quotient(alg().p.adjoin([c3])).hilbert_dims(d3)
             want = tuple(1 if m == 0 else (3 if m == 1 else 3 * m) for m in range(d3 + 1))
             return dims == want, {"dims": dims, "expected": want}, ""
         col.run("s3-central-quotient-hilbert", params, cq)
@@ -241,8 +245,12 @@ def _s2_suite(col: _Collector, plist, cfg: RunConfig) -> None:
                 col.skip(cid, params, reason)
             continue
 
-        def hilb(p=p):
-            dims = hilbert_dims(build_s2(p), d2).dims
+        @cache
+        def alg(p=p):
+            return Quotient(build_s2(p))
+
+        def hilb(alg=alg):
+            dims = alg().hilbert_dims(d2)
             want = tuple((m + 2) ** 2 // 4 for m in range(d2 + 1))
             return dims == want, {"dims": dims, "expected": want}, ""
         col.run("s2-hilbert", params, hilb)
@@ -254,8 +262,8 @@ def _s2_suite(col: _Collector, plist, cfg: RunConfig) -> None:
             return ok, rec, ""
         col.run("s2-point-determinant", params, det)
 
-        def quartic(p=p):
-            rec = veronese.verify_c4_central(p)
+        def quartic(p=p, alg=alg):
+            rec = veronese.verify_c4_central(p, alg())
             return rec["pass"], rec, "centralizer dimension recorded, not asserted"
         col.run("s2-central-quartic", params, quartic)
 
@@ -270,21 +278,24 @@ def _s4_suite(col: _Collector, alphas, lambdas, cfg: RunConfig) -> None:
             for cid in ids:
                 col.skip(cid, params, reason)
             continue
-        pres = build_s4(SextupleParams.from_alpha(t))
 
-        def hilb(pres=pres):
-            dims = hilbert_dims(pres, d4).dims
+        @cache
+        def alg(t=t):
+            return Quotient(build_s4(SextupleParams.from_alpha(t)))
+
+        def hilb(alg=alg):
+            dims = alg().hilbert_dims(d4)
             want = tuple((m + 1) * (m + 2) * (m + 3) // 6 for m in range(d4 + 1))
             return dims == want, {"dims": dims, "expected": want}, ""
         col.run("s4-hilbert", params, hilb)
 
-        def cent(pres=pres):
-            dim = Quotient(pres).centralizer_slice(2).dim
+        def cent(alg=alg):
+            dim = alg().centralizer_slice(2).dim
             return dim == 2, {"centralizer_dim": dim}, ""
         col.run("s4-centralizer-dim", params, cent)
 
-        def ab(pres=pres):
-            dims = abelianized_hilbert(pres, d4).dims
+        def ab(alg=alg):
+            dims = Quotient(alg().p.abelianized()).hilbert_dims(d4)
             want = tuple(1 if m == 0 else 4 for m in range(d4 + 1))
             return dims == want, {"dims": dims, "expected": want}, ""
         col.run("s4-abelianized-hilbert", params, ab)
@@ -331,13 +342,13 @@ def _quotient_suite(col: _Collector, plist, cfg: RunConfig) -> None:
             return rec["pass"], rec, ""
         col.run("quotient-central-pair", params, pair)
 
-        def hilb(p=p, vm=vm):
+        def hilb(vm=vm):
             cp = vm().central_pair
             pres = build_s4(cp.sextuple)
-            both = quotient_hilbert(pres, [cp.omega1, cp.omega2], d4).dims
+            both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(d4)
             want = tuple(1 if m == 0 else 4 * m for m in range(d4 + 1))
-            evens = hilbert_dims(build_s2(p), 6).dims[0::2]
-            single = quotient_hilbert(pres, [cp.omega1], len(evens) - 1).dims
+            evens = vm().algebra.hilbert_dims(6)[0::2]
+            single = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(len(evens) - 1)
             ok = both == want and single == evens
             return ok, {"mod_pair": both, "expected": want,
                         "mod_first": single, "target_even_dims": evens}, ""

@@ -14,8 +14,6 @@ double as ordinary polynomials (curve equations, determinants, minors).
 
 from __future__ import annotations
 
-from itertools import product
-
 from . import linalg
 from .errors import ShapeError
 from .field import ONE, ZERO, FieldElem, fe
@@ -260,10 +258,6 @@ def span(polys, ngens=None, degree=None) -> Subspace:
     return span_rows(ngens, degree, [p.to_row(degree) for p in polys])
 
 
-def member(p: NcPoly, s: Subspace) -> bool:
-    return s.contains(p)
-
-
 def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     if (a.ngens, a.degree) != (b.ngens, b.degree):
         raise ShapeError("subspaces live in different components")
@@ -384,17 +378,6 @@ class MultiPoly:
             total = total + v
         return total
 
-    def derivative(self, block: int, j: int) -> "MultiPoly":
-        out = {}
-        for key, c in self.terms.items():
-            e = key[block][j]
-            if not e:
-                continue
-            newexp = tuple(x - 1 if i == j else x for i, x in enumerate(key[block]))
-            newkey = tuple(newexp if b == block else kb for b, kb in enumerate(key))
-            out[newkey] = out.get(newkey, ZERO) + c * e
-        return MultiPoly(self.blocks, self.nvars, out)
-
     def coefficient_of_var(self, block: int, j: int) -> "MultiPoly":
         """Coefficient of variable j in a block the polynomial is multilinear in."""
         unit = tuple(1 if i == j else 0 for i in range(self.nvars))
@@ -469,8 +452,3 @@ def proportional(p, q):
         if p.terms[k] != r * q.terms[k]:
             return None
     return r
-
-
-def tensor_words(ngens: int, degree: int):
-    """All degree-d words in column order."""
-    return product(range(ngens), repeat=degree)

@@ -13,10 +13,11 @@ NF_{m-1}(w[:-1]) * w[-1] reduced modulo K_m: the one element of w + J_m on
 S_m, the non-pivot columns of the RREF of J_m, hence the residue modulo that
 RREF.  This is the diamond lemma (Bergman, Adv. Math. 1978) in linear-algebra
 form; its rows grow polynomially in m where J_m has n^m columns.  Only the
-engine, a Quotient, memoizes, so a check that asks one algebra several
-questions builds one.  Centralizers are kernels of s -> NF(x_i s - s x_i)
-from A_k to A_{k+1}, and normality automorphisms are solved in A_{k+1}
-coordinates.
+engine, a Quotient, memoizes: whoever holds a parameter point builds one per
+presentation and hands it to every check that asks about that algebra, while
+a presentation with adjoined elements is another algebra with its own
+engine.  Centralizers are kernels of s -> NF(x_i s - s x_i) from A_k to
+A_{k+1}, and normality automorphisms are solved in A_{k+1} coordinates.
 """
 
 from __future__ import annotations
@@ -68,12 +69,10 @@ class Presentation:
         """Presentation with extra homogeneous elements added to the relations."""
         return Presentation.make(self.gen_names, self.relation_polys() + list(extras))
 
-
-@dataclass(frozen=True)
-class HilbertRecord:
-    """Graded dimensions, index = degree."""
-
-    dims: tuple[int, ...]
+    def abelianized(self) -> "Presentation":
+        """Presentation with all generators forced to commute."""
+        gens = NcPoly.gens(self.ngens)
+        return self.adjoin(g * h - h * g for i, g in enumerate(gens) for h in gens[i + 1:])
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,10 @@ class Quotient:
         while len(self._std) <= m:
             self._extend()
         return self._std[m]
+
+    def hilbert_dims(self, max_degree: int) -> tuple[int, ...]:
+        """Dimensions of the quotient in degrees 0..max_degree, index = degree."""
+        return tuple(len(self.standard(m)) for m in range(max_degree + 1))
 
     def normal_row(self, row: linalg.Row, m: int) -> linalg.Row:
         """Normal form of a degree-m row: its residue modulo J_m."""
@@ -195,22 +198,3 @@ class Quotient:
         self._kern.append((pivots, prows))
         self._std.append(std)
         self._nf.append({})
-
-
-def hilbert_dims(p: Presentation, max_degree: int) -> HilbertRecord:
-    """Dimensions of the graded quotient in degrees 0..max_degree."""
-    q = Quotient(p)
-    return HilbertRecord(tuple(len(q.standard(m)) for m in range(max_degree + 1)))
-
-
-def quotient_hilbert(p: Presentation, extras, max_degree: int) -> HilbertRecord:
-    """Hilbert dimensions after adjoining extra homogeneous relations."""
-    return hilbert_dims(p.adjoin(extras), max_degree)
-
-
-def abelianized_hilbert(p: Presentation, max_degree: int) -> HilbertRecord:
-    """Hilbert dimensions after forcing all generators to commute."""
-    gens = NcPoly.gens(p.ngens)
-    comms = [gens[i] * gens[j] - gens[j] * gens[i]
-             for i in range(p.ngens) for j in range(i + 1, p.ngens)]
-    return hilbert_dims(p.adjoin(comms), max_degree)

@@ -356,23 +356,6 @@ def invariant_subspace(tp: TensorPowerRep, s: Subspace | None = None) -> Subspac
     return span_rows(ngens, tp.degree, projected)
 
 
-def subspace_character(s: Subspace, tp: TensorPowerRep) -> Character:
-    """Character of the action restricted to a stable subspace.
-
-    RREF coordinates make the trace cheap: the coefficient of basis row i in
-    any vector is the vector's entry at pivot i.
-    """
-    if not is_subrep(s, tp):
-        raise NotASubrepError("subspace is not stable under the group")
-    vals = {}
-    for g in tp.group.elements():
-        t = ZERO
-        for piv, row in zip(s.pivots, s.rows):
-            t = t + tp.act_row(g, row).get(piv, ZERO)
-        vals[g] = t
-    return Character(tp.group, vals)
-
-
 def twist_equivalence_table() -> dict[tuple[tuple[int, int], tuple[int, int]], bool]:
     """Which character twists of the 2-dim rep of the order-64 group coincide.
 

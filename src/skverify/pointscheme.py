@@ -127,11 +127,6 @@ def s3_next_point(p: AbcParams, pt: ProjPoint) -> ProjPoint:
     return ProjPoint.of(*(v.get(j, ZERO) for j in range(3)))
 
 
-def s2_point_matrix_forms(p: AbcParams) -> list[list[MultiPoly]]:
-    """The 2x2 matrix of bilinear forms from the two cubic relations."""
-    return coefficient_matrix(s2_relation_polys(p))
-
-
 def s2_reference_matrix(p: AbcParams) -> list[list[MultiPoly]]:
     """Closed-form comparison target for the 2x2 matrix."""
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
@@ -164,7 +159,7 @@ def s2_point_determinant(p: AbcParams) -> dict:
     At a = 0 the determinant degenerates to a multiple of x0 y0 x1 y1
     (a product of coordinate lines); the record flags that case.
     """
-    m = s2_point_matrix_forms(p)
+    m = coefficient_matrix(s2_relation_polys(p))  # the 2x2 matrix of bilinear forms
     ref = s2_reference_matrix(p)
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if not det:
@@ -452,8 +447,9 @@ def s3_degree3_overlap(p: AbcParams) -> dict:
     }
 
 
-def verify_c3_description(p: AbcParams) -> dict:
-    """Certify the degree-3 central element against the invariant cubics.
+def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
+    """Certify the degree-3 central element of ``q``, the 3-generator algebra
+    at ``p``, against the invariant cubics.
 
     The central element is only defined modulo the ideal, and the span of the
     invariant cubics meets the degree-3 ideal slice in the line through
@@ -467,7 +463,6 @@ def verify_c3_description(p: AbcParams) -> dict:
     flag = tau_order_flag(p)
     if flag in ("order1", "order3"):
         raise ParameterError(f"translation point has {flag}: not in the verified regime")
-    q = Quotient(build_s3(p))
     cents = q.centralizer_slice(3)
     record: dict = {"tau_flag": flag, "centralizer_dim": cents.dim}
     basis = invariant_cubic_basis()

@@ -90,6 +90,7 @@ class VeroneseMap:
     alpha: AlphaTriple
     extra: NcPoly            # the central quadric spanning the rest of the kernel
     kernel_dim: int
+    algebra: Quotient        # the 2-generator algebra the map was derived in
 
     def apply(self, poly: NcPoly) -> NcPoly:
         """Image of a polynomial in the 4 symbols inside the 2-generator algebra."""
@@ -212,7 +213,7 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     if span_rows(4, 2, pair_rows + [extra.to_row(2)]).rows != span_rows(4, 2, [dict(r) for r in kernel]).rows:
         raise VerificationError("six pairs plus the extra quadric do not span the kernel")
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple,
-                       alpha=sextuple.alpha(), extra=extra, kernel_dim=kdim)
+                       alpha=sextuple.alpha(), extra=extra, kernel_dim=kdim, algebra=q)
 
 
 def closed_form_sextuple(p: AbcParams) -> SextupleParams:
@@ -290,7 +291,7 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
             if acted != want:
                 equiv_ok = False
     elements = _kernel_element_rows(vm)
-    nf = Quotient(build_s2(p)).normal_form
+    nf = vm.algebra.normal_form
     in_ideal = [not nf(vm.apply(NcPoly.from_row(4, 2, row))) for row in elements]
     characters = [_bicharacter(r) for r in elements]
     expected_chars = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0)]
@@ -408,7 +409,7 @@ def extract_c4(vm: VeroneseMap) -> dict:
     """
     p = vm.params
     cp = vm.central_pair
-    nf = Quotient(build_s2(p)).normal_form
+    nf = vm.algebra.normal_form
     img1 = nf(vm.apply(cp.omega1))
     img2 = nf(vm.apply(cp.omega2))
     c4 = s2_central_quartic(p)
@@ -427,30 +428,26 @@ def extract_c4(vm: VeroneseMap) -> dict:
     }
 
 
-def s2_centralizer_record(q: Quotient, c4: NcPoly) -> dict:
-    """Degree-4 centralizer of a 2-generator quotient; membership of the quartic."""
-    cs = q.centralizer_slice(4)
-    resid = q.normal_form(c4)
-    return {
-        "centralizer_dim": cs.dim,
-        "quartic_in_centralizer": bool(resid) and cs.contains(resid),
-        "quartic_nonzero_mod_ideal": bool(resid),
-    }
+def verify_c4_central(p: AbcParams, q: Quotient) -> dict:
+    """Normality certificate and degree-4 centralizer for the closed-form quartic.
 
-
-def verify_c4_central(p: AbcParams) -> dict:
-    """Normality certificate for the closed-form quartic in the 2-generator algebra."""
-    q = Quotient(build_s2(p))
+    ``q`` is the 2-generator algebra at ``p``.
+    """
     c4 = s2_central_quartic(p)
     if not c4:
         raise ParameterError("closed-form quartic vanishes at these parameters")
     cert = q.normality_automorphism(c4)
-    rec = s2_centralizer_record(q, c4)
-    rec["sigma_is_identity"] = cert.is_central
+    cs = q.centralizer_slice(4)
+    resid = q.normal_form(c4)
     tp4 = rep_on_degree(h2_gen_rep(), 4)
     row = c4.to_row(4)
-    rec["quartic_invariant"] = all(
-        tp4.act_row(g, row) == row for g in ((1, 0, 0), (0, 1, 0)))
+    rec = {
+        "centralizer_dim": cs.dim,
+        "quartic_in_centralizer": bool(resid) and cs.contains(resid),
+        "quartic_nonzero_mod_ideal": bool(resid),
+        "sigma_is_identity": cert.is_central,
+        "quartic_invariant": all(tp4.act_row(g, row) == row for g in ((1, 0, 0), (0, 1, 0))),
+    }
     rec["pass"] = (cert.is_central and rec["quartic_in_centralizer"]
                    and rec["quartic_invariant"])
     return rec

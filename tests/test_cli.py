@@ -73,13 +73,12 @@ def test_degenerate_parameters_reported_as_skips(capsys):
 
 
 def test_forced_failure_sets_exit_one(capsys, monkeypatch):
-    real = cli.hilbert_dims
+    real = cli.Quotient.hilbert_dims
 
-    def lying(pres, max_degree):
-        rec = real(pres, max_degree)
-        return type(rec)(tuple(d + 1 for d in rec.dims))
+    def lying(self, max_degree):
+        return tuple(d + 1 for d in real(self, max_degree))
 
-    monkeypatch.setattr(cli, "hilbert_dims", lying)
+    monkeypatch.setattr(cli.Quotient, "hilbert_dims", lying)
     assert main(["verify", "s3", "--abc", "1,2,3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -96,6 +95,36 @@ def test_quotient_build_failure_fails_each_check(capsys, monkeypatch):
     for c in checks:
         assert c["status"] == "fail"
         assert c["notes"] == "VerificationError: no kernel at [1:2:3]"
+
+
+def test_s3_build_failure_fails_each_algebra_check(capsys, monkeypatch):
+    def broken(p):
+        raise VerificationError(f"no algebra at {p}")
+
+    monkeypatch.setattr(cli, "build_s3", broken)
+    assert main(["verify", "s3", "--abc", "1,2,3", "--format", "json"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for cid in ("s3-hilbert", "s3-center-cubic", "s3-central-quotient-hilbert"):
+        assert checks[cid]["status"] == "fail"
+        assert checks[cid]["notes"] == "VerificationError: no algebra at [1:2:3]"
+    for cid in ("s3-relation-overlap", "s3-point-walk", "s3-group-law"):
+        assert checks[cid]["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [["s3", "--abc", "1,2,3"], ["s4", "--alpha", "6,-21"]])
+def test_one_engine_per_presentation_per_point(capsys, monkeypatch, argv):
+    # s3: the algebra and its quotient by the central cubic; s4: the algebra
+    # and its abelianization
+    built = []
+    real = cli.Quotient.__init__
+
+    def counting(self, p):
+        built.append(p)
+        real(self, p)
+
+    monkeypatch.setattr(cli.Quotient, "__init__", counting)
+    assert main(["verify", *argv]) == 0
+    assert len(built) == 2
 
 
 def test_malformed_abc_exits_two():

@@ -9,14 +9,13 @@ import pytest
 from skverify import linalg
 from skverify.errors import NotASubrepError, RepresentationInvalidError
 from skverify.field import ONE, ZERO, fe, root_of_unity
-from skverify.freealg import NcPoly, Subspace, index_to_word, span
+from skverify.freealg import NcPoly, index_to_word, span
 from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup,
                                  antisymmetric_character, decompose,
                                  decompose_character, h2_gen_rep, h3_gen_rep,
                                  h4_gen_rep, h4_gen_rep_pm, h4_pm_basis,
                                  invariant_subspace, irrep_table, is_subrep,
-                                 rep_on_degree, subspace_character,
-                                 twist_equivalence_table)
+                                 rep_on_degree, twist_equivalence_table)
 
 
 def mat_id(n):
@@ -188,16 +187,7 @@ def test_is_subrep_and_rejection():
     assert is_subrep(span([x * y - y * x], 2, 2), tp)
     assert not is_subrep(span([x * y], 2, 2), tp)
     with pytest.raises(NotASubrepError):
-        subspace_character(span([x * y], 2, 2), tp)
-
-
-def test_subspace_character_of_full_space():
-    tp = rep_on_degree(h3_gen_rep(), 2)
-    chi = subspace_character(Subspace.full(3, 2), tp)
-    base = h3_gen_rep().character()
-    G = base.group
-    for g in G.elements():
-        assert chi.values[g] == base.values[g] * base.values[g]
+        invariant_subspace(tp, span([x * y], 2, 2))
 
 
 def test_twist_table_shape():

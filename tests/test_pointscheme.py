@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skverify.errors import OffCurveError
-from skverify.families import AbcParams, build_s2, is_smooth_hesse, s2_central_quartic
+from skverify.families import AbcParams, build_s2, build_s3, is_smooth_hesse
 from skverify.field import fe, root_of_unity
 from skverify.freealg import span
 from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
@@ -19,7 +19,7 @@ from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
                                   s3_point_matrix, s4_minor_membership,
                                   tau_order, verify_c3_description)
 from skverify.graded import Quotient
-from skverify.veronese import s2_centralizer_record
+from skverify.veronese import verify_c4_central
 
 CURVES = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),
           AbcParams.of(1, -1, Fraction(5, 7))]
@@ -177,7 +177,7 @@ def test_invariant_cubic_basis_is_three_dimensional():
 
 def test_center_cubic_certificate():
     for p in CURVES:
-        rec = verify_c3_description(p)
+        rec = verify_c3_description(p, Quotient(build_s3(p)))
         assert rec["pass"]
         assert rec["centralizer_dim"] == 1
         assert rec["sigma_is_identity"]
@@ -186,7 +186,7 @@ def test_center_cubic_certificate():
 
 def test_quartic_centralizer_record():
     p = AbcParams.of(1, 2, 3)
-    rec = s2_centralizer_record(Quotient(build_s2(p)), s2_central_quartic(p))
+    rec = verify_c4_central(p, Quotient(build_s2(p)))
     assert rec["quartic_in_centralizer"]
     assert rec["quartic_nonzero_mod_ideal"]
     assert rec["centralizer_dim"] >= 1

@@ -13,7 +13,7 @@ from skverify.families import (AbcParams, alpha_from_abc, build_s2,
                                s2_central_quartic, s2_relation_polys)
 from skverify.field import fe
 from skverify.freealg import NcPoly, comm
-from skverify.graded import Quotient, hilbert_dims, quotient_hilbert
+from skverify.graded import Quotient
 from skverify.veronese import (build_veronese, closed_form_sextuple, extract_c4,
                                gamma_expansions, quadratic_images,
                                verify_c4_central, verify_central_pair,
@@ -67,6 +67,7 @@ def test_kernel_has_dimension_seven():
     for p in POINTS:
         vm = build_veronese(p)
         assert vm.kernel_dim == 7
+        assert vm.algebra.p == build_s2(p)
 
 
 def test_closed_form_sextuple_values():
@@ -153,7 +154,7 @@ def test_quartic_image_extraction():
 
 def test_quartic_normality_certificate():
     for p in POINTS:
-        rec = verify_c4_central(p)
+        rec = verify_c4_central(p, Quotient(build_s2(p)))
         assert rec["pass"]
         assert rec["sigma_is_identity"]
         assert rec["quartic_invariant"]
@@ -176,8 +177,8 @@ def test_quotient_hilbert_matches_even_slice():
         cp = build_veronese(p).central_pair
         from skverify.families import build_s4
         pres = build_s4(cp.sextuple)
-        both = quotient_hilbert(pres, [cp.omega1, cp.omega2], 5).dims
+        both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(5)
         assert both == (1, 4, 8, 12, 16, 20)
-        first = quotient_hilbert(pres, [cp.omega1], 3).dims
-        evens = hilbert_dims(build_s2(p), 6).dims[0::2]
+        first = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(3)
+        evens = Quotient(build_s2(p)).hilbert_dims(6)[0::2]
         assert first == evens
