@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from skverify.families import AbcParams
 from skverify.field import fe
-from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
-                                  hesse_origin, s2_point_determinant,
-                                  s3_next_point, s4_minor_membership)
+from skverify.pointscheme import (ProjPoint, group_law_record, hesse_origin,
+                                  s2_point_determinant, s3_next_point,
+                                  s4_minor_membership)
 
 p = AbcParams.of(1, 2, 3)
 tau = ProjPoint.of(p.a, p.b, p.c)

@@ -1,9 +1,9 @@
-"""Batch verification driver.
+"""Batch verification: one check table per family, one point driver, report
+rendering, the ``skverify`` command.
 
-Runs the per-family check suites over explicit or sampled parameters and
-writes a machine-readable report.  Reports are deterministic for a given
-(config, seed): records are sorted by a canonical key and all wall-clock
-data is isolated in the trailing timing section.
+The driver runs each table over explicit or sampled parameters.  Reports are
+deterministic for a given (config, seed): records are sorted by a canonical
+key and all wall-clock data is isolated in the trailing timing section.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import __version__, sampling, veronese
 from .errors import ParameterError, SamplingExhaustedError, SkverifyError
 from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3, build_s4
-from .field import FieldElem, fe
+from .field import ONE, ZERO, fe
 from .freealg import span
 from .graded import Quotient
 from .heisenberg import (HeisenbergGroup, antisymmetric_character, decompose_character,
@@ -62,14 +62,12 @@ class RunConfig:
 
 
 def _stringify(value):
-    if isinstance(value, bool) or isinstance(value, int):
+    if value is None or isinstance(value, int):
         return value
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _stringify(v) for k, v in value.items()}
-    if value is None:
-        return None
     return str(value)
 
 
@@ -114,250 +112,191 @@ class _Collector:
                             "data": {}, "notes": f"degenerate: {reason}"})
 
 
-def _abc_params_text(p: AbcParams) -> str:
-    return f"abc={p}"
+# -- checks -----------------------------------------------------------------
+# A point check is ``check(p, engine, d) -> (ok, data, notes)``: ``p`` is the
+# point, ``engine()`` its one engine (built on the first call, so a failed
+# build fails each check that asks for it with the same notes) and ``d`` the
+# degree cutoff.  A family's table lists its checks as (id, check) rows.
+
+def _verdict(rec: dict, notes: str = ""):
+    return rec["pass"], rec, notes
 
 
-def _alpha_text(t: AlphaTriple) -> str:
-    return f"alpha={t}"
+def _hilbert(dim, of=None):
+    """A check that the algebra, or the quotient presented by ``of(algebra)``, has
+    dimension ``dim(m)`` in each degree m <= d."""
+    def check(p, alg, d):
+        dims = (alg() if of is None else Quotient(of(alg()))).hilbert_dims(d)
+        want = tuple(dim(m) for m in range(d + 1))
+        return dims == want, {"dims": dims, "expected": want}, ""
+    return check
 
 
-def _triple_text(trip) -> str:
-    return "lambda=(" + ", ".join(str(v) for v in trip) + ")"
+def _s3_overlap(p, alg, d):
+    rec = s3_degree3_overlap(p)
+    ok = (rec["sum_dim"] == 17 and rec["meet_dim"] == 1
+          and rec["meet_is_relation_combo"] and rec["invariant_dim"] == 1
+          and rec["invariant_is_meet"])
+    return ok, rec, ""
 
 
-# -- suites -----------------------------------------------------------------
-
-def _reps_suite(col: _Collector) -> None:
-    one, zero = fe(1), fe(0)
-    for n, count, sqsum in ((2, 5, 8), (3, 11, 27), (4, 22, 64)):
-        def table_check(n=n, count=count, sqsum=sqsum):
-            table = irrep_table(n)
-            chars = [r.character() for r in table]
-            ortho = all(chars[i].inner(chars[j]) == (one if i == j else zero)
-                        for i in range(len(chars)) for j in range(i, len(chars)))
-            s = sum(r.dim ** 2 for r in table)
-            ok = len(table) == count and s == sqsum and ortho
-            return ok, {"irreps": len(table), "squared_dim_sum": s,
-                        "orthonormal_characters": ortho}, ""
-        col.run(f"reps-irrep-table-{n}", "", table_check)
-
-    def tensor3():
-        chi = h3_gen_rep().character()
-        d = decompose_character(HeisenbergGroup(3), chi * chi, 9)
-        return d == {"H3:V2": 3}, {"decomposition": d}, ""
-    col.run("reps-tensor-square-3", "", tensor3)
-
-    def tensor4():
-        chi = h4_gen_rep().character()
-        d = decompose_character(HeisenbergGroup(4), chi * chi, 16)
-        want = {f"H4:V_{{{i},{j}}}": 2 for i in (0, 1) for j in (0, 1)}
-        return d == want, {"decomposition": d}, ""
-    col.run("reps-tensor-square-4", "", tensor4)
-
-    def wedge4():
-        chi = antisymmetric_character(h4_gen_rep())
-        d = decompose_character(HeisenbergGroup(4), chi, 6)
-        want = {"H4:V_{0,1}": 1, "H4:V_{1,0}": 1, "H4:V_{1,1}": 1}
-        return d == want, {"decomposition": d}, ""
-    col.run("reps-antisymmetric-square-4", "", wedge4)
-
-    def cubics():
-        inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3))
-        match = span(invariant_cubic_basis()) == inv
-        return inv.dim == 3 and match, {"invariant_dim": inv.dim, "basis_match": match}, ""
-    col.run("reps-invariant-cubics", "", cubics)
-
-    def twist():
-        table = twist_equivalence_table()
-        eq = sum(1 for v in table.values() if v)
-        return True, {"pairs": len(table), "equivalent": eq}, "table cross-checked against the congruence rule"
-    col.run("reps-twist-table", "", twist)
+def _mod_central_cubic(q: Quotient):
+    return q.p.adjoin([q.centralizer_slice(3).basis()[0]])
 
 
-def _s3_suite(col: _Collector, plist, cfg: RunConfig) -> None:
-    d3 = cfg.cutoff(6)
-    ids = ("s3-hilbert", "s3-relation-overlap", "s3-center-cubic",
-           "s3-central-quotient-hilbert", "s3-point-walk", "s3-group-law")
-    for p in plist:
-        params = _abc_params_text(p)
-        reason = sampling.s3_reject_reason(p)
+def _s3_walk(p, alg, d):
+    tau = ProjPoint.of(p.a, p.b, p.c)
+    start = s3_next_point(p, hesse_origin())
+    one = s3_next_point(p, tau)
+    two = s3_next_point(p, one)
+    ok = start == tau and one == hesse_add(p, tau, tau) and two == hesse_add(p, one, tau)
+    return ok, {"from_origin": start, "first": one, "second": two}, ""
+
+
+S3 = (
+    ("s3-hilbert", _hilbert(lambda m: (m + 1) * (m + 2) // 2)),
+    ("s3-relation-overlap", _s3_overlap),
+    ("s3-center-cubic", lambda p, alg, d: _verdict(verify_c3_description(p, alg()))),
+    ("s3-central-quotient-hilbert", _hilbert(lambda m: max(1, 3 * m), _mod_central_cubic)),
+    ("s3-point-walk", _s3_walk),
+    ("s3-group-law", lambda p, alg, d: _verdict(group_law_record(p, 10))),
+)
+
+
+def _s2_determinant(p, alg, d):
+    rec = s2_point_determinant(p)
+    rec.pop("determinant")
+    return rec["matrix_matches_reference"] and rec["proportional"], rec, ""
+
+
+def _s2_quartic(p, alg, d):
+    rec = veronese.verify_c4_central(p, alg())
+    return _verdict(rec, "centralizer dimension recorded, not asserted")
+
+
+S2 = (
+    ("s2-hilbert", _hilbert(lambda m: (m + 2) ** 2 // 4)),
+    ("s2-point-determinant", _s2_determinant),
+    ("s2-central-quartic", _s2_quartic),
+)
+
+
+def _s4_centralizer(t, alg, d):
+    dim = alg().centralizer_slice(2).dim
+    return dim == 2, {"centralizer_dim": dim}, ""
+
+
+def _s4_minors(t, _, d):
+    rec = s4_minor_membership(*t)
+    rec.pop("memberships")
+    return _verdict(rec, "perturbed scale must break at least one minor")
+
+
+S4 = (
+    ("s4-hilbert", _hilbert(lambda m: (m + 1) * (m + 2) * (m + 3) // 6)),
+    ("s4-centralizer-dim", _s4_centralizer),
+    ("s4-abelianized-hilbert",
+     _hilbert(lambda m: 1 if m == 0 else 4, lambda q: q.p.abelianized())),
+)
+S4_MINORS = (("s4-minors", _s4_minors),)
+
+
+def _quotient_map(p, vm, d):
+    rec = veronese.verify_quotient_map(vm())
+    rec.pop("extra_relation")
+    bad = rec["reference_form_mismatches"]
+    notes = f"reference relation couple(s) {bad} not in the derived kernel" if bad else ""
+    return _verdict(rec, notes)
+
+
+def _quotient_hilbert(p, vm, d):
+    cp = vm().central_pair
+    pres = build_s4(cp.sextuple)
+    both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(d)
+    want = tuple(max(1, 4 * m) for m in range(d + 1))
+    evens = vm().algebra.hilbert_dims(6)[0::2]
+    single = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(len(evens) - 1)
+    ok = both == want and single == evens
+    return ok, {"mod_pair": both, "expected": want,
+                "mod_first": single, "target_even_dims": evens}, ""
+
+
+def _quotient_c4_image(p, vm, d):
+    return _verdict(veronese.extract_c4(vm()), "mu recorded, not asserted")
+
+
+QUOTIENT = (
+    ("quotient-map", _quotient_map),
+    ("quotient-central-pair", lambda p, vm, d: _verdict(veronese.verify_central_pair(vm()))),
+    ("quotient-hilbert", _quotient_hilbert),
+    ("quotient-c4-image", _quotient_c4_image),
+)
+
+
+def _irreps(n, count, sqsum):
+    table = irrep_table(n)
+    chars = [r.character() for r in table]
+    ortho = all(chars[i].inner(chars[j]) == (ONE if i == j else ZERO)
+                for i in range(len(chars)) for j in range(i, len(chars)))
+    s = sum(r.dim ** 2 for r in table)
+    ok = len(table) == count and s == sqsum and ortho
+    return ok, {"irreps": len(table), "squared_dim_sum": s, "orthonormal_characters": ortho}, ""
+
+
+def _tensor_square(n, rep, want):
+    chi = rep().character()
+    d = decompose_character(HeisenbergGroup(n), chi * chi, n * n)
+    return d == want, {"decomposition": d}, ""
+
+
+def _wedge4():
+    chi = antisymmetric_character(h4_gen_rep())
+    d = decompose_character(HeisenbergGroup(4), chi, 6)
+    want = {"H4:V_{0,1}": 1, "H4:V_{1,0}": 1, "H4:V_{1,1}": 1}
+    return d == want, {"decomposition": d}, ""
+
+
+def _cubics():
+    inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3))
+    match = span(invariant_cubic_basis()) == inv
+    return inv.dim == 3 and match, {"invariant_dim": inv.dim, "basis_match": match}, ""
+
+
+def _twist():
+    table = twist_equivalence_table()
+    eq = sum(1 for v in table.values() if v)
+    return True, {"pairs": len(table), "equivalent": eq}, "table cross-checked against the congruence rule"
+
+
+REPS = (
+    ("reps-irrep-table-2", partial(_irreps, 2, 5, 8)),
+    ("reps-irrep-table-3", partial(_irreps, 3, 11, 27)),
+    ("reps-irrep-table-4", partial(_irreps, 4, 22, 64)),
+    ("reps-tensor-square-3", partial(_tensor_square, 3, h3_gen_rep, {"H3:V2": 3})),
+    ("reps-tensor-square-4", partial(_tensor_square, 4, h4_gen_rep,
+                                     {f"H4:V_{{{i},{j}}}": 2 for i in (0, 1) for j in (0, 1)})),
+    ("reps-antisymmetric-square-4", _wedge4),
+    ("reps-invariant-cubics", _cubics),
+    ("reps-twist-table", _twist),
+)
+
+
+def _run_points(col: _Collector, checks, points, text, reject, build, degree) -> None:
+    """Run every check in ``checks`` at each point, or skip them all at a degenerate one.
+
+    ``text(p)`` renders the point for the report, ``reject(p)`` names why it is
+    degenerate (or is None) and ``build(p)`` makes the engine its checks share.
+    """
+    for p in points:
+        params = text(p)
+        reason = reject(p)
         if reason is not None:
-            for cid in ids:
+            for cid, _ in checks:
                 col.skip(cid, params, reason)
             continue
-
-        # one engine per point; a build failure fails each check with the same notes
-        @cache
-        def alg(p=p):
-            return Quotient(build_s3(p))
-
-        def hilb(alg=alg):
-            dims = alg().hilbert_dims(d3)
-            want = tuple((m + 1) * (m + 2) // 2 for m in range(d3 + 1))
-            return dims == want, {"dims": dims, "expected": want}, ""
-        col.run("s3-hilbert", params, hilb)
-
-        def overlap(p=p):
-            rec = s3_degree3_overlap(p)
-            ok = (rec["sum_dim"] == 17 and rec["meet_dim"] == 1
-                  and rec["meet_is_relation_combo"] and rec["invariant_dim"] == 1
-                  and rec["invariant_is_meet"])
-            return ok, rec, ""
-        col.run("s3-relation-overlap", params, overlap)
-
-        def center(p=p, alg=alg):
-            rec = verify_c3_description(p, alg())
-            return rec["pass"], rec, ""
-        col.run("s3-center-cubic", params, center)
-
-        def cq(alg=alg):
-            c3 = alg().centralizer_slice(3).basis()[0]
-            dims = Quotient(alg().p.adjoin([c3])).hilbert_dims(d3)
-            want = tuple(1 if m == 0 else (3 if m == 1 else 3 * m) for m in range(d3 + 1))
-            return dims == want, {"dims": dims, "expected": want}, ""
-        col.run("s3-central-quotient-hilbert", params, cq)
-
-        def walk(p=p):
-            tau = ProjPoint.of(p.a, p.b, p.c)
-            start = s3_next_point(p, hesse_origin())
-            one = s3_next_point(p, tau)
-            two = s3_next_point(p, one)
-            ok = (start == tau and one == hesse_add(p, tau, tau)
-                  and two == hesse_add(p, one, tau))
-            return ok, {"from_origin": start, "first": one, "second": two}, ""
-        col.run("s3-point-walk", params, walk)
-
-        def law(p=p):
-            rec = group_law_record(p, 10)
-            return rec["pass"], rec, ""
-        col.run("s3-group-law", params, law)
-
-
-def _s2_suite(col: _Collector, plist, cfg: RunConfig) -> None:
-    d2 = cfg.cutoff(6)
-    ids = ("s2-hilbert", "s2-point-determinant", "s2-central-quartic")
-    for p in plist:
-        params = _abc_params_text(p)
-        reason = sampling.s2_reject_reason(p)
-        if reason is not None:
-            for cid in ids:
-                col.skip(cid, params, reason)
-            continue
-
-        @cache
-        def alg(p=p):
-            return Quotient(build_s2(p))
-
-        def hilb(alg=alg):
-            dims = alg().hilbert_dims(d2)
-            want = tuple((m + 2) ** 2 // 4 for m in range(d2 + 1))
-            return dims == want, {"dims": dims, "expected": want}, ""
-        col.run("s2-hilbert", params, hilb)
-
-        def det(p=p):
-            rec = s2_point_determinant(p)
-            ok = rec["matrix_matches_reference"] and rec["proportional"]
-            rec.pop("determinant")
-            return ok, rec, ""
-        col.run("s2-point-determinant", params, det)
-
-        def quartic(p=p, alg=alg):
-            rec = veronese.verify_c4_central(p, alg())
-            return rec["pass"], rec, "centralizer dimension recorded, not asserted"
-        col.run("s2-central-quartic", params, quartic)
-
-
-def _s4_suite(col: _Collector, alphas, lambdas, cfg: RunConfig) -> None:
-    d4 = cfg.cutoff(5)
-    ids = ("s4-hilbert", "s4-centralizer-dim", "s4-abelianized-hilbert")
-    for t in alphas:
-        params = _alpha_text(t)
-        reason = sampling.alpha_reject_reason(t)
-        if reason is not None:
-            for cid in ids:
-                col.skip(cid, params, reason)
-            continue
-
-        @cache
-        def alg(t=t):
-            return Quotient(build_s4(SextupleParams.from_alpha(t)))
-
-        def hilb(alg=alg):
-            dims = alg().hilbert_dims(d4)
-            want = tuple((m + 1) * (m + 2) * (m + 3) // 6 for m in range(d4 + 1))
-            return dims == want, {"dims": dims, "expected": want}, ""
-        col.run("s4-hilbert", params, hilb)
-
-        def cent(alg=alg):
-            dim = alg().centralizer_slice(2).dim
-            return dim == 2, {"centralizer_dim": dim}, ""
-        col.run("s4-centralizer-dim", params, cent)
-
-        def ab(alg=alg):
-            dims = Quotient(alg().p.abelianized()).hilbert_dims(d4)
-            want = tuple(1 if m == 0 else 4 for m in range(d4 + 1))
-            return dims == want, {"dims": dims, "expected": want}, ""
-        col.run("s4-abelianized-hilbert", params, ab)
-
-    for trip in lambdas:
-        params = _triple_text(trip)
-
-        def minors(trip=trip):
-            rec = s4_minor_membership(*trip)
-            ok = rec["pass"] and rec["perturbed_failures"] >= 1
-            rec.pop("memberships")
-            return ok, rec, "perturbed scale must break at least one minor"
-        col.run("s4-minors", params, minors)
-
-
-def _quotient_suite(col: _Collector, plist, cfg: RunConfig) -> None:
-    d4 = cfg.cutoff(5)
-    ids = ("quotient-map", "quotient-central-pair", "quotient-hilbert", "quotient-c4-image")
-    for p in plist:
-        params = _abc_params_text(p)
-        reason = sampling.s2_reject_reason(p)
-        if reason is not None:
-            for cid in ids:
-                col.skip(cid, params, reason)
-            continue
-
-        # one build per point; a build failure fails each check with the same notes
-        @cache
-        def vm(p=p):
-            return veronese.build_veronese(p)
-
-        def qmap(vm=vm):
-            rec = veronese.verify_quotient_map(vm())
-            rec.pop("extra_relation")
-            notes = ""
-            if rec["reference_form_mismatches"]:
-                notes = ("reference relation couple(s) "
-                         f"{rec['reference_form_mismatches']} not in the derived kernel")
-            return rec["pass"], rec, notes
-        col.run("quotient-map", params, qmap)
-
-        def pair(vm=vm):
-            rec = veronese.verify_central_pair(vm())
-            return rec["pass"], rec, ""
-        col.run("quotient-central-pair", params, pair)
-
-        def hilb(vm=vm):
-            cp = vm().central_pair
-            pres = build_s4(cp.sextuple)
-            both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(d4)
-            want = tuple(1 if m == 0 else 4 * m for m in range(d4 + 1))
-            evens = vm().algebra.hilbert_dims(6)[0::2]
-            single = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(len(evens) - 1)
-            ok = both == want and single == evens
-            return ok, {"mod_pair": both, "expected": want,
-                        "mod_first": single, "target_even_dims": evens}, ""
-        col.run("quotient-hilbert", params, hilb)
-
-        def image(vm=vm):
-            rec = veronese.extract_c4(vm())
-            return rec["pass"], rec, "mu recorded, not asserted"
-        col.run("quotient-c4-image", params, image)
+        engine = cache(partial(build, p))
+        for cid, check in checks:
+            col.run(cid, params, partial(check, p, engine, degree))
 
 
 # -- assembly ---------------------------------------------------------------
@@ -377,23 +316,27 @@ def run_suite(config: RunConfig) -> dict:
         }
         return vals
 
-    abc_generic = list(config.abc)
-    s2_params = None
     if "reps" in suites:
-        _reps_suite(col)
+        for cid, check in REPS:
+            col.run(cid, "", check)
     if "s3" in suites:
-        plist = abc_generic or sampled("s3")
-        _s3_suite(col, plist, config)
+        _run_points(col, S3, config.abc or sampled("s3"), "abc={}".format,
+                    sampling.s3_reject_reason, lambda p: Quotient(build_s3(p)), config.cutoff(6))
     if "s2" in suites or "quotient" in suites:
-        s2_params = abc_generic or sampled("s2")
+        s2_params = config.abc or sampled("s2")
     if "s2" in suites:
-        _s2_suite(col, s2_params, config)
+        _run_points(col, S2, s2_params, "abc={}".format, sampling.s2_reject_reason,
+                    lambda p: Quotient(build_s2(p)), config.cutoff(6))
     if "s4" in suites:
-        alphas = list(config.alpha) or sampled("s4")
+        alphas = config.alpha or sampled("s4")
         lambdas = sampled("sqrt")
-        _s4_suite(col, alphas, lambdas, config)
+        _run_points(col, S4, alphas, "alpha={}".format, sampling.alpha_reject_reason,
+                    lambda t: Quotient(build_s4(SextupleParams.from_alpha(t))), config.cutoff(5))
+        _run_points(col, S4_MINORS, lambdas, "lambda={}".format,
+                    lambda t: None, lambda t: None, None)
     if "quotient" in suites:
-        _quotient_suite(col, s2_params, config)
+        _run_points(col, QUOTIENT, s2_params, "abc={}".format, sampling.s2_reject_reason,
+                    veronese.build_veronese, config.cutoff(5))
 
     checks = sorted(col.checks, key=lambda c: (c["id"], c["params"]))
     passed = sum(1 for c in checks if c["status"] == "pass")

@@ -535,11 +535,14 @@ def quadric_pair(l10, l01, l11) -> tuple[MultiPoly, MultiPoly, FieldElem]:
     ii = root_of_unity(4)
     if any(lam == v for v in (fe(0), fe(1), fe(-1), ii, -ii)):
         raise ParameterError(f"degenerate modulus {lam}")
-    v = [MultiPoly.var(1, 4, 0, j) for j in range(4)]
-    v00, v10, v01, v11 = v
+    return (*_quadrics(lam), lam)
+
+
+def _quadrics(lam) -> tuple[MultiPoly, MultiPoly]:
+    v00, v10, v01, v11 = (MultiPoly.var(1, 4, 0, j) for j in range(4))
     q1 = v00 * v00 + v10 * v10 - lam * (v01 * v01 - v11 * v11)
     q2 = v01 * v01 + v11 * v11 - lam * (v00 * v00 - v10 * v10)
-    return q1, q2, lam
+    return q1, q2
 
 
 def _quartic_membership(minors, q1, q2) -> list[bool]:
@@ -579,12 +582,7 @@ def s4_minor_membership(l10, l01, l11) -> dict:
     for quad in combinations(rows6, 4):
         minors.append(_det([assembled[r] for r in quad]))
     members = _quartic_membership(minors, q1, q2)
-    v = [MultiPoly.var(1, 4, 0, j) for j in range(4)]
-    v00, v10, v01, v11 = v
-    lam_p = lam + fe(1)
-    p1 = v00 * v00 + v10 * v10 - lam_p * (v01 * v01 - v11 * v11)
-    p2 = v01 * v01 + v11 * v11 - lam_p * (v00 * v00 - v10 * v10)
-    perturbed = _quartic_membership(minors, p1, p2)
+    escaped = _quartic_membership(minors, *_quadrics(lam + fe(1))).count(False)
     return {
         "sextuple": sx,
         "alpha": sx.alpha(),
@@ -593,7 +591,6 @@ def s4_minor_membership(l10, l01, l11) -> dict:
         "minor_count": len(minors),
         "memberships": members,
         "all_members": all(members),
-        "perturbed_failures": sum(1 for b in perturbed if not b),
-        "pass": all(members) and assembled == reference
-                and sum(1 for b in perturbed if not b) >= 1,
+        "perturbed_failures": escaped,
+        "pass": all(members) and assembled == reference and escaped >= 1,
     }

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import ParameterError, SamplingExhaustedError
 from .families import (AbcParams, AlphaTriple, alpha_from_abc, s2_central_quartic,
                        is_smooth_hesse)
-from .field import FieldElem, fe, root_of_unity
+from .field import fe, root_of_unity
 from .pointscheme import tau_order_flag
 
 log = logging.getLogger(__name__)

@@ -25,8 +25,7 @@ from functools import cached_property
 from . import linalg
 from .errors import ParameterError, VerificationError
 from .families import (AbcParams, AlphaTriple, SextupleParams, alpha_from_abc,
-                       build_s2, build_s4, s2_central_quartic, s2_relation_polys,
-                       s4_relation_polys, S4_NAMES)
+                       build_s2, build_s4, s2_central_quartic, s2_relation_polys)
 from .field import ONE, ZERO, FieldElem, fe
 from .freealg import NcPoly, proportional, span_rows, substitute
 from .graded import Quotient

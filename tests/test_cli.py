@@ -111,10 +111,17 @@ def test_s3_build_failure_fails_each_algebra_check(capsys, monkeypatch):
         assert checks[cid]["status"] == "pass"
 
 
-@pytest.mark.parametrize("argv", [["s3", "--abc", "1,2,3"], ["s4", "--alpha", "6,-21"]])
-def test_one_engine_per_presentation_per_point(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, engines", [
+    pytest.param(["s3", "--abc", "1,2,3"], 2, id="s3"),
+    pytest.param(["s4", "--alpha", "6,-21"], 2, id="s4"),
+    pytest.param(["s2", "--abc", "1,2,3"], 1, id="s2"),
+    pytest.param(["quotient", "--abc", "1,2,3"], 4, id="quotient"),
+])
+def test_one_engine_per_presentation_per_point(capsys, monkeypatch, argv, engines):
     # s3: the algebra and its quotient by the central cubic; s4: the algebra
-    # and its abelianization
+    # and its abelianization; s2: the algebra; quotient: the 2-generator
+    # algebra the map is derived in, the 4-generator algebra, and that
+    # algebra modulo the central pair and modulo its first element
     built = []
     real = cli.Quotient.__init__
 
@@ -124,7 +131,27 @@ def test_one_engine_per_presentation_per_point(capsys, monkeypatch, argv):
 
     monkeypatch.setattr(cli.Quotient, "__init__", counting)
     assert main(["verify", *argv]) == 0
-    assert len(built) == 2
+    assert len(built) == engines
+
+
+@pytest.mark.parametrize("suite, generic, degenerate", [
+    ("s3", ["--abc", "1,2,3"], ["--abc", "1,-1,0"]),
+    ("s2", ["--abc", "1,2,3"], ["--abc", "1,-1,0"]),
+    ("quotient", ["--abc", "1,2,3"], ["--abc", "1,-1,0"]),
+    ("s4", ["--alpha", "6,-21"], ["--alpha", "1,2"]),
+], ids=["s3", "s2", "quotient", "s4"])
+def test_degenerate_point_skips_every_check_a_generic_point_runs(capsys, suite, generic,
+                                                                  degenerate):
+    def point_checks(argv):
+        assert main(["verify", suite, *argv, "--samples", "1", "--format", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        # s4-minors runs over sampled lambda triples, not over the alpha point
+        return [c for c in checks if not c["params"].startswith("lambda=")]
+
+    ran = {c["id"] for c in point_checks(generic) if c["status"] != "skipped-degenerate"}
+    skipped = point_checks(degenerate)
+    assert {c["status"] for c in skipped} == {"skipped-degenerate"}
+    assert ran and {c["id"] for c in skipped} == ran
 
 
 def test_malformed_abc_exits_two():

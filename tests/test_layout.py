@@ -6,13 +6,15 @@ No module-level name starts out as an empty container: that is what a
 process-global memo looks like, and such state outlives the run it served.
 The layers built on the field do not import fractions: field arithmetic runs
 on integer numerators, and Fraction arithmetic above it would bring back a
-normalising gcd per coefficient.
+normalising gcd per coefficient. Every name a module or demo imports is read
+somewhere in it.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "skverify"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "skverify"
 
 
 def test_no_function_local_imports():
@@ -65,3 +67,31 @@ def test_hot_layers_do_not_import_fractions():
             if any(m.split(".")[0] == "fractions" for m in mods):
                 found.add(f"{path.name}:{node.lineno}")
     assert not found, f"fractions imported by a hot layer: {sorted(found)}"
+
+
+def _unused_imports(tree) -> set[str]:
+    """Names bound by an import in ``tree`` and never read in it.
+
+    With ``from __future__ import annotations`` an annotation is a string at
+    run time but still an AST expression here, so it counts as a read.
+    """
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {f"{name}:{line}" for name, line in bound.items() if name not in read}
+
+
+def test_no_unused_imports():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    found = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update(f"{path.name}:{u}" for u in _unused_imports(tree))
+    assert not found, f"imported and never read: {sorted(found)}"
