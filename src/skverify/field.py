@@ -48,6 +48,17 @@ def mul_i4(a: I4, b: I4) -> I4:
             a0 * b2 + a1 * b1 + a2 * b0 + c4, a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + c5)
 
 
+def norm_cofactor(a: I4) -> tuple[I4, int]:
+    """(m, N) with a * m = N, where N > 0 is the Galois norm of a nonzero a.
+
+    m = conj(a) * sigma_7(y) for y = a * conj(a) (module docstring).
+    """
+    c = (a[0] + a[2], a[1], -a[2], -a[1] - a[3])
+    y = mul_i4(a, c)
+    s = (y[0], -y[1], y[2], -y[3])
+    return mul_i4(c, s), mul_i4(y, s)[0]
+
+
 class FieldElem:
     """Element of Q[t]/(t^4 - t^2 + 1): integer numerators ``num`` (low to
     high) over the positive denominator ``den``, in lowest terms."""
@@ -158,11 +169,7 @@ class FieldElem:
             if not n[0]:
                 raise ZeroDivisionError("inverse of zero field element")
             return _elem((d if n[0] > 0 else -d, 0, 0, 0), abs(n[0]))
-        c = (n[0] + n[2], n[1], -n[2], -n[1] - n[3])
-        y = mul_i4(n, c)
-        s = (y[0], -y[1], y[2], -y[3])
-        norm = mul_i4(y, s)[0]           # x^-1 = conj(x) s d / norm
-        m = mul_i4(c, s)
+        m, norm = norm_cofactor(n)       # x^-1 = m d / norm
         return _reduced(m[0] * d, m[1] * d, m[2] * d, m[3] * d, norm)
 
     def __truediv__(self, other):

@@ -292,6 +292,14 @@ class MultiPoly:
         self.terms = clean
 
     @staticmethod
+    def _of(blocks: int, nvars: int, terms: dict) -> "MultiPoly":
+        """A MultiPoly from terms already clean: tuple keys of this shape,
+        nonzero FieldElem coefficients."""
+        out = object.__new__(MultiPoly)
+        out.blocks, out.nvars, out.terms = blocks, nvars, terms
+        return out
+
+    @staticmethod
     def zero(blocks: int, nvars: int) -> "MultiPoly":
         return MultiPoly(blocks, nvars)
 
@@ -322,18 +330,21 @@ class MultiPoly:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return MultiPoly(self.blocks, self.nvars, out)
+        return MultiPoly._of(self.blocks, self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.blocks, self.nvars, {k: -c for k, c in self.terms.items()})
+        return MultiPoly._of(self.blocks, self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return MultiPoly(self.blocks, self.nvars,
-                             {k: c * fe(other) for k, c in self.terms.items()})
+            x = fe(other)
+            if not x:
+                return MultiPoly.zero(self.blocks, self.nvars)
+            return MultiPoly._of(self.blocks, self.nvars,
+                                 {k: c * x for k, c in self.terms.items()})
         self._check(other)
         out: dict = {}
         for k1, c1 in self.terms.items():
@@ -344,7 +355,7 @@ class MultiPoly:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return MultiPoly(self.blocks, self.nvars, out)
+        return MultiPoly._of(self.blocks, self.nvars, out)
 
     def __rmul__(self, other):
         return self * other

@@ -4,29 +4,39 @@ Words of one degree are ordered by their base-n numeral (freealg); the
 standard words S_m are those that are not the lowest word of any element of
 the ideal slice J_m.  A relation can always be moved to the end of a word and
 the order is compatible with concatenation, so J_m = J_{m-1} V + sum_d
-S_{m-d} R_d, and A_m is the span of S_{m-1} x V modulo the canonical RREF of
+S_{m-d} R_d, and A_m is the span of S_{m-1} x V modulo
 
     K_m  =  span{ NF_{m-1}((u r)[:-1]) * (u r)[-1] : u in S_{m-d}, r in R_d }.
 
 S_m is S_{m-1} x V minus the pivots of K_m, and NF_m(w) is
 NF_{m-1}(w[:-1]) * w[-1] reduced modulo K_m: the one element of w + J_m on
-S_m, the non-pivot columns of the RREF of J_m, hence the residue modulo that
-RREF.  This is the diamond lemma (Bergman, Adv. Math. 1978) in linear-algebra
-form; its rows grow polynomially in m where J_m has n^m columns.  Only the
-engine, a Quotient, memoizes: whoever holds a parameter point builds one per
-presentation and hands it to every check that asks about that algebra, while
-a presentation with adjoined elements is another algebra with its own
-engine.  Centralizers are kernels of s -> NF(x_i s - s x_i) from A_k to
-A_{k+1}, and normality automorphisms are solved in A_{k+1} coordinates.
+S_m, the non-pivot columns of any echelon basis of J_m, hence the residue
+modulo any echelon basis of K_m.  This is the diamond lemma (Bergman, Adv.
+Math. 1978) in linear-algebra form; its rows grow polynomially in m where J_m
+has n^m columns.
+
+The state is integer (linalg.IntRows): K_m is held as the forward echelon rows
+of its generators, each with its own pivot entry, and back-substituted the
+first time a reduction in degree m needs it (a Hilbert series never reduces
+in its top degree).  Every memoized NF_m(w) is an integer row over one
+positive int denominator.  Because the residue does not depend on the echelon
+basis, S_m and every normal form are those of the canonical RREF; only
+normal_row converts to FieldElem.  Only the engine, a Quotient, memoizes:
+whoever holds a parameter point builds one per presentation and hands it to
+every check that asks about that algebra, while a presentation with adjoined
+elements is another algebra with its own engine.  Centralizers are kernels
+of s -> NF(x_i s - s x_i) from A_k to A_{k+1}, and normality automorphisms
+are solved in A_{k+1} coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import linalg
 from .errors import DegreeError, ParameterError, ShapeError
-from .field import ONE, ZERO, FieldElem
+from .field import ONE, ZERO, ZETA12, FieldElem, ratio
 from .freealg import NcPoly, Subspace, span, span_rows
 
 
@@ -103,13 +113,18 @@ class Quotient:
     """The quotient algebra of a presentation, in standard-word coordinates.
 
     Rows are keyed by word index, as in freealg; degrees are built on demand.
+    The state is integer rows of one linalg.IntRows kind, rational unless a
+    relation has an irrational coefficient; only normal_row gives FieldElems.
     """
 
     def __init__(self, p: Presentation) -> None:
         self.p = p
+        ints = self._ints = linalg.int_rows(r for _, rel in p.relations for r in rel.rows)
+        self._rels = [(d, [ints.lift(r)[0] for r in rel.rows]) for d, rel in p.relations]
         self._std: list[tuple[int, ...]] = [(0,)]     # S_m, ascending word indices
-        self._kern: list[tuple] = [((), ())]           # RREF (pivots, rows) of K_m
-        self._nf: list[dict[int, linalg.Row]] = [{0: {0: ONE}}]
+        self._kern: list[dict] = [{}]                  # forward echelon rows of K_m
+        self._reduced: dict[int, dict] = {}            # m -> back-substituted K_m
+        self._nf: list[dict[int, tuple]] = [{0: ints.lift({0: ONE})}]   # word -> (row, den)
 
     def standard(self, m: int) -> tuple[int, ...]:
         """Word indices of the standard words of degree m, ascending."""
@@ -124,7 +139,21 @@ class Quotient:
     def normal_row(self, row: linalg.Row, m: int) -> linalg.Row:
         """Normal form of a degree-m row: its residue modulo J_m."""
         self.standard(m)
-        return linalg.reduce_mod(self._shift(row, m), *self._kern[m]) if m else dict(row)
+        if not m:
+            return dict(row)
+        ints = self._ints
+        if ints is linalg.RATIONAL and not all(v.is_rational() for v in row.values()):
+            # rational rows reduce the coordinates of 1, t, t^2, t^3 one by one
+            out: linalg.Row = {}
+            for j in range(4):
+                part = {w: ratio((v.num[j], 0, 0, 0), v.den) for w, v in row.items() if v.num[j]}
+                for c, v in self.normal_row(part, m).items():
+                    out[c] = out.get(c, ZERO) + ZETA12 ** j * v
+            return {c: v for c, v in out.items() if v}
+        r, den = ints.lift(row)
+        r, d = self._shift(r, m)
+        r, d = ints.reduce(r, d, self._basis(m))
+        return ints.lower(r, d * den)
 
     def normal_form(self, poly: NcPoly) -> NcPoly:
         """Normal form of a homogeneous polynomial; zero iff it lies in J."""
@@ -169,32 +198,42 @@ class Quotient:
             sigma.append(tuple(x))
         return NormalCertificate(degree=k, sigma=tuple(sigma))
 
-    def _shift(self, row: linalg.Row, m: int) -> linalg.Row:
-        """Sum of c * NF_{m-1}(w[:-1]) * w[-1] over the terms c*w of a degree-m row."""
-        n = self.p.ngens
-        out: linalg.Row = {}
-        for w, c in row.items():
-            last = w % n
-            for k, v in self._word(w // n, m - 1).items():
-                out[k * n + last] = out.get(k * n + last, ZERO) + c * v
-        return {k: v for k, v in out.items() if v}
+    def _shift(self, row: dict, m: int) -> tuple[dict, int]:
+        """Sum of c * NF_{m-1}(w[:-1]) * w[-1] over the terms c*w of a degree-m
+        integer row, as (integer row, den)."""
+        n, axpy = self.p.ngens, self._ints.axpy
+        terms = [(c, w % n, self._word(w // n, m - 1)) for w, c in row.items()]
+        den = lcm(*(d for _, _, (_, d) in terms))
+        out: dict = {}
+        for c, last, (r, d) in terms:
+            axpy(out, c, den // d, {k * n + last: v for k, v in r.items()})
+        return out, den
 
-    def _word(self, w: int, m: int) -> linalg.Row:
+    def _basis(self, m: int) -> dict:
+        """The basis of K_m, back-substituted on first use."""
+        if m not in self._reduced:
+            self._reduced[m] = self._ints.back_substitute(self._kern[m])
+        return self._reduced[m]
+
+    def _word(self, w: int, m: int) -> tuple[dict, int]:
         memo = self._nf[m]
         if w not in memo:
-            memo[w] = linalg.reduce_mod(self._shift({w: ONE}, m), *self._kern[m])
+            n = self.p.ngens
+            r, d = self._word(w // n, m - 1)
+            last = w % n
+            memo[w] = self._ints.reduce({k * n + last: v for k, v in r.items()}, d,
+                                        self._basis(m))
         return memo[w]
 
     def _extend(self) -> None:
         m = len(self._std)
         n = self.p.ngens
-        rows = [self._shift({u * n ** d + t: c for t, c in r.items()}, m)
-                for d, rel in self.p.relations if d <= m
-                for u in self._std[m - d] for r in rel.rows]
-        pivots, prows = linalg.rref(rows)
-        pivset = set(pivots)
+        rows = [self._shift({u * n ** d + t: c for t, c in r.items()}, m)[0]
+                for d, rels in self._rels if d <= m
+                for u in self._std[m - d] for r in rels]
+        basis = self._ints.forward(rows)
         std = tuple(w for s in self._std[m - 1] for w in range(s * n, s * n + n)
-                    if w not in pivset)
-        self._kern.append((pivots, prows))
+                    if w not in basis)
+        self._kern.append(basis)
         self._std.append(std)
         self._nf.append({})

@@ -1,44 +1,59 @@
 """Sparse exact linear algebra over the cyclotomic field.
 
-A row is a dict mapping column index to a nonzero FieldElem.  Echelonization
-runs fraction-free: each row is scaled to integer form (one int per entry in
-the rational case, a 4-tuple of ints in the general case), eliminated by
-cross-multiplication, and stripped of integer content after every step so
-coefficient growth stays additive rather than multiplicative.  A final
-back-substitution pass with pivot normalization produces the reduced row
-echelon form, which is canonical: any generating set of the same subspace
-yields byte-identical output.
+A row is a dict mapping column index to a nonzero FieldElem.  Elimination
+runs fraction-free on integer rows (IntRows): one int per entry when every
+entry is rational, a 4-tuple of integer numerators otherwise.  Forward
+elimination cross-multiplies and strips integer content after every step, so
+coefficient growth stays additive rather than multiplicative.  Each echelon
+row keeps its own pivot entry, scaled to a positive rational integer (a
+cyclotomic row is multiplied by the norm cofactor of its pivot), so
+eliminating with it multiplies the other row by an int.  Back-substitution
+then reduces each row by the rows of larger pivot, in one pass per row.  rref
+divides each row by its pivot: the reduced row echelon form, which is
+canonical, so any generating set of the same subspace yields byte-identical
+output.
+
+Callers that keep their own state in integer rows, such as the graded engine,
+use IntRows directly: a vector is an integer row over one positive int
+denominator, and IntRows.reduce gives its residue modulo a back-substituted
+basis in one pass, without leaving the integers.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
+from typing import Callable
 
-from .field import I4, ONE, ZERO, FieldElem, mul_i4, ratio
+from .field import I4, ONE, ZERO, FieldElem, mul_i4, norm_cofactor, ratio
 
 Row = dict[int, FieldElem]
 
 
 # -- integer row kernels ----------------------------------------------------
+# elim(row, b, c) kills column c of row with the echelon row b, whose pivot
+# b[c] is a positive rational integer p: it returns f * row - (row[c] f / p) b
+# for the least int f > 0 that keeps the result integral.
 
-def _int_row_rat(row: Row) -> dict[int, int]:
-    den = lcm(*(v.den for v in row.values())) if row else 1
-    return _strip_rat({c: v.num[0] * (den // v.den) for c, v in row.items() if v})
+def _lift_rat(row: Row) -> tuple[dict[int, int], int]:
+    den = lcm(*(v.den for v in row.values()))
+    return {c: v.num[0] * (den // v.den) for c, v in row.items() if v}, den
 
 
-def _strip_rat(row: dict[int, int]) -> dict[int, int]:
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
+def _lower_rat(row: dict[int, int], den: int) -> Row:
+    return {c: ratio((v, 0, 0, 0), den) for c, v in row.items()}
+
+
+def _content_rat(row: dict[int, int]) -> int:
+    return gcd(*row.values())
+
+
+def _divide_rat(row: dict[int, int], g: int) -> dict[int, int]:
     return {c: v // g for c, v in row.items()}
 
 
 def _elim_rat(row: dict[int, int], b: dict[int, int], c: int) -> dict[int, int]:
-    """row := (b[c]/g)*row - (row[c]/g)*b, killing column c."""
     p, q = b[c], row[c]
     g = gcd(p, q)
     mr, mb = p // g, q // g
@@ -57,35 +72,55 @@ def _elim_rat(row: dict[int, int], b: dict[int, int], c: int) -> dict[int, int]:
     return new
 
 
-def _int_row_cyc(row: Row) -> dict[int, I4]:
-    den = lcm(*(v.den for v in row.values())) if row else 1
-    return _strip_cyc({c: tuple(n * (den // v.den) for n in v.num)
-                       for c, v in row.items() if v})
+def _axpy_rat(out: dict[int, int], s: int, f: int, row: dict[int, int]) -> None:
+    s *= f
+    for k, v in row.items():
+        w = out.get(k, 0) + s * v
+        if w:
+            out[k] = w
+        elif k in out:
+            del out[k]
 
 
-def _strip_cyc(row: dict[int, I4]) -> dict[int, I4]:
-    if not row:
-        return row
-    g = 0
-    for t in row.values():
-        for v in t:
-            g = gcd(g, v)
-            if g == 1:
-                return row
+def _lift_cyc(row: Row) -> tuple[dict[int, I4], int]:
+    den = lcm(*(v.den for v in row.values()))
+    return {c: tuple(n * (den // v.den) for n in v.num) for c, v in row.items() if v}, den
+
+
+def _lower_cyc(row: dict[int, I4], den: int) -> Row:
+    return {c: ratio(v, den) for c, v in row.items()}
+
+
+def _content_cyc(row: dict[int, I4]) -> int:
+    return gcd(*chain.from_iterable(row.values()))
+
+
+def _divide_cyc(row: dict[int, I4], g: int) -> dict[int, I4]:
     return {c: (t[0] // g, t[1] // g, t[2] // g, t[3] // g) for c, t in row.items()}
 
 
+def _rationalize_cyc(row: dict[int, I4], c: int) -> dict[int, I4]:
+    """Row times the norm cofactor of row[c], which makes that entry rational."""
+    p = row[c]
+    if not (p[1] or p[2] or p[3]):
+        return row
+    m, _ = norm_cofactor(p)
+    return {k: mul_i4(m, v) for k, v in row.items()}
+
+
 def _elim_cyc(row: dict[int, I4], b: dict[int, I4], c: int) -> dict[int, I4]:
-    p, q = b[c], row[c]
+    p, q = b[c][0], row[c]
+    g = gcd(p, *q)
+    mr, mb = p // g, (q[0] // g, q[1] // g, q[2] // g, q[3] // g)
     new = {}
     for k, v in row.items():
         if k != c:
-            new[k] = mul_i4(p, v)
+            new[k] = (mr * v[0], mr * v[1], mr * v[2], mr * v[3])
     zero = (0, 0, 0, 0)
     for k, v in b.items():
         if k == c:
             continue
-        qv = mul_i4(q, v)
+        qv = mul_i4(mb, v)
         w0 = new.get(k, zero)
         w = (w0[0] - qv[0], w0[1] - qv[1], w0[2] - qv[2], w0[3] - qv[3])
         if any(w):
@@ -95,25 +130,108 @@ def _elim_cyc(row: dict[int, I4], b: dict[int, I4], c: int) -> dict[int, I4]:
     return new
 
 
-def _forward(introws, elim, strip):
-    basis: dict[int, dict] = {}
-    for row in introws:
-        while row:
-            c = min(row)
-            b = basis.get(c)
-            if b is None:
-                basis[c] = strip(row)
-                break
-            row = strip(elim(row, b, c))
-    return basis
+def _axpy_cyc(out: dict[int, I4], s: I4, f: int, row: dict[int, I4]) -> None:
+    s = (s[0] * f, s[1] * f, s[2] * f, s[3] * f)
+    zero = (0, 0, 0, 0)
+    for k, v in row.items():
+        sv = mul_i4(s, v)
+        w0 = out.get(k, zero)
+        w = (w0[0] + sv[0], w0[1] + sv[1], w0[2] + sv[2], w0[3] + sv[3])
+        if any(w):
+            out[k] = w
+        elif k in out:
+            del out[k]
 
 
-def _backsub(basis, elim, strip):
-    for c in sorted(basis, reverse=True):
-        row = basis[c]
-        for k in sorted(k for k in row if k != c and k in basis):
-            row = elim(row, basis[k], k)
-        basis[c] = strip(row)
+def _head(x) -> int:
+    """The rational part of an entry."""
+    return x if x.__class__ is int else x[0]
+
+
+@dataclass(frozen=True)
+class IntRows:
+    """Fraction-free arithmetic on integer rows of one entry kind.
+
+    ``lift`` writes a FieldElem row as (integer row, positive int den) and
+    ``lower`` reads it back; ``axpy(out, s, f, row)`` adds s*f*row to ``out``
+    in place, for an entry s and an int f.  A basis maps each pivot column to
+    an echelon row whose lowest column it is, with a positive rational
+    integer pivot entry and no entry on the other pivot columns.
+    """
+
+    lift: Callable
+    lower: Callable
+    axpy: Callable
+    content: Callable
+    divide: Callable
+    elim: Callable
+    rationalize: Callable
+    unit: object
+
+    def _strip(self, row: dict) -> dict:
+        """The row divided by its integer content."""
+        g = self.content(row)
+        return self.divide(row, g) if g > 1 else row
+
+    def echelon(self, rows) -> dict[int, dict]:
+        """Basis of the span of integer rows."""
+        return self.back_substitute(self.forward(rows))
+
+    def forward(self, rows) -> dict[int, dict]:
+        """Forward echelon rows of the span of integer rows, by pivot: each
+        row's lowest column is its pivot, and it may meet the other pivots."""
+        elim, strip = self.elim, self._strip
+        forward: dict[int, dict] = {}
+        for row in rows:
+            while row:
+                c = min(row)
+                b = forward.get(c)
+                if b is None:
+                    row = self.rationalize(row, c)
+                    g = self.content(row)
+                    if _head(row[c]) < 0:
+                        g = -g
+                    forward[c] = self.divide(row, g) if g != 1 else row
+                    break
+                row = strip(elim(row, b, c))
+        return forward
+
+    def back_substitute(self, forward) -> dict[int, dict]:
+        """The basis with the pivots of forward echelon rows: each row reduced
+        by the rows of larger pivot."""
+        basis: dict[int, dict] = {}
+        for c in sorted(forward, reverse=True):
+            basis[c] = self._strip(self.reduce(forward[c], 1, basis)[0])
+        return basis
+
+    def reduce(self, row: dict, den: int, basis) -> tuple[dict, int]:
+        """Residue of row/den modulo a basis, as (row, den) in lowest terms.
+
+        One pass: with m the lcm of the pivot entries the row meets, the
+        residue is (m row - sum_c row[c] (m / b[c]) b) / (m den).
+        """
+        hit = [c for c in row if c in basis]
+        if hit:
+            heads = [_head(basis[c][c]) for c in hit]
+            m = lcm(*heads)
+            out: dict = {}
+            self.axpy(out, self.unit, m, row)
+            for c, p in zip(hit, heads):
+                self.axpy(out, row[c], -(m // p), basis[c])
+            row, den = out, den * m
+        g = gcd(den, self.content(row))
+        return (self.divide(row, g), den // g) if g > 1 else (row, den)
+
+
+RATIONAL = IntRows(_lift_rat, _lower_rat, _axpy_rat, _content_rat, _divide_rat, _elim_rat,
+                   lambda row, c: row, 1)
+CYCLOTOMIC = IntRows(_lift_cyc, _lower_cyc, _axpy_cyc, _content_cyc, _divide_cyc, _elim_cyc,
+                     _rationalize_cyc, (1, 0, 0, 0))
+
+
+def int_rows(rows) -> IntRows:
+    """RATIONAL when every entry of ``rows`` is rational, else CYCLOTOMIC."""
+    return RATIONAL if all(v.is_rational() for r in rows for v in r.values()) else CYCLOTOMIC
 
 
 # -- public API -------------------------------------------------------------
@@ -125,30 +243,15 @@ def rref(rows) -> tuple[tuple[int, ...], tuple[Row, ...]]:
     pivot, pivot entries equal to 1, and no pivot column appearing elsewhere.
     """
     rows = [r for r in rows if r]
-    rational = all(v.is_rational() for r in rows for v in r.values())
-    if rational:
-        basis = _forward((_int_row_rat(r) for r in rows), _elim_rat, _strip_rat)
-        _backsub(basis, _elim_rat, _strip_rat)
-        pivots = tuple(sorted(basis))
-        out = []
-        for c in pivots:
-            row = basis[c]
-            p = row[c]
-            out.append({k: ratio((v, 0, 0, 0), p) for k, v in row.items()})
-        return pivots, tuple(out)
-    basis = _forward((_int_row_cyc(r) for r in rows), _elim_cyc, _strip_cyc)
-    _backsub(basis, _elim_cyc, _strip_cyc)
+    k = int_rows(rows)
+    basis = k.echelon(k.lift(r)[0] for r in rows)
     pivots = tuple(sorted(basis))
-    out = []
-    for c in pivots:
-        row = basis[c]
-        pinv = ratio(row[c], 1).inverse()
-        out.append({k: pinv * ratio(v, 1) for k, v in row.items()})
-    return pivots, tuple(out)
+    return pivots, tuple(k.lower(basis[c], _head(basis[c][c])) for c in pivots)
 
 
 def reduce_mod(row: Row, pivots, prows) -> Row:
-    """Residue of ``row`` modulo an RREF basis; supported on non-pivot columns."""
+    """Residue of ``row`` modulo an echelon basis with unit pivot entries and
+    ascending pivots, such as an RREF; supported on non-pivot columns."""
     out = {c: v for c, v in row.items() if v}
     for p, prow in zip(pivots, prows):
         c = out.get(p)

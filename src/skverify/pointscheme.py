@@ -42,6 +42,7 @@ third(third(P, Q), O) = P + Q.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -488,18 +489,26 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
 
 # -- minors of the 6x4 matrix of the 4-generator family --------------------
 
-def _det(m: list[list[MultiPoly]]) -> MultiPoly:
-    if len(m) == 1:
-        return m[0][0]
-    shape = next(e for row in m for e in row)
-    total = MultiPoly.zero(shape.blocks, shape.nvars)
-    for j, e in enumerate(m[0]):
-        if not e:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = e * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _maximal_minors(m: list[list[MultiPoly]]) -> list[MultiPoly]:
+    """The k x k minors of an r x k matrix, one per row set in combinations
+    order.  Laplace expansion along the first row, with one memo over
+    (rows, cols), so the minors share their smaller sub-minors."""
+    shape = m[0][0]
+
+    @cache
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        total = MultiPoly.zero(shape.blocks, shape.nvars)
+        for j, c in enumerate(cols):
+            e = m[rows[0]][c]
+            if e:
+                term = e * det(rows[1:], cols[:j] + cols[j + 1:])
+                total = total + term if j % 2 == 0 else total - term
+        return total
+
+    cols = tuple(range(len(m[0])))
+    return [det(rows, cols) for rows in combinations(range(len(m)), len(cols))]
 
 
 def s4_reference_matrix(l10, l01, l11) -> list[list[MultiPoly]]:
@@ -577,10 +586,7 @@ def s4_minor_membership(l10, l01, l11) -> dict:
     assembled = coefficient_matrix(s4_relation_polys(sx))
     reference = s4_reference_matrix(l10, l01, l11)
     q1, q2, lam = quadric_pair(l10, l01, l11)
-    minors = []
-    rows6 = list(range(6))
-    for quad in combinations(rows6, 4):
-        minors.append(_det([assembled[r] for r in quad]))
+    minors = _maximal_minors(assembled)
     members = _quartic_membership(minors, q1, q2)
     escaped = _quartic_membership(minors, *_quadrics(lam + fe(1))).count(False)
     return {

@@ -19,6 +19,8 @@ CASES = {
     "all_samples3_seed7.txt": ["all", "--samples", "3", "--seed", "7"],
     "all_degenerate.txt": ["all", "--abc", "1,-1,0", "--alpha", "1,2",
                            "--samples", "1", "--seed", "7"],
+    "s4_samples8_seed7.txt": ["s4", "--samples", "8", "--seed", "7"],
+    "quotient_samples8_seed7.txt": ["quotient", "--samples", "8", "--seed", "7"],
 }
 
 

@@ -6,22 +6,24 @@ The oracle builds J_m inside V^{tensor m} by the recurrence
 
 and reduces modulo the canonical RREF of J_m.  Its residues, Hilbert
 dimensions, centralizer bases and normality matrices must equal the engine's
-exactly, on random rational parameters and through the degrees the command
-line uses.
+exactly, on random rational and cyclotomic parameters and through the
+degrees the command line uses.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skverify import linalg
 from skverify.errors import ParameterError
-from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
-                               alpha_from_abc, build_s2, build_s3, build_s4)
-from skverify.field import ONE, fe
+from skverify.families import (S3_NAMES, AbcParams, AlphaTriple, SextupleParams,
+                               alpha_from_abc, build_s2, build_s3, build_s4,
+                               s3_relation_polys)
+from skverify.field import ONE, FieldElem, fe
 from skverify.freealg import NcPoly, Subspace, span_rows
-from skverify.graded import NormalCertificate, Quotient
+from skverify.graded import NormalCertificate, Presentation, Quotient
 
 
 class SliceOracle:
@@ -160,3 +162,31 @@ def test_engine_matches_slices_through_the_old_ceilings():
     assert_engine_matches(build_s2(p), 6, (4,))
     s4 = build_s4(SextupleParams.from_alpha(alpha_from_abc(AbcParams.of(1, 2, 3))))
     assert_engine_matches(s4, 5, (2,), [NcPoly.gens(4)[0] * NcPoly.gens(4)[1] * fe(2)])
+
+
+@st.composite
+def cyclotomic_elems(draw):
+    """Nonzero elements of Q(zeta12) with at least one irrational coordinate."""
+    num = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda t: any(t[1:])))
+    return FieldElem(Fraction(n, draw(st.integers(1, 3))) for n in num)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cyclotomic_elems(), small, small, st.data())
+def test_engine_matches_slices_on_cyclotomic_s3(a, b, c, data):
+    # s3_relation_polys reads only the coordinates .a, .b and .c
+    point = SimpleNamespace(a=a, b=fe(b), c=fe(c))
+    pres = Presentation.make(S3_NAMES, s3_relation_polys(point))
+    elems = [data.draw(elements(3, k)) * a for k in (2, 3)]
+    assert_engine_matches(pres, 4, (1, 2, 3), elems)
+    # a rational engine reducing elements with irrational coefficients
+    assert_engine_matches(build_s3(AbcParams.of(1, b, c)), 3, (), elems)
+
+
+@settings(max_examples=15, deadline=None)
+@given(cyclotomic_elems(), small, st.data())
+def test_engine_matches_slices_on_cyclotomic_s4(a1, a2, data):
+    assume(fe(1) + a1 * a2)
+    pres = build_s4(SextupleParams.from_alpha(AlphaTriple.complete(a1, a2)))
+    elems = [data.draw(elements(4, k)) for k in (2, 3)]
+    assert_engine_matches(pres, 4, (1, 2), elems)

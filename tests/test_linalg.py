@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from skverify import linalg
 from skverify.field import ONE, ZERO, FieldElem, fe
 
@@ -145,3 +148,123 @@ def test_intersect_of_space_with_itself():
     rank = len(linalg.rref([dict(r) for r in rows])[0])
     meet = linalg.intersect(rows, [dict(r) for r in rows], 6)
     assert len(meet) == rank
+
+
+# -- property tests -----------------------------------------------------------
+
+small_ints = st.integers(-4, 4)
+
+
+@st.composite
+def field_elems(draw, cyclotomic):
+    if cyclotomic:
+        num = tuple(draw(small_ints) for _ in range(4))
+    else:
+        num = (draw(small_ints), 0, 0, 0)
+    return FieldElem(Fraction(n, draw(st.integers(1, 3))) for n in num)
+
+
+@st.composite
+def matrices(draw, ncols=7, max_rows=6):
+    """Rows over Q, or over Q(zeta12) when the draw says so."""
+    cyclotomic = draw(st.booleans())
+    elem = field_elems(cyclotomic)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), elem, max_size=ncols),
+                         min_size=1, max_size=max_rows))
+    return [{c: v for c, v in r.items() if v} for r in rows], cyclotomic
+
+
+def add_multiple(target, x, row):
+    out = dict(target)
+    for c, v in row.items():
+        w = out.get(c, ZERO) + x * v
+        if w:
+            out[c] = w
+        else:
+            out.pop(c, None)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_rref_is_canonical_under_invertible_row_operations(m, data):
+    rows, cyclotomic = m
+    want = linalg.rref([dict(r) for r in rows])
+    mixed = [dict(r) for r in rows]
+    elem = field_elems(cyclotomic).filter(bool)
+    idx = st.integers(0, len(mixed) - 1)
+    for _ in range(data.draw(st.integers(0, 8))):
+        i, j = data.draw(idx), data.draw(idx)
+        op = data.draw(st.sampled_from(("scale", "add", "swap", "duplicate")))
+        if op == "scale":
+            x = data.draw(elem)
+            mixed[i] = {c: x * v for c, v in mixed[i].items()}
+        elif op == "add" and i != j:
+            mixed[i] = add_multiple(mixed[i], data.draw(elem), mixed[j])
+        elif op == "swap":
+            mixed[i], mixed[j] = mixed[j], mixed[i]
+        elif op == "duplicate":
+            mixed.append(dict(mixed[i]))
+    assert linalg.rref(mixed) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_nullspace_annihilates_rows_property(m):
+    rows, _ = m
+    kernel = linalg.nullspace(rows, 7)
+    for vec in kernel:
+        for eq in rows:
+            assert dot(eq, vec) == ZERO
+    assert len(linalg.rref(rows)[0]) + len(kernel) == 7
+
+
+def forward_basis(prows, data, cyclotomic):
+    """An echelon basis with the pivots of an RREF but not back-substituted:
+    each row gains multiples of the rows with larger pivots."""
+    elem = field_elems(cyclotomic)
+    out = []
+    for i, row in enumerate(prows):
+        for later in prows[i + 1:]:
+            row = add_multiple(row, data.draw(elem), later)
+        out.append(row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_reduce_mod_residue_depends_only_on_the_pivots(m, data):
+    rows, cyclotomic = m
+    pivots, prows = linalg.rref(rows)
+    basis = forward_basis(prows, data, cyclotomic)
+    assert [min(r) for r in basis] == list(pivots)
+    target = data.draw(st.dictionaries(st.integers(0, 6), field_elems(cyclotomic)))
+    target = {c: v for c, v in target.items() if v}
+    want = linalg.reduce_mod(target, pivots, prows)
+    assert linalg.reduce_mod(target, pivots, basis) == want
+    assert not set(want) & set(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_int_rows_reduce_matches_reduce_mod(m, data):
+    """Integer bases carry positive rational-integer pivots; the one-pass
+    residue over any of them is reduce_mod's over the RREF."""
+    rows, cyclotomic = m
+    target = data.draw(st.dictionaries(st.integers(0, 6), field_elems(cyclotomic)))
+    target = {c: v for c, v in target.items() if v}
+    pivots, prows = linalg.rref(rows)
+    k = linalg.int_rows(rows + [target])
+    forward = k.forward(k.lift(r)[0] for r in rows)
+    for c, row in forward.items():
+        p = k.lower({c: row[c]}, 1)[c]
+        assert min(row) == c and p.is_integer() and p.rational() > 0
+    basis = k.back_substitute(forward)
+    assert tuple(sorted(basis)) == pivots
+    for c, row in basis.items():
+        assert not set(row) & set(basis) - {c}
+    mixed = [dict(r) for r in reversed(rows)] + [dict(r) for r in rows]
+    want = linalg.reduce_mod(target, pivots, prows)
+    t, den = k.lift(target)
+    assert k.lower(*k.reduce(t, den, basis)) == want
+    assert k.lower(*k.reduce(t, den, k.echelon(k.lift(r)[0] for r in mixed))) == want

@@ -1,6 +1,7 @@
 """Point geometry: cubic group law, point matrices, determinants, minors."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -8,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skverify.errors import OffCurveError
-from skverify.families import AbcParams, build_s2, build_s3, is_smooth_hesse
+from skverify.families import (AbcParams, SextupleParams, build_s2, build_s3,
+                               is_smooth_hesse, s4_relation_polys)
 from skverify.field import fe, root_of_unity
-from skverify.freealg import span
-from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
+from skverify.freealg import MultiPoly, span
+from skverify.pointscheme import (ProjPoint, _maximal_minors, coefficient_matrix,
+                                  group_law_record, hesse_add,
                                   hesse_neg, hesse_origin, hesse_tangent_third,
                                   hesse_third, invariant_cubic_basis,
                                   on_hesse, s2_point_determinant,
@@ -228,6 +231,28 @@ SQRT_TRIPLES = [
     (fe(1), fe(Fraction(-2, 7)), fe(-1)),
     (fe(Fraction(-9, 8)), root_of_unity(4), -root_of_unity(4)),
 ]
+
+
+def cofactor_det(m):
+    """Determinant by cofactor expansion along the first row, no memo."""
+    if len(m) == 1:
+        return m[0][0]
+    shape = next(e for row in m for e in row)
+    total = MultiPoly.zero(shape.blocks, shape.nvars)
+    for j, e in enumerate(m[0]):
+        if not e:
+            continue
+        term = e * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@pytest.mark.parametrize("lam", SQRT_TRIPLES)
+def test_memoized_minors_match_cofactor_expansion(lam):
+    m = coefficient_matrix(s4_relation_polys(SextupleParams.from_sqrt(*lam)))
+    quads = list(combinations(range(6), 4))
+    assert _maximal_minors(m) == [cofactor_det([m[r] for r in quad]) for quad in quads]
+    assert len(quads) == 15
 
 
 def test_minor_membership_for_three_families():
