@@ -24,9 +24,9 @@ from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3
 from .field import ONE, ZERO, fe
 from .freealg import span
 from .graded import Quotient
-from .heisenberg import (HeisenbergGroup, antisymmetric_character, decompose_character,
-                         h3_gen_rep, h4_gen_rep, invariant_subspace, irrep_table,
-                         rep_on_degree, twist_equivalence_table)
+from .heisenberg import (antisymmetric_character, decompose, decompose_character, h3_gen_rep,
+                         h4_gen_rep, invariant_subspace, irrep_table, rep_on_degree,
+                         twist_equivalence_table)
 from .pointscheme import (ProjPoint, group_law_record, hesse_add, hesse_origin,
                           invariant_cubic_basis, s2_point_determinant,
                           s3_degree3_overlap, s3_next_point, s4_minor_membership,
@@ -243,15 +243,14 @@ def _irreps(n, count, sqsum):
     return ok, {"irreps": len(table), "squared_dim_sum": s, "orthonormal_characters": ortho}, ""
 
 
-def _tensor_square(n, rep, want):
-    chi = rep().character()
-    d = decompose_character(HeisenbergGroup(n), chi * chi, n * n)
+def _tensor_square(rep, want):
+    d = decompose(rep_on_degree(rep(), 2))
     return d == want, {"decomposition": d}, ""
 
 
 def _wedge4():
-    chi = antisymmetric_character(h4_gen_rep())
-    d = decompose_character(HeisenbergGroup(4), chi, 6)
+    rep = h4_gen_rep()
+    d = decompose_character(rep.group, antisymmetric_character(rep), 6)
     want = {"H4:V_{0,1}": 1, "H4:V_{1,0}": 1, "H4:V_{1,1}": 1}
     return d == want, {"decomposition": d}, ""
 
@@ -272,8 +271,8 @@ REPS = (
     ("reps-irrep-table-2", partial(_irreps, 2, 5, 8)),
     ("reps-irrep-table-3", partial(_irreps, 3, 11, 27)),
     ("reps-irrep-table-4", partial(_irreps, 4, 22, 64)),
-    ("reps-tensor-square-3", partial(_tensor_square, 3, h3_gen_rep, {"H3:V2": 3})),
-    ("reps-tensor-square-4", partial(_tensor_square, 4, h4_gen_rep,
+    ("reps-tensor-square-3", partial(_tensor_square, h3_gen_rep, {"H3:V2": 3})),
+    ("reps-tensor-square-4", partial(_tensor_square, h4_gen_rep,
                                      {f"H4:V_{{{i},{j}}}": 2 for i in (0, 1) for j in (0, 1)})),
     ("reps-antisymmetric-square-4", _wedge4),
     ("reps-invariant-cubics", _cubics),

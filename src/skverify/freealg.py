@@ -261,7 +261,7 @@ def span(polys, ngens=None, degree=None) -> Subspace:
 def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     if (a.ngens, a.degree) != (b.ngens, b.degree):
         raise ShapeError("subspaces live in different components")
-    total = span_rows(a.ngens, a.degree, [dict(r) for r in a.rows + b.rows])
+    total = span_rows(a.ngens, a.degree, a.rows + b.rows)
     meet_rows = linalg.intersect(a.rows, b.rows, a.ncols)
     meet = span_rows(a.ngens, a.degree, meet_rows)
     return total, meet

@@ -6,12 +6,14 @@ product rule is
 
     (i1,j1,k1)(i2,j2,k2) = (i1+i2, j1+j2, k1+k2 - j1*i2)   (mod n).
 
-All the representations used here have generalized permutation matrices over
-Q(zeta_12) and are stored in that monomial form, so products, powers and
-traces cost O(dim) and every trace, inner product and projector is exact.
-Characters decide decompositions; multiplicities that fail to be nonnegative
-integers raise, since that can only mean the input matrices violate the
-presentation.
+Every representation is given and stored in one form: the monomial matrices
+of the generators e1 and e2 over Q(zeta_12), column j as (target row, nonzero
+scalar), so products, powers and traces cost O(dim) and every trace and
+inner product is exact.  Characters decide decompositions; multiplicities
+that fail to be nonnegative integers raise, since that can only mean the
+input matrices violate the presentation.  Since e1 and e2 generate the
+group, the invariants of a tensor power are the joint kernel of e1 - 1 and
+e2 - 1.
 """
 
 from __future__ import annotations
@@ -23,20 +25,8 @@ from .errors import NotASubrepError, RepresentationInvalidError, ShapeError
 from .field import ONE, ZERO, FieldElem, fe, root_of_unity
 from .freealg import Subspace, index_to_word, span_rows
 
-Matrix = tuple[tuple[FieldElem, ...], ...]
 # Column j of a monomial matrix as (target row, nonzero scalar).
 Monomial = tuple[tuple[int, FieldElem], ...]
-
-
-def _monomial(m: Matrix, label: str) -> Monomial:
-    """Monomial form of a dense square matrix; each column needs exactly one nonzero entry."""
-    out = []
-    for j in range(len(m)):
-        hits = [(i, fe(row[j])) for i, row in enumerate(m) if fe(row[j])]
-        if len(hits) != 1:
-            raise RepresentationInvalidError(f"{label}: column {j} is not monomial")
-        out.append(hits[0])
-    return tuple(out)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -124,21 +114,25 @@ class Character:
 
 
 class GroupRep:
-    """Representation given by the matrices of e1 and e2.
+    """Representation given by the monomial matrices of e1 and e2.
 
-    The generators are passed as dense matrices acting on column vectors, so
-    column j of e1 is the image of basis vector j, and are stored in monomial
-    form; a column with other than one nonzero entry is rejected.  The
-    defining relations e1^n = e2^n = 1, z = [e1,e2] central with z^n = 1 are
-    checked at construction.
+    The matrices act on column vectors: column j of e1 is the pair (r, s)
+    with e1(basis j) = s * basis r.  A row outside the dimension, a zero
+    scalar or generators of different sizes are rejected, and so is any
+    violation of the defining relations e1^n = e2^n = 1, z = [e1,e2]
+    central with z^n = 1.
     """
 
-    def __init__(self, group: HeisenbergGroup, e1: Matrix, e2: Matrix, label: str) -> None:
+    def __init__(self, group: HeisenbergGroup, e1: Monomial, e2: Monomial, label: str) -> None:
         self.group = group
-        self.e1 = _monomial(e1, label)
-        self.e2 = _monomial(e2, label)
+        self.e1 = tuple((r, fe(s)) for r, s in e1)
+        self.e2 = tuple((r, fe(s)) for r, s in e2)
         self.label = label
         self.dim = len(self.e1)
+        if len(self.e2) != self.dim or not all(0 <= r < self.dim and s
+                                               for r, s in self.e1 + self.e2):
+            raise RepresentationInvalidError(
+                f"{label}: e1 and e2 are not monomial matrices of one size")
         n = group.n
         ident = _mono_pow(self.e1, 0)
         if _mono_pow(self.e1, n) != ident or _mono_pow(self.e2, n) != ident:
@@ -167,17 +161,23 @@ class GroupRep:
             return sum((s for j, (r, s) in enumerate(m) if r == j), ZERO)
         return Character(self.group, {g: trace(self.matrix(g)) for g in self.group.elements()})
 
-    def conjugate(self, c: Matrix, label: str) -> "GroupRep":
-        """The same representation written in the basis given by the columns of c."""
-        cols = [{i: fe(row[k]) for i, row in enumerate(c) if fe(row[k])}
-                for k in range(self.dim)]
-        if len(linalg.rref(cols)[0]) != self.dim:
-            raise ShapeError("basis matrix is singular")
+    def conjugate(self, cols: tuple[linalg.Row, ...], label: str) -> "GroupRep":
+        """The same representation in the basis whose k-th vector is the sparse
+        column cols[k]; each generator must stay monomial in it."""
+        if (len(cols) != self.dim or not all(0 <= r < self.dim for col in cols for r in col)
+                or len(linalg.rref(cols)[0]) != self.dim):
+            raise ShapeError("columns are not a basis of the representation space")
 
-        def rewrite(m: Monomial) -> Matrix:
-            # column k: the coordinates of m(c_k) in the basis c
-            images = [{m[j][0]: v * m[j][1] for j, v in col.items()} for col in cols]
-            return tuple(zip(*(linalg.solve_columns(cols, t) for t in images)))
+        def rewrite(m: Monomial) -> Monomial:
+            # column k: the coordinates of m(c_k) in the basis, one nonzero
+            out = []
+            for k, col in enumerate(cols):
+                x = linalg.solve_columns(cols, {m[j][0]: v * m[j][1] for j, v in col.items()})
+                hits = [(r, s) for r, s in enumerate(x) if s]
+                if len(hits) != 1:
+                    raise RepresentationInvalidError(f"{label}: column {k} is not monomial")
+                out.extend(hits)
+            return tuple(out)
 
         return GroupRep(self.group, rewrite(self.e1), rewrite(self.e2), label)
 
@@ -229,17 +229,6 @@ def rep_on_degree(rep: GroupRep, d: int) -> TensorPowerRep:
 
 # -- the irreducible representations ---------------------------------------
 
-def _perm_shift_matrix(n: int, shift: int) -> Matrix:
-    """Basis vector k goes to basis vector k+shift mod n."""
-    return tuple(tuple(ONE if r == (c + shift) % n else ZERO for c in range(n))
-                 for r in range(n))
-
-
-def _diag(vals) -> Matrix:
-    n = len(vals)
-    return tuple(tuple(vals[i] if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 @lru_cache(maxsize=None)
 def irrep_table(n: int) -> tuple[GroupRep, ...]:
     """All irreducibles of the order-n^3 Heisenberg group, for n in {2, 3, 4}.
@@ -256,29 +245,22 @@ def irrep_table(n: int) -> tuple[GroupRep, ...]:
     reps = []
     for i in range(n):
         for j in range(n):
-            reps.append(GroupRep(g, ((om ** i,),), ((om ** j,),),
+            reps.append(GroupRep(g, ((0, om ** i),), ((0, om ** j),),
                                  f"H{n}:chi_{{{i},{j}}}"))
+    shift = tuple(((c - 1) % n, ONE) for c in range(n))     # x_k -> x_{k-1}
     if n == 2:
-        swap = ((ZERO, ONE), (ONE, ZERO))
-        sign = _diag((ONE, -ONE))
-        reps.append(GroupRep(g, swap, sign, "H2:V"))
+        reps.append(GroupRep(g, shift, ((0, ONE), (1, -ONE)), "H2:V"))
     elif n == 3:
-        e1 = _perm_shift_matrix(3, -1)     # x -> z, y -> x, z -> y
-        reps.append(GroupRep(g, e1, _diag((ONE, om, om ** 2)), "H3:V1"))
-        reps.append(GroupRep(g, e1, _diag((ONE, om ** 2, om)), "H3:V2"))
+        reps.append(GroupRep(g, shift, tuple(enumerate((ONE, om, om ** 2))), "H3:V1"))
+        reps.append(GroupRep(g, shift, tuple(enumerate((ONE, om ** 2, om))), "H3:V2"))
     else:
         ii = root_of_unity(4)
-        swap = ((ZERO, ONE), (ONE, ZERO))
-        sign = _diag((ONE, -ONE))
         for i in range(2):
             for j in range(2):
-                reps.append(GroupRep(g,
-                                     tuple(tuple(ii ** i * x for x in row) for row in swap),
-                                     tuple(tuple(ii ** j * x for x in row) for row in sign),
-                                     f"H4:V_{{{i},{j}}}"))
-        e1 = _perm_shift_matrix(4, -1)     # x_k -> x_{k-1}
-        reps.append(GroupRep(g, e1, _diag(tuple(ii ** k for k in range(4))), "H4:V1"))
-        reps.append(GroupRep(g, e1, _diag(tuple((-ii) ** k for k in range(4))), "H4:V3"))
+                reps.append(GroupRep(g, ((1, ii ** i), (0, ii ** i)),
+                                     ((0, ii ** j), (1, -ii ** j)), f"H4:V_{{{i},{j}}}"))
+        reps.append(GroupRep(g, shift, tuple(enumerate(ii ** k for k in range(4))), "H4:V1"))
+        reps.append(GroupRep(g, shift, tuple(enumerate((-ii) ** k for k in range(4))), "H4:V3"))
     return tuple(reps)
 
 
@@ -328,32 +310,25 @@ def is_subrep(s: Subspace, tp: TensorPowerRep) -> bool:
 
 
 def invariant_subspace(tp: TensorPowerRep, s: Subspace | None = None) -> Subspace:
-    """Fixed vectors, via the exact averaging projector over the whole group.
+    """Fixed vectors: the joint kernel of g - 1 for the generators g = e1, e2.
 
-    With ``s`` given, projects s (which must be stable); otherwise projects the
-    full degree-d component.
+    With ``s`` given, which must be stable, returns s meet the fixed vectors;
+    otherwise the fixed vectors of the full degree-d component.
     """
-    ngens = tp.base.dim
+    if s is not None and not is_subrep(s, tp):
+        raise NotASubrepError("subspace is not stable under the group")
+    rows = []
+    for g in ((1, 0, 0), (0, 1, 0)):
+        for c in range(tp.dim):
+            # g sends basis c to v * basis r: row r of g - 1 is v at c, -1 at r
+            ((r, v),) = tp.act_row(g, {c: ONE}).items()
+            row = {c: v}
+            row[r] = row.get(r, ZERO) - ONE
+            rows.append({k: w for k, w in row.items() if w})
+    fixed = linalg.nullspace(rows, tp.dim)
     if s is not None:
-        if not is_subrep(s, tp):
-            raise NotASubrepError("subspace is not stable under the group")
-        rows = s.rows
-    else:
-        rows = tuple({c: ONE} for c in range(tp.dim))
-    elements = tp.group.elements()
-    scale = fe(1) / tp.group.order
-    projected = []
-    for row in rows:
-        acc: dict = {}
-        for g in elements:
-            for c, v in tp.act_row(g, row).items():
-                w = acc.get(c, ZERO) + v
-                if w:
-                    acc[c] = w
-                elif c in acc:
-                    del acc[c]
-        projected.append({c: v * scale for c, v in acc.items()})
-    return span_rows(ngens, tp.degree, projected)
+        fixed = linalg.intersect(s.rows, fixed, tp.dim)
+    return span_rows(tp.base.dim, tp.degree, fixed)
 
 
 def twist_equivalence_table() -> dict[tuple[tuple[int, int], tuple[int, int]], bool]:
@@ -397,13 +372,9 @@ def h4_gen_rep() -> GroupRep:
     return next(r for r in irrep_table(4) if r.label == "H4:V1")
 
 
-def h4_pm_basis() -> Matrix:
-    """Columns: x0+x2, x0-x2, x1+x3, x1-x3 (the sum/difference basis)."""
-    f = fe
-    return ((f(1), f(1), f(0), f(0)),
-            (f(0), f(0), f(1), f(1)),
-            (f(1), f(-1), f(0), f(0)),
-            (f(0), f(0), f(1), f(-1)))
+def h4_pm_basis() -> tuple[linalg.Row, ...]:
+    """Sparse columns: x0+x2, x0-x2, x1+x3, x1-x3 (the sum/difference basis)."""
+    return ({0: ONE, 2: ONE}, {0: ONE, 2: -ONE}, {1: ONE, 3: ONE}, {1: ONE, 3: -ONE})
 
 
 def h4_gen_rep_pm() -> GroupRep:

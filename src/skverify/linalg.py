@@ -323,7 +323,7 @@ def intersect(rows_a, rows_b, ncols: int) -> list[Row]:
         for c, v in r.items():
             d[c + ncols] = v
         stacked.append(d)
-    stacked.extend(dict(r) for r in rows_b)
+    stacked.extend(rows_b)
     _, prows = rref(stacked)
     out = []
     for row in prows:

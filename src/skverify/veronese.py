@@ -203,13 +203,13 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
         a, b = _pair_forms(meet, *slots)
         coeffs.extend([a, b])
         rows = _pair_rows(pair, a, b)
-        if span_rows(4, 2, rows).rows != span_rows(4, 2, [dict(r) for r in meet]).rows:
+        if span_rows(4, 2, rows).rows != span_rows(4, 2, meet).rows:
             raise VerificationError("extracted pair does not span its kernel slice")
         pair_rows.extend(rows)
     sextuple = SextupleParams.of(*coeffs)
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
     extra = _squares((a + c, c - a, a + b, b - a))
-    if span_rows(4, 2, pair_rows + [extra.to_row(2)]).rows != span_rows(4, 2, [dict(r) for r in kernel]).rows:
+    if span_rows(4, 2, pair_rows + [extra.to_row(2)]).rows != span_rows(4, 2, kernel).rows:
         raise VerificationError("six pairs plus the extra quadric do not span the kernel")
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple,
                        alpha=sextuple.alpha(), extra=extra, kernel_dim=kdim, algebra=q)
@@ -294,7 +294,7 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
     in_ideal = [not nf(vm.apply(NcPoly.from_row(4, 2, row))) for row in elements]
     characters = [_bicharacter(r) for r in elements]
     expected_chars = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0)]
-    kspan = span_rows(4, 2, [dict(r) for r in elements])
+    kspan = span_rows(4, 2, elements)
     refs = _reference_pair_rows(p)
     ref_in_kernel = [kspan.contains_row(r) for r in refs]
     record = {

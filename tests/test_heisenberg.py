@@ -1,21 +1,27 @@
 """Finite Heisenberg groups and their exact representation theory.
 
 The package stores representations as monomial matrices; the dense matrix
-algebra below is the independent oracle they are checked against.
+algebra below is the independent oracle they are checked against, and the
+exact averaging projector over every group element is the oracle for the
+invariant subspaces.
 """
+
+from fractions import Fraction
 
 import pytest
 
 from skverify import linalg
-from skverify.errors import NotASubrepError, RepresentationInvalidError
+from skverify.errors import NotASubrepError, RepresentationInvalidError, ShapeError
+from skverify.families import AbcParams, build_s3
 from skverify.field import ONE, ZERO, fe, root_of_unity
-from skverify.freealg import NcPoly, index_to_word, span
+from skverify.freealg import NcPoly, index_to_word, span, span_rows, sum_and_intersect
 from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup,
                                  antisymmetric_character, decompose,
                                  decompose_character, h2_gen_rep, h3_gen_rep,
                                  h4_gen_rep, h4_gen_rep_pm, h4_pm_basis,
                                  invariant_subspace, irrep_table, is_subrep,
                                  rep_on_degree, twist_equivalence_table)
+from skverify.veronese import quadratic_images
 
 
 def mat_id(n):
@@ -40,6 +46,24 @@ def mat_inv(a):
 def dense(m):
     """The dense matrix of a monomial form: column j is scalar * e_row."""
     return tuple(tuple(s if r == i else ZERO for r, s in m) for i in range(len(m)))
+
+
+def dense_cols(cols):
+    """The dense matrix whose k-th column is the sparse column cols[k]."""
+    return tuple(tuple(col.get(i, ZERO) for col in cols) for i in range(len(cols)))
+
+
+def averaged(tp, rows):
+    """Span of the exact averaging projector |G|^-1 sum_g g applied to each row."""
+    scale = fe(1) / tp.group.order
+    out = []
+    for row in rows:
+        acc = {}
+        for g in tp.group.elements():
+            for c, v in tp.act_row(g, row).items():
+                acc[c] = acc.get(c, ZERO) + v
+        out.append({c: v * scale for c, v in acc.items() if v})
+    return span_rows(tp.base.dim, tp.degree, out)
 
 
 def test_group_orders_and_inverses():
@@ -156,7 +180,49 @@ def test_bad_generator_matrices_rejected():
     G = HeisenbergGroup(2)
     bad = h4_gen_rep()
     with pytest.raises(RepresentationInvalidError):
-        GroupRep(G, dense(bad.e1), dense(bad.e2), "broken")
+        GroupRep(G, bad.e1, bad.e2, "broken")
+
+
+@pytest.mark.parametrize("e1, e2", [
+    (((1, ONE),), ((0, ONE),)),                      # row 1 outside a 1-dim space
+    (((0, ZERO),), ((0, ONE),)),                     # zero scalar
+    (((0, ONE), (1, ONE)), ((0, ONE), (1, ZERO))),   # zero scalar in e2
+    (((1, ONE), (0, ONE)), ((0, ONE),)),             # e1 and e2 of different sizes
+], ids=("row-out-of-range", "zero-scalar-e1", "zero-scalar-e2", "unequal-sizes"))
+def test_bad_monomial_input_rejected(e1, e2):
+    with pytest.raises(RepresentationInvalidError):
+        GroupRep(HeisenbergGroup(2), e1, e2, "broken")
+
+
+@pytest.mark.parametrize("rep, d", [
+    (h2_gen_rep(), 2), (h2_gen_rep(), 3), (h2_gen_rep(), 4),
+    (h3_gen_rep(), 2), (h3_gen_rep(), 3),
+    (h4_gen_rep(), 2), (h4_gen_rep_pm(), 2),
+], ids=lambda x: getattr(x, "label", x))
+def test_invariant_subspace_matches_averaging_projector(rep, d):
+    tp = rep_on_degree(rep, d)
+    assert invariant_subspace(tp) == averaged(tp, [{c: ONE} for c in range(tp.dim)])
+
+
+def relation_overlap(*abc):
+    """R*V + V*R in degree 3 for the 3-generator family: H3-stable, since R is."""
+    rel = build_s3(AbcParams.of(*abc)).relations[0][1]
+    gens = NcPoly.gens(3)
+    rv = span([r * g for r in rel.basis() for g in gens])
+    vr = span([g * r for r in rel.basis() for g in gens])
+    return sum_and_intersect(rv, vr)[0]
+
+
+@pytest.mark.parametrize("rep, stable, dim", [
+    (h3_gen_rep(), relation_overlap(1, 2, 3), 1),
+    (h3_gen_rep(), relation_overlap(1, Fraction(-1, 3), -2), 1),
+    (h2_gen_rep(), span(quadratic_images()), 1),
+], ids=("overlap-1,2,3", "overlap-1,-1/3,-2", "squaring-images"))
+def test_invariant_subspace_of_stable_subspace_matches_averaging_projector(rep, stable, dim):
+    tp = rep_on_degree(rep, stable.degree)
+    inv = invariant_subspace(tp, stable)
+    assert inv == averaged(tp, stable.rows)
+    assert inv.dim == dim
 
 
 def test_invariant_subspace_of_cubics():
@@ -204,7 +270,7 @@ def test_twist_table_shape():
 def test_pm_basis_conjugates_generator_rep():
     rep = h4_gen_rep()
     pm = h4_gen_rep_pm()
-    basis = h4_pm_basis()
+    basis = dense_cols(h4_pm_basis())
     binv = mat_inv(basis)
     assert mat_mul(binv, mat_mul(dense(rep.e1), basis)) == dense(pm.e1)
     assert mat_mul(binv, mat_mul(dense(rep.e2), basis)) == dense(pm.e2)
@@ -213,11 +279,21 @@ def test_pm_basis_conjugates_generator_rep():
 def test_conjugate_rep_has_same_character():
     rep = h3_gen_rep()
     # a scaled signed permutation keeps every generator monomial
-    basis = ((fe(0), fe(2), fe(0)), (fe(0), fe(0), fe(-1)), (fe(3), fe(0), fe(0)))
+    basis = [{2: fe(3)}, {0: fe(2)}, {1: fe(-1)}]
     conj = rep.conjugate(basis, "H3:conj")
     av, bv = rep.character().values, conj.character().values
     assert av == bv
     # a shear mixes two basis vectors, so the rewritten generators are not monomial
-    shear = ((fe(1), fe(1), fe(0)), (fe(0), fe(1), fe(0)), (fe(0), fe(0), fe(1)))
+    shear = [{0: fe(1)}, {0: fe(1), 1: fe(1)}, {2: fe(1)}]
     with pytest.raises(RepresentationInvalidError):
         rep.conjugate(shear, "H3:shear")
+
+
+@pytest.mark.parametrize("cols", [
+    ({0: ONE}, {1: ONE}),                    # too few columns
+    ({0: ONE}, {1: ONE}, {0: ONE, 1: ONE}),  # singular
+    ({0: ONE}, {1: ONE}, {5: ONE}),          # row 5 outside a 3-dim space
+], ids=("too-few", "singular", "row-out-of-range"))
+def test_conjugate_rejects_columns_that_are_not_a_basis(cols):
+    with pytest.raises(ShapeError):
+        h3_gen_rep().conjugate(cols, "H3:bad")

@@ -150,6 +150,18 @@ def test_intersect_of_space_with_itself():
     assert len(meet) == rank
 
 
+def test_solvers_leave_input_rows_unchanged():
+    # callers hand over their own rows uncopied, the same dict in both places too
+    rng = random.Random(14)
+    for trial in range(10):
+        rows = random_rows(rng, 6, 8, cyclotomic=trial % 2 == 1)
+        before = [dict(r) for r in rows]
+        linalg.rref(rows)
+        linalg.nullspace(rows, 8)
+        linalg.intersect(rows[:3], rows[2:], 8)
+        assert rows == before
+
+
 # -- property tests -----------------------------------------------------------
 
 small_ints = st.integers(-4, 4)
