@@ -203,7 +203,6 @@ S4_MINORS = (("s4-minors", _s4_minors),)
 
 def _quotient_map(p, vm, d):
     rec = veronese.verify_quotient_map(vm())
-    rec.pop("extra_relation")
     bad = rec["reference_form_mismatches"]
     notes = f"reference relation couple(s) {bad} not in the derived kernel" if bad else ""
     return _verdict(rec, notes)

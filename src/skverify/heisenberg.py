@@ -146,6 +146,7 @@ class GroupRep:
                 or _mono_mul(z, self.e2) != _mono_mul(self.e2, z)):
             raise RepresentationInvalidError(f"{label}: commutator is not central")
         self._matrices: dict = {}
+        self._character: Character | None = None
 
     def matrix(self, g) -> Monomial:
         m = self._matrices.get(g)
@@ -157,9 +158,13 @@ class GroupRep:
         return m
 
     def character(self) -> Character:
-        def trace(m: Monomial) -> FieldElem:
-            return sum((s for j, (r, s) in enumerate(m) if r == j), ZERO)
-        return Character(self.group, {g: trace(self.matrix(g)) for g in self.group.elements()})
+        """Computed on the first call and kept; the representation is immutable."""
+        if self._character is None:
+            def trace(m: Monomial) -> FieldElem:
+                return sum((s for j, (r, s) in enumerate(m) if r == j), ZERO)
+            self._character = Character(
+                self.group, {g: trace(self.matrix(g)) for g in self.group.elements()})
+        return self._character
 
     def conjugate(self, cols: tuple[linalg.Row, ...], label: str) -> "GroupRep":
         """The same representation in the basis whose k-th vector is the sparse
@@ -342,7 +347,8 @@ def twist_equivalence_table() -> dict[tuple[tuple[int, int], tuple[int, int]], b
     base = next(r for r in table if r.label == "H4:V_{0,0}")
     chars = {(i, j): next(r for r in table if r.label == f"H4:chi_{{{i},{j}}}").character()
              for i in range(4) for j in range(4)}
-    twisted = {(i, j): base.character() * chars[(i, j)] for i in range(4) for j in range(4)}
+    chi = base.character()
+    twisted = {(i, j): chi * chars[(i, j)] for i in range(4) for j in range(4)}
     out = {}
     for a in twisted:
         for b in twisted:

@@ -99,14 +99,9 @@ def alpha_reject_reason(t: AlphaTriple) -> str | None:
     return None
 
 
-def _draw_s3(rng: SplitMix64):
+def _draw_abc(rng: SplitMix64, reject):
     p = AbcParams.of(1, nonzero_rational(rng), nonzero_rational(rng))
-    return p, s3_reject_reason(p)
-
-
-def _draw_s2(rng: SplitMix64):
-    p = AbcParams.of(1, nonzero_rational(rng), nonzero_rational(rng))
-    return p, s2_reject_reason(p)
+    return p, reject(p)
 
 
 def _draw_s4(rng: SplitMix64):
@@ -154,9 +149,9 @@ def sample_with_log(kind: str, count: int, seed: int):
                 f"{kind}: {draws} draws yielded {len(out)} of {count} samples")
         draws += 1
         if kind == "s3":
-            cand, reason = _draw_s3(rng)
+            cand, reason = _draw_abc(rng, s3_reject_reason)
         elif kind == "s2":
-            cand, reason = _draw_s2(rng)
+            cand, reason = _draw_abc(rng, s2_reject_reason)
         elif kind == "s4":
             cand, reason = _draw_s4(rng)
         else:

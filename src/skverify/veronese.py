@@ -9,12 +9,14 @@ generators of the order-8 group action (signs (-1)^i, (-1)^j).  Mapping the
 four generators of a 4-generator presentation onto them identifies that
 presentation's quotient by one central quadric with the even Veronese of the
 2-generator family.  Everything here is derived, not transcribed: the
-degree-2 kernel of the map (a 7-dimensional space) is computed exactly, the
-six relation coefficients are extracted from canonical commutator /
-anticommutator pair forms inside it, and the seventh kernel vector is matched
-against the closed-form extra relation
+degree-2 kernel of the map (a 7-dimensional space) is computed exactly.  For
+each pair group ((s,t),(u,v)) it meets the span of st, ts, uv, vu in the plane
+of [s,t] - a{u,v} and [u,v] - b{s,t}; one linear solve reads off a, one more
+b.  These six pair forms and the closed-form extra relation
 
-    (a+c) v00^2 + (c-a) v10^2 + (a+b) v01^2 + (b-a) v11^2.
+    (a+c) v00^2 + (c-a) v10^2 + (a+b) v01^2 + (b-a) v11^2
+
+must span the kernel.
 """
 
 from __future__ import annotations
@@ -51,16 +53,13 @@ def gamma_expansions(p: AbcParams) -> dict:
     """
     images = quadratic_images()
     gens = NcPoly.gens(2)
-    rels = s2_relation_polys(p)
+    bases = {"left": [w * g for w in images for g in gens],
+             "right": [g * w for g in gens for w in images]}
     record = {"expansions": []}
-    for name, rel in zip(("x", "y"), rels):
+    for name, rel in zip(("x", "y"), s2_relation_polys(p)):
         target = rel + rel
         trow = target.to_row(3)
-        for side in ("left", "right"):
-            if side == "left":
-                basis = [w * g for w in images for g in gens]
-            else:
-                basis = [g * w for g in gens for w in images]
+        for side, basis in bases.items():
             cols = [b.to_row(3) for b in basis]
             sol = linalg.solve_columns(cols, trow)
             if sol is None:
@@ -89,6 +88,7 @@ class VeroneseMap:
     alpha: AlphaTriple
     extra: NcPoly            # the central quadric spanning the rest of the kernel
     kernel_dim: int
+    kernel_rows: tuple[linalg.Row, ...]   # the six pair forms, then the extra quadric
     algebra: Quotient        # the 2-generator algebra the map was derived in
 
     def apply(self, poly: NcPoly) -> NcPoly:
@@ -114,10 +114,6 @@ class VeroneseMap:
 _PAIRS = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
 
 
-def _unit_row(i: int) -> linalg.Row:
-    return {i: ONE}
-
-
 def _pair_slots(pair) -> tuple[int, int, int, int]:
     """Row slots of the words st, ts, uv, vu for a pair group ((s,t),(u,v))."""
     (s, t), (u, v) = pair
@@ -141,46 +137,31 @@ def _squares(coeffs) -> NcPoly:
 
 
 def _pair_forms(meet_rows, st, ts, uv, vu):
-    """Extract ([s,t] - a{u,v}, [u,v] - b{s,t}) coefficients from a 2-dim space."""
+    """Extract ([s,t] - a{u,v}, [u,v] - b{s,t}) coefficients from a 2-dim space.
+
+    a is the last unknown of m + a(uv + vu) = st - ts with m in the space,
+    unique because uv + vu is not in it; b likewise with the roles swapped.
+    """
     if len(meet_rows) != 2:
         raise VerificationError("pair slice of the kernel is not 2-dimensional")
 
     def solve(first, second, read1, read2):
-        # constraints: coefficient 1 at first, -1 at second, symmetric remainder
-        cols = []
-        for r in meet_rows:
-            col = {}
-            if r.get(first):
-                col[0] = r[first]
-            if r.get(second):
-                col[1] = r[second]
-            skew = r.get(read1, ZERO) - r.get(read2, ZERO)
-            if skew:
-                col[2] = skew
-            cols.append(col)
-        sol = linalg.solve_columns(cols, {0: ONE, 1: -ONE})
+        sol = linalg.solve_columns(meet_rows + [{read1: ONE, read2: ONE}],
+                                   {first: ONE, second: -ONE})
         if sol is None:
             raise VerificationError("no commutator-normalized vector in the pair slice")
-        full: linalg.Row = {}
-        for coeff, r in zip(sol, meet_rows):
-            for c, v in r.items():
-                w = full.get(c, ZERO) + coeff * v
-                if w:
-                    full[c] = w
-                elif c in full:
-                    del full[c]
-        support = {first, second, read1, read2}
-        if any(c not in support for c in full):
-            raise VerificationError("pair vector leaks outside its four coordinates")
-        return -full.get(read1, ZERO)
+        return sol[-1]
 
-    a = solve(st, ts, uv, vu)
-    b = solve(uv, vu, st, ts)
-    return a, b
+    return solve(st, ts, uv, vu), solve(uv, vu, st, ts)
 
 
 def build_veronese(p: AbcParams) -> VeroneseMap:
-    """Derive the sextuple, the alpha triple and the extra central relation."""
+    """Derive the sextuple, the alpha triple and the extra central relation.
+
+    Each pair coefficient is one solve in the kernel's meet with the span of
+    its pair group's four words (see _pair_forms).  The six pair forms and the
+    extra quadric must span the kernel; they are kept as ``kernel_rows``.
+    """
     if p.a == 0 or p.b == p.c or p.b == -p.c:
         raise ParameterError("quotient construction needs a != 0 and b != +-c")
     images = quadratic_images()
@@ -199,7 +180,7 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     pair_rows = []
     for pair in _PAIRS:
         slots = _pair_slots(pair)
-        meet = linalg.intersect(kernel, [_unit_row(c) for c in slots], 16)
+        meet = linalg.intersect(kernel, [{c: ONE} for c in slots], 16)
         a, b = _pair_forms(meet, *slots)
         coeffs.extend([a, b])
         rows = _pair_rows(pair, a, b)
@@ -209,10 +190,12 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     sextuple = SextupleParams.of(*coeffs)
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
     extra = _squares((a + c, c - a, a + b, b - a))
-    if span_rows(4, 2, pair_rows + [extra.to_row(2)]).rows != span_rows(4, 2, kernel).rows:
+    kernel_rows = (*pair_rows, extra.to_row(2))
+    if span_rows(4, 2, kernel_rows).rows != span_rows(4, 2, kernel).rows:
         raise VerificationError("six pairs plus the extra quadric do not span the kernel")
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple,
-                       alpha=sextuple.alpha(), extra=extra, kernel_dim=kdim, algebra=q)
+                       alpha=sextuple.alpha(), extra=extra, kernel_dim=kdim,
+                       kernel_rows=kernel_rows, algebra=q)
 
 
 def closed_form_sextuple(p: AbcParams) -> SextupleParams:
@@ -228,16 +211,6 @@ def closed_form_sextuple(p: AbcParams) -> SextupleParams:
         (b + c - 2 * a) / (b - c), -(b + c + 2 * a) / (b - c),
         (2 * a + b - c) / (b + c), -(2 * a - b + c) / (b + c),
     )
-
-
-def _kernel_element_rows(vm: VeroneseMap) -> list[linalg.Row]:
-    """The six pair relations and the extra quadric as degree-2 symbol rows."""
-    coeffs = tuple(vm.sextuple)
-    rows = []
-    for k, pair in enumerate(_PAIRS):
-        rows.extend(_pair_rows(pair, coeffs[2 * k], coeffs[2 * k + 1]))
-    rows.append(vm.extra.to_row(2))
-    return rows
 
 
 def _reference_pair_rows(p: AbcParams) -> list[linalg.Row]:
@@ -259,6 +232,23 @@ def _reference_pair_rows(p: AbcParams) -> list[linalg.Row]:
     ]
 
 
+def _scaled_by(poly: NcPoly, s1: int = 1, s2: int = 1) -> bool:
+    """Whether e1 and e2 of the order-8 group scale a homogeneous poly by s1 and s2."""
+    d = poly.degree()
+    tp = rep_on_degree(h2_gen_rep(), d)
+    row = poly.to_row(d)
+    return all(tp.act_row(g, row) == {c: v * fe(s) for c, v in row.items()}
+               for g, s in (((1, 0, 0), s1), ((0, 1, 0), s2)))
+
+
+def _closed_quartic(p: AbcParams) -> NcPoly:
+    """The closed-form central quartic; raises where it vanishes."""
+    c4 = s2_central_quartic(p)
+    if not c4:
+        raise ParameterError("closed-form quartic vanishes at these parameters")
+    return c4
+
+
 def _bicharacter(row: linalg.Row):
     """(i, j) with signs (-1)^i, (-1)^j under the two diagonal involutions."""
     seen = set()
@@ -275,37 +265,26 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
     """Full certification chain for the quotient map at one parameter point."""
     p = vm.params
     gammas = gamma_expansions(p)
-    closed = closed_form_sextuple(p)
-    alpha_closed = alpha_from_abc(p)
     pm = h4_gen_rep_pm()
     diag_ok = all(pm.matrix(g) == tuple((i, fe(sign)) for i, sign in enumerate(signs))
                   for g, signs in (((2, 0, 0), _SIGN_E1), ((0, 2, 0), _SIGN_E2)))
-    tp2 = rep_on_degree(h2_gen_rep(), 2)
-    equiv_ok = True
-    for idx, img in enumerate(vm.images):
-        row = img.to_row(2)
-        for g, signs in (((1, 0, 0), _SIGN_E1), ((0, 1, 0), _SIGN_E2)):
-            acted = tp2.act_row(g, row)
-            want = {c: v * fe(signs[idx]) for c, v in row.items()}
-            if acted != want:
-                equiv_ok = False
-    elements = _kernel_element_rows(vm)
+    equiv_ok = all(_scaled_by(img, s1, s2)
+                   for img, s1, s2 in zip(vm.images, _SIGN_E1, _SIGN_E2))
     nf = vm.algebra.normal_form
-    in_ideal = [not nf(vm.apply(NcPoly.from_row(4, 2, row))) for row in elements]
-    characters = [_bicharacter(r) for r in elements]
+    in_ideal = [not nf(vm.apply(NcPoly.from_row(4, 2, row))) for row in vm.kernel_rows]
+    characters = [_bicharacter(r) for r in vm.kernel_rows]
     expected_chars = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0)]
-    kspan = span_rows(4, 2, elements)
+    kspan = span_rows(4, 2, vm.kernel_rows)
     refs = _reference_pair_rows(p)
     ref_in_kernel = [kspan.contains_row(r) for r in refs]
     record = {
         "gamma_expansions_pass": gammas["pass"],
         "kernel_dim": vm.kernel_dim,
         "sextuple": vm.sextuple,
-        "sextuple_matches_closed_form": vm.sextuple == closed,
+        "sextuple_matches_closed_form": vm.sextuple == closed_form_sextuple(p),
         "alpha": vm.alpha,
-        "alpha_matches_closed_form": vm.alpha == alpha_closed,
+        "alpha_matches_closed_form": vm.alpha == alpha_from_abc(p),
         "fivefold_holds": True,   # enforced by the SextupleParams constructor
-        "extra_relation": vm.extra,
         "relations_in_ideal": tuple(in_ideal),
         "element_characters": tuple(characters),
         "elements_are_eigenvectors": characters == expected_chars,
@@ -406,18 +385,13 @@ def extract_c4(vm: VeroneseMap) -> dict:
     mu, which is reported, not pinned: its value depends on the chosen
     normalizations of both sides.
     """
-    p = vm.params
     cp = vm.central_pair
     nf = vm.algebra.normal_form
     img1 = nf(vm.apply(cp.omega1))
     img2 = nf(vm.apply(cp.omega2))
-    c4 = s2_central_quartic(p)
-    if not c4:
-        raise ParameterError("closed-form quartic vanishes at these parameters")
+    c4 = _closed_quartic(vm.params)
     mu = proportional(img2, nf(c4)) if img2 else None
-    tp4 = rep_on_degree(h2_gen_rep(), 4)
-    c4row = c4.to_row(4)
-    invariant = all(tp4.act_row(g, c4row) == c4row for g in ((1, 0, 0), (0, 1, 0)))
+    invariant = _scaled_by(c4)
     return {
         "omega1_maps_to_zero": not img1,
         "mu": mu,
@@ -432,20 +406,16 @@ def verify_c4_central(p: AbcParams, q: Quotient) -> dict:
 
     ``q`` is the 2-generator algebra at ``p``.
     """
-    c4 = s2_central_quartic(p)
-    if not c4:
-        raise ParameterError("closed-form quartic vanishes at these parameters")
+    c4 = _closed_quartic(p)
     cert = q.normality_automorphism(c4)
     cs = q.centralizer_slice(4)
     resid = q.normal_form(c4)
-    tp4 = rep_on_degree(h2_gen_rep(), 4)
-    row = c4.to_row(4)
     rec = {
         "centralizer_dim": cs.dim,
         "quartic_in_centralizer": bool(resid) and cs.contains(resid),
         "quartic_nonzero_mod_ideal": bool(resid),
         "sigma_is_identity": cert.is_central,
-        "quartic_invariant": all(tp4.act_row(g, row) == row for g in ((1, 0, 0), (0, 1, 0))),
+        "quartic_invariant": _scaled_by(c4),
     }
     rec["pass"] = (cert.is_central and rec["quartic_in_centralizer"]
                    and rec["quartic_invariant"])

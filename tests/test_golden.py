@@ -21,6 +21,9 @@ CASES = {
                            "--samples", "1", "--seed", "7"],
     "s4_samples8_seed7.txt": ["s4", "--samples", "8", "--seed", "7"],
     "quotient_samples8_seed7.txt": ["quotient", "--samples", "8", "--seed", "7"],
+    # translation points of finite order: tau has order 2 at [1:1:2], 6 at [1:-12:-12]
+    "all_torsion.txt": ["all", "--abc", "1,1,2", "--abc", "1,-12,-12",
+                        "--samples", "1", "--seed", "7"],
 }
 
 

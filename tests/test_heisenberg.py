@@ -103,6 +103,11 @@ def test_irrep_tables_complete():
                 assert ci.inner(cj) == want
 
 
+def test_character_is_computed_once_per_rep():
+    for r in irrep_table(4):
+        assert r.character() is r.character()
+
+
 def test_rep_matrices_respect_group_law():
     G = HeisenbergGroup(3)
     rep = h3_gen_rep()

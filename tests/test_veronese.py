@@ -7,13 +7,16 @@ xy+yx, xy-yx; closed-form parameter values only enter as cross-checks.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from skverify.errors import ParameterError
 from skverify.families import (AbcParams, alpha_from_abc, build_s2,
                                s2_central_quartic, s2_relation_polys)
 from skverify.field import fe
-from skverify.freealg import NcPoly, comm
+from skverify.freealg import NcPoly, comm, span_rows
 from skverify.graded import Quotient
+from skverify.sampling import s2_reject_reason
 from skverify.veronese import (build_veronese, closed_form_sextuple, extract_c4,
                                gamma_expansions, quadratic_images,
                                verify_c4_central, verify_central_pair,
@@ -68,6 +71,21 @@ def test_kernel_has_dimension_seven():
         vm = build_veronese(p)
         assert vm.kernel_dim == 7
         assert vm.algebra.p == build_s2(p)
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_fractions, small_fractions)
+def test_pair_extraction_matches_closed_form(b, c):
+    # the six coefficients are read off the derived kernel; the closed form
+    # in a, b, c is an independent oracle for them
+    p = AbcParams.of(1, b, c)
+    assume(s2_reject_reason(p) is None)
+    vm = build_veronese(p)
+    assert vm.sextuple == closed_form_sextuple(p)
+    assert span_rows(4, 2, vm.kernel_rows).dim == 7
 
 
 def test_closed_form_sextuple_values():
