@@ -1,7 +1,8 @@
 """Point geometry: walking a cubic by its group law, and rank-drop loci.
 
-The multilinearized relations of each family give matrices of linear forms
-in point coordinates; their rank drops exactly on the point locus.  For the
+Splitting each relation word of a family into its leading letters and its
+last letter gives a matrix of multilinear forms in point coordinates; its
+rank drops exactly on the point locus.  For the
 three-generator family that locus is a smooth plane cubic and the walk
 "next point" is translation in its group law.
 """
@@ -24,7 +25,7 @@ for k in range(5):
     print(f"  step {k}: {pt}")
     pt = s3_next_point(p, pt)
 
-rec = group_law_record(p, 10)
+rec = group_law_record(p)
 print("group law axioms on ten multiples:",
       "all pass" if rec["pass"] else "FAILED")
 

@@ -159,7 +159,7 @@ S3 = (
     ("s3-center-cubic", lambda p, alg, d: _verdict(verify_c3_description(p, alg()))),
     ("s3-central-quotient-hilbert", _hilbert(lambda m: max(1, 3 * m), _mod_central_cubic)),
     ("s3-point-walk", _s3_walk),
-    ("s3-group-law", lambda p, alg, d: _verdict(group_law_record(p, 10))),
+    ("s3-group-law", lambda p, alg, d: _verdict(group_law_record(p))),
 )
 
 

@@ -15,7 +15,7 @@ class UnsupportedOrderError(SkverifyError):
 
 
 class ShapeError(SkverifyError):
-    """Operands live in different ambients (generator count, degree, blocks)."""
+    """Operands live in different ambients (generator count, degree, variable count)."""
 
 
 class ParameterError(SkverifyError):

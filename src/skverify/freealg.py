@@ -7,9 +7,9 @@ plain lexicographic order, and the column index of a word is its base-n
 numeral).  Subspace wraps the canonical reduced echelon basis from linalg, so
 two subspaces are equal exactly when their representations coincide.
 
-MultiPoly holds commutative polynomials in k blocks of n variables each; the
-multilinearization of a degree-k word lands in k blocks, and 1-block instances
-double as ordinary polynomials (curve equations, determinants, minors).
+MultiPoly holds commutative polynomials keyed by flat exponent tuples: the
+entries of the point-scheme coefficient matrices, their determinants and
+minors, and the quadrics those minors are checked against.
 """
 
 from __future__ import annotations
@@ -268,55 +268,47 @@ def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
 
 
 class MultiPoly:
-    """Commutative polynomial in ``blocks`` blocks of ``nvars`` variables.
+    """Commutative polynomial in ``nvars`` variables.
 
-    Keys are tuples of per-block exponent tuples.  With blocks=1 this is an
-    ordinary polynomial ring; multilinearization of degree-k words uses one
-    block per tensor factor.
+    Each term is keyed by one flat exponent tuple of length ``nvars``.  A
+    matrix entry of coefficient_matrix is (k-1)-linear in k-1 tensor factors
+    of n coordinates each; there x_a of factor b is variable b*n + a.
     """
 
-    __slots__ = ("blocks", "nvars", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, blocks: int, nvars: int, terms=None) -> None:
-        self.blocks = blocks
+    def __init__(self, nvars: int, terms=None) -> None:
         self.nvars = nvars
         clean = {}
         for key, c in (terms or {}).items():
             c = fe(c)
             if not c:
                 continue
-            key = tuple(tuple(e) for e in key)
-            if len(key) != blocks or any(len(e) != nvars for e in key):
+            key = tuple(key)
+            if len(key) != nvars:
                 raise ShapeError(f"bad exponent key {key}")
             clean[key] = c
         self.terms = clean
 
     @staticmethod
-    def _of(blocks: int, nvars: int, terms: dict) -> "MultiPoly":
-        """A MultiPoly from terms already clean: tuple keys of this shape,
-        nonzero FieldElem coefficients."""
+    def _of(nvars: int, terms: dict) -> "MultiPoly":
+        """A MultiPoly from terms already clean: exponent tuples of length
+        ``nvars``, nonzero FieldElem coefficients."""
         out = object.__new__(MultiPoly)
-        out.blocks, out.nvars, out.terms = blocks, nvars, terms
+        out.nvars, out.terms = nvars, terms
         return out
 
     @staticmethod
-    def zero(blocks: int, nvars: int) -> "MultiPoly":
-        return MultiPoly(blocks, nvars)
+    def zero(nvars: int) -> "MultiPoly":
+        return MultiPoly(nvars)
 
     @staticmethod
-    def constant(blocks: int, nvars: int, c) -> "MultiPoly":
-        key = tuple((0,) * nvars for _ in range(blocks))
-        return MultiPoly(blocks, nvars, {key: fe(c)})
-
-    @staticmethod
-    def var(blocks: int, nvars: int, block: int, j: int) -> "MultiPoly":
-        key = tuple(tuple(1 if (b == block and i == j) else 0 for i in range(nvars))
-                    for b in range(blocks))
-        return MultiPoly(blocks, nvars, {key: ONE})
+    def var(nvars: int, j: int) -> "MultiPoly":
+        return MultiPoly(nvars, {tuple(int(i == j) for i in range(nvars)): ONE})
 
     def _check(self, other: "MultiPoly") -> None:
-        if (self.blocks, self.nvars) != (other.blocks, other.nvars):
-            raise ShapeError("shapes differ")
+        if self.nvars != other.nvars:
+            raise ShapeError("variable counts differ")
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -330,108 +322,59 @@ class MultiPoly:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return MultiPoly._of(self.blocks, self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._of(self.blocks, self.nvars, {k: -c for k, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             x = fe(other)
             if not x:
-                return MultiPoly.zero(self.blocks, self.nvars)
-            return MultiPoly._of(self.blocks, self.nvars,
-                                 {k: c * x for k, c in self.terms.items()})
+                return MultiPoly.zero(self.nvars)
+            return MultiPoly._of(self.nvars, {k: c * x for k, c in self.terms.items()})
         self._check(other)
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = tuple(tuple(a + b for a, b in zip(e1, e2)) for e1, e2 in zip(k1, k2))
+                k = tuple(a + b for a, b in zip(k1, k2))
                 s = out.get(k, ZERO) + c1 * c2
                 if s:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return MultiPoly._of(self.blocks, self.nvars, out)
+        return MultiPoly._of(self.nvars, out)
 
     def __rmul__(self, other):
         return self * other
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        out = MultiPoly.constant(self.blocks, self.nvars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.blocks, self.nvars) == (other.blocks, other.nvars) and self.terms == other.terms
+        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.blocks, self.nvars, tuple(sorted(self.terms.items()))))
+        return hash((self.nvars, tuple(sorted(self.terms.items()))))
 
-    def evaluate(self, points) -> FieldElem:
-        """Evaluate at one coordinate tuple per block."""
-        pts = [tuple(fe(c) for c in p) for p in points]
-        if len(pts) != self.blocks or any(len(p) != self.nvars for p in pts):
-            raise ShapeError("evaluation points do not match shape")
+    def evaluate(self, point) -> FieldElem:
+        """Evaluate at one coordinate tuple of length ``nvars``."""
+        pt = tuple(fe(c) for c in point)
+        if len(pt) != self.nvars:
+            raise ShapeError("evaluation point does not match shape")
         total = ZERO
         for key, c in self.terms.items():
             v = c
-            for b, exps in enumerate(key):
-                for j, e in enumerate(exps):
-                    if e:
-                        v = v * pts[b][j] ** e
+            for x, e in zip(pt, key):
+                if e:
+                    v = v * x ** e
             total = total + v
         return total
 
-    def coefficient_of_var(self, block: int, j: int) -> "MultiPoly":
-        """Coefficient of variable j in a block the polynomial is multilinear in."""
-        unit = tuple(1 if i == j else 0 for i in range(self.nvars))
-        out = {}
-        for key, c in self.terms.items():
-            if sum(key[block]) != 1:
-                raise ShapeError("polynomial is not multilinear in the requested block")
-            if key[block] == unit:
-                out[key[:block] + key[block + 1:]] = c
-        return MultiPoly(self.blocks - 1, self.nvars, out)
-
-    def text(self, names) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            mono = []
-            for b, exps in enumerate(key):
-                for j, e in enumerate(exps):
-                    if e == 1:
-                        mono.append(names[b][j])
-                    elif e:
-                        mono.append(f"{names[b][j]}^{e}")
-            head = "*".join(mono) if mono else "1"
-            parts.append(f"({self.terms[key]})*{head}")
-        return " + ".join(parts)
-
     def __repr__(self) -> str:
-        names = [[f"x{b}_{j}" for j in range(self.nvars)] for b in range(self.blocks)]
-        return self.text(names)
-
-
-def multilinearize(p: NcPoly) -> MultiPoly:
-    """Degree-k word  x_{i1}..x_{ik}  ->  monomial  x^{(1)}_{i1} ... x^{(k)}_{ik}."""
-    d = p.degree()
-    if d is None or d == 0 or not p.is_homogeneous():
-        raise ShapeError("multilinearize needs a homogeneous polynomial of degree >= 1")
-    n = p.ngens
-    out = {}
-    for w, c in p.terms.items():
-        key = tuple(tuple(1 if i == a else 0 for i in range(n)) for a in w)
-        out[key] = c
-    return MultiPoly(d, n, out)
+        return f"MultiPoly({self.nvars}, {self.terms!r})"
 
 
 def substitute(p: NcPoly, images: list[NcPoly]) -> NcPoly:

@@ -1,11 +1,12 @@
 """Point-scheme matrices, the cubic curve group law, and membership checks.
 
-Multilinearizing the degree-k relations of a family and reading off the
-coefficients of the last tensor factor produces a matrix of (k-1)-linear
-forms; a point sequence lies on the point scheme iff consecutive points sit
-in its kernels.  For the 3-generator family this is the classical 3x3 matrix
-whose determinant cuts out a Hesse cubic, and the kernel walk is translation
-by tau = [a:b:c] under the chord-tangent group law with origin [1:-1:0].
+Splitting each word of the degree-k relations of a family into its first
+k-1 letters and its last letter gives a matrix of (k-1)-linear forms, one
+column per last letter; a point sequence lies on the point scheme iff
+consecutive points sit in its kernels.  For the 3-generator family this is
+the classical 3x3 matrix whose determinant cuts out a Hesse cubic, and the
+kernel walk is translation by tau = [a:b:c] under the chord-tangent group
+law with origin [1:-1:0].
 
 The group law is the closed Hessian formula on primitive integer triples
 (gcd 1, first nonzero entry positive), so equal points have equal triples.
@@ -34,8 +35,8 @@ line s*P + t*Q the cubic form f factors through the known roots at P and Q,
 
 so the third intersection needs no root finding and stays in the ground
 field.  It supplies the tangent-third of the degree-3 centre certificate and
-cross-checks the closed formula in the group-law record: [1:-1:0] is an
-inflection of every smooth member of the pencil, so
+cross-checks the closed formula in the group-law record, on the same integer
+triples: [1:-1:0] is an inflection of every smooth member of the pencil, so
 third(third(P, Q), O) = P + Q.
 """
 
@@ -50,8 +51,8 @@ from .errors import OffCurveError, ParameterError, RankError, ShapeError, Singul
 from . import linalg
 from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
                        s2_relation_polys, s3_relation_polys, s4_relation_polys)
-from .field import ONE, ZERO, FieldElem, fe, root_of_unity
-from .freealg import MultiPoly, NcPoly, multilinearize, proportional, span, sum_and_intersect
+from .field import ZERO, FieldElem, fe, root_of_unity
+from .freealg import MultiPoly, NcPoly, proportional, span, sum_and_intersect
 from .graded import Quotient
 from .heisenberg import h3_gen_rep, invariant_subspace, rep_on_degree
 
@@ -94,21 +95,33 @@ class ProjPoint:
 # -- multilinear coefficient matrices --------------------------------------
 
 def coefficient_matrix(rels: list[NcPoly]) -> list[list[MultiPoly]]:
-    """Rows: relations in their given order; columns: last-factor variables."""
+    """Rows: relations (all of one degree k) in their given order; columns:
+    last letters.  The word w1..w(k-1) j of relation r becomes the monomial
+    x_{w1} ... x_{w(k-1)} of entry (r, j), with x_a of factor b variable b*n + a.
+    """
     if not rels:
         raise ShapeError("no relations")
     n = rels[0].ngens
+    degrees = {len(w) for r in rels for w in r.terms}
+    if len(degrees) != 1 or 0 in degrees:
+        raise ShapeError("coefficient_matrix needs relations of one degree >= 1")
+    nvars = (degrees.pop() - 1) * n
     out = []
     for r in rels:
-        mp = multilinearize(r)
-        out.append([mp.coefficient_of_var(mp.blocks - 1, j) for j in range(n)])
+        row = [{} for _ in range(n)]
+        for w, c in r.terms.items():
+            key = [0] * nvars
+            for b, a in enumerate(w[:-1]):
+                key[b * n + a] = 1
+            row[w[-1]][tuple(key)] = c
+        out.append([MultiPoly._of(nvars, terms) for terms in row])
     return out
 
 
 def s3_point_matrix(p: AbcParams, pt: ProjPoint) -> list[list[FieldElem]]:
     """The 3x3 matrix of linear forms evaluated at a point."""
     entries = coefficient_matrix(s3_relation_polys(p))
-    return [[e.evaluate([tuple(pt)]) for e in row] for row in entries]
+    return [[e.evaluate(pt) for e in row] for row in entries]
 
 
 def s3_next_point(p: AbcParams, pt: ProjPoint) -> ProjPoint:
@@ -131,10 +144,7 @@ def s3_next_point(p: AbcParams, pt: ProjPoint) -> ProjPoint:
 def s2_reference_matrix(p: AbcParams) -> list[list[MultiPoly]]:
     """Closed-form comparison target for the 2x2 matrix."""
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
-    x0 = MultiPoly.var(2, 2, 0, 0)
-    y0 = MultiPoly.var(2, 2, 0, 1)
-    x1 = MultiPoly.var(2, 2, 1, 0)
-    y1 = MultiPoly.var(2, 2, 1, 1)
+    x0, y0, x1, y1 = (MultiPoly.var(4, j) for j in range(4))
     return [[a * (y0 * y1) + c * (x0 * x1), a * (x0 * y1) + b * (y0 * x1)],
             [a * (y0 * x1) + b * (x0 * y1), a * (x0 * x1) + c * (y0 * y1)]]
 
@@ -145,10 +155,7 @@ def s2_reference_curve(p: AbcParams) -> MultiPoly:
     (b^2-c^2) x0 y0 x1 y1 - ac (x0^2 x1^2 + y0^2 y1^2) + ab (x0^2 y1^2 + y0^2 x1^2).
     """
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
-    x0 = MultiPoly.var(2, 2, 0, 0)
-    y0 = MultiPoly.var(2, 2, 0, 1)
-    x1 = MultiPoly.var(2, 2, 1, 0)
-    y1 = MultiPoly.var(2, 2, 1, 1)
+    x0, y0, x1, y1 = (MultiPoly.var(4, j) for j in range(4))
     return ((b * b - c * c) * (x0 * y0 * x1 * y1)
             - a * c * (x0 * x0 * x1 * x1 + y0 * y0 * y1 * y1)
             + a * b * (x0 * x0 * y1 * y1 + y0 * y0 * x1 * x1))
@@ -177,16 +184,6 @@ def s2_point_determinant(p: AbcParams) -> dict:
 
 # -- the Hesse cubic and its group law -------------------------------------
 
-def hesse_cubic(p: AbcParams) -> MultiPoly:
-    """abc(X^3 + Y^3 + Z^3) - (a^3 + b^3 + c^3) XYZ."""
-    a, b, c = p.a, p.b, p.c
-    x = MultiPoly.var(1, 3, 0, 0)
-    y = MultiPoly.var(1, 3, 0, 1)
-    z = MultiPoly.var(1, 3, 0, 2)
-    return fe(a * b * c) * (x ** 3 + y ** 3 + z ** 3) \
-        - fe(a ** 3 + b ** 3 + c ** 3) * (x * y * z)
-
-
 _ORIGIN = (1, -1, 0)
 
 
@@ -195,7 +192,8 @@ def hesse_origin() -> ProjPoint:
 
 
 def on_hesse(p: AbcParams, pt: ProjPoint) -> bool:
-    return not hesse_cubic(p).evaluate([tuple(pt)])
+    """Whether ``pt`` lies on the member of the pencil at ``p``, smooth or not."""
+    return _on_cubic(_cubic(p), tuple(pt))
 
 
 def _primitive(v: tuple) -> tuple[int, int, int]:
@@ -220,12 +218,16 @@ def _coords(pt: ProjPoint) -> tuple:
     return tuple(pt)
 
 
-def _smooth_cubic(p: AbcParams) -> tuple[int, int]:
+def _cubic(p: AbcParams) -> tuple[int, int]:
     """(ABC, A^3 + B^3 + C^3) for the primitive integer form (A, B, C) of [a:b:c]."""
-    if not is_smooth_hesse(p):
-        raise SingularCurveError(f"{p} fails the smoothness criterion")
     a, b, c = _integer_triple(p)
     return a * b * c, a ** 3 + b ** 3 + c ** 3
+
+
+def _smooth_cubic(p: AbcParams) -> tuple[int, int]:
+    if not is_smooth_hesse(p):
+        raise SingularCurveError(f"{p} fails the smoothness criterion")
+    return _cubic(p)
 
 
 def _on_cubic(cubic: tuple[int, int], v) -> bool:
@@ -280,19 +282,14 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _combine(s, u, t, v) -> ProjPoint:
-    return ProjPoint.of(*(s * a + t * b for a, b in zip(u, v)))
+def _third(cubic: tuple[int, int], u, v) -> tuple:
+    """Third intersection of the curve with the line (or tangent) through u and v.
 
-
-def hesse_third(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
-    """Third intersection of the curve with the line (or tangent) through the points.
-
-    Rational points run on their integer triples; the result is projective,
-    so the scale of the cubic form does not matter.
+    Like _sum it takes integer or field-element triples and does not normalize
+    the result.  u and v are canonical (primitive or normalized), so equal
+    points come as equal triples.
     """
-    cubic = _smooth_cubic(p)
-    u, v = (_require_on(cubic, _coords(pt), p) for pt in (pt1, pt2))
-    if pt1 == pt2:
+    if u == v:
         n0, n1, n2 = _grad(cubic, u)
         # directions orthogonal to the gradient; the point itself is one (Euler),
         # pick a second, independent one
@@ -313,12 +310,19 @@ def hesse_third(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
         big_a, big_b3 = 3 * _dot(g, u), _dot(g, d)
         if not big_a and not big_b3:
             raise SingularCurveError("tangent line lies on the curve")
-        return _combine(big_b3, u, -big_a, d)
+        return tuple(big_b3 * a - big_a * b for a, b in zip(u, d))
     g1 = _dot(_grad(cubic, u), v)
     g2 = _dot(_grad(cubic, v), u)
     if not g1 and not g2:
         raise SingularCurveError("chord lies on the curve")
-    return _combine(g2, u, -g1, v)
+    return tuple(g2 * a - g1 * b for a, b in zip(u, v))
+
+
+def hesse_third(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
+    """Third intersection of the curve with the line (or tangent) through the points."""
+    cubic = _smooth_cubic(p)
+    return ProjPoint(_third(cubic, _require_on(cubic, _coords(pt1), p),
+                            _require_on(cubic, _coords(pt2), p)))
 
 
 def hesse_neg(p: AbcParams, pt: ProjPoint) -> ProjPoint:
@@ -360,19 +364,30 @@ def tau_order_flag(p: AbcParams) -> str:
     return f"order{n}" if n in (1, 2, 3) else "generic"
 
 
-def group_law_record(p: AbcParams, count: int = 10) -> dict:
-    """Group axioms of the closed formula on the first multiples of [a:b:c].
+MULTIPLES = 10  # multiples of [a:b:c] that the group-law record walks
+
+
+def group_law_record(p: AbcParams) -> dict:
+    """Group axioms of the closed formula on the first MULTIPLES multiples of [a:b:c].
 
     pts[k] is the (k+1)-fold multiple, so besides identity, inverses,
     commutativity and associativity the walk itself is cross-checked:
     pts[i] + pts[j] must land on pts[i+j+1].  The chord construction
     recomputes the walk steps pts[k] + tau and the pair sums independently
     (chord_agrees); tau_order is the exact order of tau, or "infinite".
+    Everything runs on primitive integer triples.
     """
     cubic = _smooth_cubic(p)
+    count = MULTIPLES
 
     def add(u, v):
         return _add(_require_on(cubic, u, p), _require_on(cubic, v, p))
+
+    def third(u, v):
+        return _primitive(_third(cubic, _require_on(cubic, u, p), _require_on(cubic, v, p)))
+
+    def chord(i, j):
+        return third(third(pts[i], pts[j]), _ORIGIN)
 
     tau = _integer_triple(p)
     pts = [tau]
@@ -382,12 +397,6 @@ def group_law_record(p: AbcParams, count: int = 10) -> dict:
     for i in range(count):
         for j in range(i, count):
             sums[(i, j)] = add(pts[i], pts[j])
-    origin = hesse_origin()
-    proj = [ProjPoint(q) for q in pts]
-
-    def chord(i, j):
-        return _coords(hesse_third(p, hesse_third(p, proj[i], proj[j]), origin))
-
     order = tau_order(p)
     record = {
         "count": count,
@@ -499,7 +508,7 @@ def _maximal_minors(m: list[list[MultiPoly]]) -> list[MultiPoly]:
     def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
         if len(rows) == 1:
             return m[rows[0]][cols[0]]
-        total = MultiPoly.zero(shape.blocks, shape.nvars)
+        total = MultiPoly.zero(shape.nvars)
         for j, c in enumerate(cols):
             e = m[rows[0]][c]
             if e:
@@ -514,8 +523,7 @@ def _maximal_minors(m: list[list[MultiPoly]]) -> list[MultiPoly]:
 def s4_reference_matrix(l10, l01, l11) -> list[list[MultiPoly]]:
     """Closed-form 6x4 matrix for the square-root parameter slice."""
     l10, l01, l11 = fe(l10), fe(l01), fe(l11)
-    v = [MultiPoly.var(1, 4, 0, j) for j in range(4)]
-    v00, v10, v01, v11 = v
+    v00, v10, v01, v11 = (MultiPoly.var(4, j) for j in range(4))
     return [
         [-v10, v00, -l10 * v11, -l10 * v01],
         [l10 * v10, l10 * v00, -v11, v01],
@@ -548,29 +556,16 @@ def quadric_pair(l10, l01, l11) -> tuple[MultiPoly, MultiPoly, FieldElem]:
 
 
 def _quadrics(lam) -> tuple[MultiPoly, MultiPoly]:
-    v00, v10, v01, v11 = (MultiPoly.var(1, 4, 0, j) for j in range(4))
+    v00, v10, v01, v11 = (MultiPoly.var(4, j) for j in range(4))
     q1 = v00 * v00 + v10 * v10 - lam * (v01 * v01 - v11 * v11)
     q2 = v01 * v01 + v11 * v11 - lam * (v00 * v00 - v10 * v10)
     return q1, q2
 
 
 def _quartic_membership(minors, q1, q2) -> list[bool]:
-    keys = set()
-    for m in minors:
-        keys.update(m.terms)
-    deg2 = []
-    for i in range(4):
-        for j in range(i, 4):
-            e = [0, 0, 0, 0]
-            e[i] += 1
-            e[j] += 1
-            deg2.append((tuple(e),))
-    products = []
-    for q in (q1, q2):
-        for mono in deg2:
-            products.append(q * MultiPoly(1, 4, {mono: ONE}))
-    for pr in products:
-        keys.update(pr.terms)
+    v = [MultiPoly.var(4, j) for j in range(4)]
+    products = [q * v[i] * v[j] for q in (q1, q2) for i in range(4) for j in range(i, 4)]
+    keys = {k for mp in minors + products for k in mp.terms}
     index = {k: i for i, k in enumerate(sorted(keys))}
     pivots, rows = linalg.rref([_poly_row(pr, index) for pr in products])
     return [not linalg.reduce_mod(_poly_row(m, index), pivots, rows) for m in minors]

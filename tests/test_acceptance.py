@@ -167,7 +167,7 @@ def test_criterion_08_point_matrices():
 def test_criterion_09_group_law():
     ok = True
     for p in ABC3:
-        rec = group_law_record(p, 10)
+        rec = group_law_record(p)
         ok &= rec["count"] >= 10
         ok &= rec["pass"]
     verdict(9, "cubic group law on ten translation multiples", ok)

@@ -189,7 +189,7 @@ def test_max_degree_truncates_hilbert_checks(capsys):
 
 
 def test_internal_error_is_recorded_and_exits_three(capsys, monkeypatch):
-    def boom(p, count):
+    def boom(p):
         raise KeyError("boom")
 
     monkeypatch.setattr(cli, "group_law_record", boom)
@@ -207,11 +207,11 @@ def test_internal_error_is_recorded_and_exits_three(capsys, monkeypatch):
 
 
 def test_internal_error_names_the_innermost_layer(capsys, monkeypatch):
-    def broken(p, pt1, pt2):
+    def broken(cubic, u, v):
         raise ZeroDivisionError("no chord")
 
-    # both the tangent-third and the chord cross-check go through hesse_third
-    monkeypatch.setattr("skverify.pointscheme.hesse_third", broken)
+    # both the tangent-third and the chord cross-check go through _third
+    monkeypatch.setattr("skverify.pointscheme._third", broken)
     assert main(["verify", "s3", "--abc", "1,2,3"]) == 3
     out = capsys.readouterr().out
     errors = [l for l in out.splitlines() if l.startswith("ERROR")]

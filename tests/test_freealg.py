@@ -9,9 +9,9 @@ import pytest
 from skverify import freealg as fa
 from skverify.errors import ShapeError
 from skverify.field import ONE, ZERO, fe
-from skverify.freealg import (NcPoly, Subspace, acomm, comm,
-                              multilinearize, proportional, span, substitute,
-                              sum_and_intersect)
+from skverify.freealg import (NcPoly, Subspace, acomm, comm, proportional, span,
+                              substitute, sum_and_intersect)
+from skverify.pointscheme import coefficient_matrix
 
 
 def random_poly(rng, ngens, degree, terms=4):
@@ -138,14 +138,21 @@ def test_proportional_ratios():
     assert proportional(z, x * y) is None
 
 
-def test_multilinearize_evaluates_like_coefficients():
+def test_coefficient_matrix_evaluates_like_coefficients():
     x, y = NcPoly.gens(2)
-    m = multilinearize(x * x * y + 2 * (y * x * x))
-    val = m.evaluate([[fe(1), fe(2)], [fe(3), fe(4)], [fe(5), fe(6)]])
+    rel = x * x * y + 2 * (y * x * x)
+    (row,) = coefficient_matrix([rel])
+    assert [e.nvars for e in row] == [4, 4]
+    # x_a of tensor factor b is variable 2b + a; the last factor is the column
+    val = sum((e.evaluate((1, 2, 3, 4)) * z for e, z in zip(row, (5, 6))), ZERO)
     assert val == fe(78)
-    assert m.blocks == 3 and m.nvars == 2
-    # plugging unit vectors reads off word coefficients
-    e = [[ONE, ZERO], [ZERO, ONE]]
-    assert m.evaluate([e[0], e[0], e[1]]) == ONE
-    assert m.evaluate([e[1], e[0], e[0]]) == fe(2)
-    assert m.evaluate([e[0], e[1], e[0]]) == ZERO
+    # plugging unit vectors into the first two factors reads off word coefficients
+    unit = [(ONE, ZERO), (ZERO, ONE)]
+    for a, b, last in product(range(2), repeat=3):
+        assert row[last].evaluate(unit[a] + unit[b]) == rel.coefficient((a, b, last))
+    assert row[1].evaluate(unit[0] + unit[0]) == ONE
+    assert row[0].evaluate(unit[1] + unit[0]) == fe(2)
+    with pytest.raises(ShapeError):
+        coefficient_matrix([x * y, x * x * y])
+    with pytest.raises(ShapeError):
+        coefficient_matrix([x * y + x])

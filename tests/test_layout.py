@@ -6,8 +6,8 @@ No module-level name starts out as an empty container: that is what a
 process-global memo looks like, and such state outlives the run it served.
 The layers built on the field do not import fractions: field arithmetic runs
 on integer numerators, and Fraction arithmetic above it would bring back a
-normalising gcd per coefficient. Every name a module or demo imports is read
-somewhere in it.
+normalising gcd per coefficient. Every name a module, demo or test imports is
+read somewhere in it.
 """
 
 import ast
@@ -89,7 +89,8 @@ def _unused_imports(tree) -> set[str]:
 
 
 def test_no_unused_imports():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    sources = [path for folder in (PACKAGE, ROOT / "demos", ROOT / "tests")
+               for path in sorted(folder.glob("*.py"))]
     found = set()
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
