@@ -1,7 +1,7 @@
-"""Batch verification: one check table per family, one point driver, report
-rendering, the ``skverify`` command.
+"""Batch verification: one check table per family, one ``FAMILIES`` row per
+point table (with its degree ceiling), report rendering, the ``skverify`` command.
 
-The driver runs each table over explicit or sampled parameters.  Reports are
+``run_suite`` runs each row over explicit or sampled parameters.  Reports are
 deterministic for a given (config, seed): records are sorted by a canonical
 key and all wall-clock data is isolated in the trailing timing section.
 """
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass
@@ -21,9 +22,9 @@ from functools import cache, partial
 from . import __version__, sampling, veronese
 from .errors import ParameterError, SamplingExhaustedError, SkverifyError
 from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3, build_s4
-from .field import ONE, ZERO, fe
+from .field import ONE, ZERO
 from .freealg import span
-from .graded import Quotient
+from .graded import Quotient, series
 from .heisenberg import (antisymmetric_character, decompose, decompose_character, h3_gen_rep,
                          h4_gen_rep, invariant_subspace, irrep_table, rep_on_degree,
                          twist_equivalence_table)
@@ -51,8 +52,9 @@ class RunConfig:
             raise ParameterError(f"unknown suite {self.suite!r}")
         if self.samples < 1:
             raise ParameterError("sample count must be >= 1")
-        if self.max_degree is not None and not 1 <= self.max_degree <= 6:
-            raise ParameterError("max degree must lie in 1..6")
+        top = max(row[-1] for row in FAMILIES if row[-1])
+        if self.max_degree is not None and not 1 <= self.max_degree <= top:
+            raise ParameterError(f"max degree must lie in 1..{top}")
         if self.fmt not in ("json", "text"):
             raise ParameterError(f"unknown format {self.fmt!r}")
 
@@ -122,12 +124,12 @@ def _verdict(rec: dict, notes: str = ""):
     return rec["pass"], rec, notes
 
 
-def _hilbert(dim, of=None):
+def _hilbert(num, den, of=None):
     """A check that the algebra, or the quotient presented by ``of(algebra)``, has
-    dimension ``dim(m)`` in each degree m <= d."""
+    the Hilbert series num(t) / prod_b (1 - t^b) through degree d (graded.series)."""
     def check(p, alg, d):
         dims = (alg() if of is None else Quotient(of(alg()))).hilbert_dims(d)
-        want = tuple(dim(m) for m in range(d + 1))
+        want = series(num, den, d)
         return dims == want, {"dims": dims, "expected": want}, ""
     return check
 
@@ -154,10 +156,10 @@ def _s3_walk(p, alg, d):
 
 
 S3 = (
-    ("s3-hilbert", _hilbert(lambda m: (m + 1) * (m + 2) // 2)),
+    ("s3-hilbert", _hilbert((1,), (1, 1, 1))),
     ("s3-relation-overlap", _s3_overlap),
     ("s3-center-cubic", lambda p, alg, d: _verdict(verify_c3_description(p, alg()))),
-    ("s3-central-quotient-hilbert", _hilbert(lambda m: max(1, 3 * m), _mod_central_cubic)),
+    ("s3-central-quotient-hilbert", _hilbert((1, 0, 0, -1), (1, 1, 1), _mod_central_cubic)),
     ("s3-point-walk", _s3_walk),
     ("s3-group-law", lambda p, alg, d: _verdict(group_law_record(p))),
 )
@@ -175,7 +177,7 @@ def _s2_quartic(p, alg, d):
 
 
 S2 = (
-    ("s2-hilbert", _hilbert(lambda m: (m + 2) ** 2 // 4)),
+    ("s2-hilbert", _hilbert((1,), (1, 1, 2))),
     ("s2-point-determinant", _s2_determinant),
     ("s2-central-quartic", _s2_quartic),
 )
@@ -193,10 +195,9 @@ def _s4_minors(t, _, d):
 
 
 S4 = (
-    ("s4-hilbert", _hilbert(lambda m: (m + 1) * (m + 2) * (m + 3) // 6)),
+    ("s4-hilbert", _hilbert((1,), (1, 1, 1, 1))),
     ("s4-centralizer-dim", _s4_centralizer),
-    ("s4-abelianized-hilbert",
-     _hilbert(lambda m: 1 if m == 0 else 4, lambda q: q.p.abelianized())),
+    ("s4-abelianized-hilbert", _hilbert((1, 3), (1,), lambda q: q.p.abelianized())),
 )
 S4_MINORS = (("s4-minors", _s4_minors),)
 
@@ -212,7 +213,7 @@ def _quotient_hilbert(p, vm, d):
     cp = vm().central_pair
     pres = build_s4(cp.sextuple)
     both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(d)
-    want = tuple(max(1, 4 * m) for m in range(d + 1))
+    want = series((1, 2, 1), (1, 1), d)
     evens = vm().algebra.hilbert_dims(6)[0::2]
     single = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(len(evens) - 1)
     ok = both == want and single == evens
@@ -279,22 +280,22 @@ REPS = (
 )
 
 
-def _run_points(col: _Collector, checks, points, text, reject, build, degree) -> None:
-    """Run every check in ``checks`` at each point, or skip them all at a degenerate one.
-
-    ``text(p)`` renders the point for the report, ``reject(p)`` names why it is
-    degenerate (or is None) and ``build(p)`` makes the engine its checks share.
-    """
-    for p in points:
-        params = text(p)
-        reason = reject(p)
-        if reason is not None:
-            for cid, _ in checks:
-                col.skip(cid, params, reason)
-            continue
-        engine = cache(partial(build, p))
-        for cid, check in checks:
-            col.run(cid, params, partial(check, p, engine, degree))
+# One row per point table: suite, checks, the report's label for a point, the
+# sampling kind that draws points when none are given, reject(p) (why a point
+# is degenerate, or None), build(p) (the engine its checks share) and the
+# highest degree they compute.  reject and build look their functions up when
+# called, so a patched or traced one is what runs; s4-minors has neither.
+FAMILIES = (
+    ("s3", S3, "abc", "s3", lambda p: sampling.s3_reject_reason(p),
+     lambda p: Quotient(build_s3(p)), 6),
+    ("s2", S2, "abc", "s2", lambda p: sampling.s2_reject_reason(p),
+     lambda p: Quotient(build_s2(p)), 6),
+    ("s4", S4, "alpha", "s4", lambda t: sampling.alpha_reject_reason(t),
+     lambda t: Quotient(build_s4(SextupleParams.from_alpha(t))), 5),
+    ("s4", S4_MINORS, "lambda", "sqrt", None, None, None),
+    ("quotient", QUOTIENT, "abc", "s2", lambda p: sampling.s2_reject_reason(p),
+     lambda p: veronese.build_veronese(p), 5),
+)
 
 
 # -- assembly ---------------------------------------------------------------
@@ -306,6 +307,7 @@ def run_suite(config: RunConfig) -> dict:
     col = _Collector()
     sampling_echo: dict = {}
 
+    @cache
     def sampled(kind: str):
         vals, events = sampling.sample_with_log(kind, config.samples, config.seed)
         sampling_echo[kind] = {
@@ -317,24 +319,21 @@ def run_suite(config: RunConfig) -> dict:
     if "reps" in suites:
         for cid, check in REPS:
             col.run(cid, "", check)
-    if "s3" in suites:
-        _run_points(col, S3, config.abc or sampled("s3"), "abc={}".format,
-                    sampling.s3_reject_reason, lambda p: Quotient(build_s3(p)), config.cutoff(6))
-    if "s2" in suites or "quotient" in suites:
-        s2_params = config.abc or sampled("s2")
-    if "s2" in suites:
-        _run_points(col, S2, s2_params, "abc={}".format, sampling.s2_reject_reason,
-                    lambda p: Quotient(build_s2(p)), config.cutoff(6))
-    if "s4" in suites:
-        alphas = config.alpha or sampled("s4")
-        lambdas = sampled("sqrt")
-        _run_points(col, S4, alphas, "alpha={}".format, sampling.alpha_reject_reason,
-                    lambda t: Quotient(build_s4(SextupleParams.from_alpha(t))), config.cutoff(5))
-        _run_points(col, S4_MINORS, lambdas, "lambda={}".format,
-                    lambda t: None, lambda t: None, None)
-    if "quotient" in suites:
-        _run_points(col, QUOTIENT, s2_params, "abc={}".format, sampling.s2_reject_reason,
-                    veronese.build_veronese, config.cutoff(5))
+    given = {"abc": config.abc, "alpha": config.alpha}
+    for suite, checks, label, kind, reject, build, ceiling in FAMILIES:
+        if suite not in suites:
+            continue
+        degree = config.cutoff(ceiling) if ceiling else None
+        for p in given.get(label) or sampled(kind):
+            params = f"{label}={p}"
+            reason = reject(p) if reject else None
+            if reason is not None:
+                for cid, _ in checks:
+                    col.skip(cid, params, reason)
+                continue
+            engine = cache(partial(build, p)) if build else None
+            for cid, check in checks:
+                col.run(cid, params, partial(check, p, engine, degree))
 
     checks = sorted(col.checks, key=lambda c: (c["id"], c["params"]))
     passed = sum(1 for c in checks if c["status"] == "pass")
@@ -392,27 +391,17 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_abc(text: str) -> AbcParams:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated rationals")
-    try:
-        return AbcParams.of(*(Fraction(t) for t in parts))
-    except (ValueError, ZeroDivisionError, ParameterError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _parse_alpha(text: str) -> AlphaTriple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated rationals")
-    try:
-        a1, a2 = (fe(Fraction(t)) for t in parts)
-        if not 1 + a1 * a2:
-            raise argparse.ArgumentTypeError("alpha1*alpha2 = -1 leaves the third value undefined")
-        return AlphaTriple.complete(a1, a2)
-    except (ValueError, ZeroDivisionError, ParameterError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _rationals(make, count: int):
+    """An argparse type: ``count`` comma-separated rationals handed to ``make``."""
+    def parse(text: str):
+        parts = text.split(",")
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated rationals")
+        try:
+            return make(*(Fraction(t) for t in parts))
+        except (ValueError, ZeroDivisionError, ParameterError) as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES + ("all",))
-    v.add_argument("--abc", action="append", type=_parse_abc, default=[],
+    v.add_argument("--abc", action="append", type=_rationals(AbcParams.of, 3), default=[],
                    metavar="a,b,c", help="explicit projective parameter triple; repeatable")
-    v.add_argument("--alpha", action="append", type=_parse_alpha, default=[],
+    v.add_argument("--alpha", action="append", type=_rationals(AlphaTriple.complete, 2), default=[],
                    metavar="a1,a2", help="explicit alpha pair, third value derived; repeatable")
     v.add_argument("--samples", type=int, default=3)
     v.add_argument("--seed", type=int, default=0)
@@ -440,10 +429,13 @@ def _write_atomic(path: str, text: str) -> None:
     an earlier file at ``path`` untouched and removes the temp file.
     """
     directory, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    handle = open(tmp, "x", encoding="utf-8")
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
     try:
-        with handle:
+        with open(fd, "w", encoding="utf-8") as handle:
+            # mkstemp makes the file private; give the report the mode open() would
+            mask = os.umask(0)
+            os.umask(mask)
+            os.chmod(fd, 0o666 & ~mask)
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())

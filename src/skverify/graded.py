@@ -109,6 +109,16 @@ class NormalCertificate:
             for j, v in enumerate(row))
 
 
+def series(num, den, n: int) -> tuple[int, ...]:
+    """Coefficients of t^0..t^n in num(t) / prod_b (1 - t^b), as exact ints:
+    ``num`` lists the numerator's coefficients from t^0 up, ``den`` the b >= 1."""
+    out = list(num[:n + 1]) + [0] * (n + 1 - len(num))
+    for b in den:
+        for m in range(b, n + 1):
+            out[m] += out[m - b]
+    return tuple(out)
+
+
 class Quotient:
     """The quotient algebra of a presentation, in standard-word coordinates.
 

@@ -81,27 +81,23 @@ class HeisenbergGroup:
 
 
 class Character:
-    """Exact class function on a Heisenberg group."""
+    """Exact class function on a Heisenberg group, kept as its nonzero values."""
 
     def __init__(self, group: HeisenbergGroup, values: dict) -> None:
         self.group = group
-        self.values = {g: fe(v) for g, v in values.items()}
+        self.values = {g: x for g, v in values.items() if (x := fe(v))}
 
     def __call__(self, g) -> FieldElem:
         return self.values.get(g, ZERO)
 
     def inner(self, other: "Character") -> FieldElem:
-        """<self, other> = |G|^-1 sum chi(g) conj(psi(g))."""
-        total = ZERO
-        for g in self.group.elements():
-            a = self(g)
-            b = other(g)
-            if a and b:
-                total = total + a * b.conj()
-        return total / self.group.order
+        """<self, other> = |G|^-1 sum chi(g) conj(psi(g)), over the common support."""
+        common = self.values.keys() & other.values.keys()
+        return sum((self.values[g] * other.values[g].conj() for g in common),
+                   ZERO) / self.group.order
 
     def __mul__(self, other: "Character") -> "Character":
-        return Character(self.group, {g: self(g) * other(g) for g in self.group.elements()})
+        return Character(self.group, {g: v * other(g) for g, v in self.values.items()})
 
     def __pow__(self, d: int) -> "Character":
         return Character(self.group, {g: self(g) ** d for g in self.group.elements()})
@@ -109,8 +105,7 @@ class Character:
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
-        gs = self.group.elements()
-        return self.group == other.group and all(self(g) == other(g) for g in gs)
+        return self.group == other.group and self.values == other.values
 
 
 class GroupRep:

@@ -1,6 +1,7 @@
 """Report driver: determinism, exit codes, and output formats."""
 
 import json
+import os
 
 import pytest
 
@@ -232,6 +233,28 @@ def test_internal_error_outside_a_check_exits_three(capsys, monkeypatch):
     assert "Traceback" in captured.err
     assert captured.err.rstrip().endswith(
         "skverify: internal error: KeyError: 'boom' (in skverify.cli)")
+
+
+def test_output_file_ignores_a_stale_temp_file(tmp_path, capsys):
+    # an interrupted earlier run with the same pid left its temp file behind
+    out = tmp_path / "report.txt"
+    stale = tmp_path / f".report.txt.{os.getpid()}.tmp"
+    stale.write_text("stale\n")
+    assert main(["verify", "reps", "--out", str(out)]) == 0
+    assert out.read_text().startswith("skverify")
+    assert stale.read_text() == "stale\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted([out.name, stale.name])
+    # the report gets the mode a plain open() would give it, not the temp file's 0600
+    mask = os.umask(0)
+    os.umask(mask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~mask
+
+
+def test_alpha_with_undefined_third_value_exits_two(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "s4", "--alpha", "1,-1"])
+    assert ei.value.code == 2
+    assert "error: argument --alpha" in capsys.readouterr().err
 
 
 def test_output_file_is_replaced_atomically(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ CASES = {
     # translation points of finite order: tau has order 2 at [1:1:2], 6 at [1:-12:-12]
     "all_torsion.txt": ["all", "--abc", "1,1,2", "--abc", "1,-12,-12",
                         "--samples", "1", "--seed", "7"],
+    "all_maxdeg2.txt": ["all", "--samples", "1", "--seed", "7", "--max-degree", "2"],
 }
 
 

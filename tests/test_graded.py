@@ -12,7 +12,7 @@ from skverify.errors import ParameterError
 from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
                                alpha_from_abc, build_s2, build_s3, build_s4)
 from skverify.freealg import NcPoly, acomm, comm
-from skverify.graded import Presentation, Quotient
+from skverify.graded import Presentation, Quotient, series
 
 
 def series_coeffs(numer, denom, count):
@@ -32,6 +32,29 @@ def series_coeffs(numer, denom, count):
 def test_series_helper_against_geometric():
     assert series_coeffs([1], [1, -1], 5) == [1, 1, 1, 1, 1]
     assert series_coeffs([1], [1, -2, 1], 5) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("num, den, closed", [
+    ((1,), (1, 1, 1), lambda m: (m + 1) * (m + 2) // 2),
+    ((1,), (1, 1, 2), lambda m: (m + 2) ** 2 // 4),
+    ((1,), (1, 1, 1, 1), lambda m: (m + 1) * (m + 2) * (m + 3) // 6),
+    ((1, 0, 0, -1), (1, 1, 1), lambda m: max(1, 3 * m)),
+    ((1, 3), (1,), lambda m: 1 if m == 0 else 4),
+    ((1, 2, 1), (1, 1), lambda m: max(1, 4 * m)),
+], ids=["s3", "s2", "s4", "s3-mod-cubic", "s4-abelianized", "quotient-mod-pair"])
+def test_series_matches_closed_forms(num, den, closed):
+    # oracle: the closed form of each of the battery's Hilbert series, at every
+    # truncation, including those shorter than the numerator
+    for n in range(41):
+        assert series(num, den, n) == tuple(closed(m) for m in range(n + 1))
+
+
+def test_series_matches_exact_division():
+    num, den = (1, 0, -2, 5), (2, 3, 3, 6)
+    denom = [1]
+    for b in den:
+        denom = [x - (denom[i - b] if i >= b else 0) for i, x in enumerate(denom + [0] * b)]
+    assert series(num, den, 30) == tuple(series_coeffs(num, denom, 31))
 
 
 S3_POINTS = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),

@@ -157,6 +157,22 @@ def test_tensor_action_matches_dense_kronecker_product():
                 assert tp.act_row(g, {col: ONE}) == want
 
 
+@pytest.mark.parametrize("n, gen_rep", [(2, h2_gen_rep), (3, h3_gen_rep), (4, h4_gen_rep)])
+def test_inner_matches_sum_over_every_element(n, gen_rep):
+    # oracle: the sum over all n^3 group elements
+    def full(a, b):
+        return sum((a(g) * b(g).conj() for g in a.group.elements()), ZERO) / a.group.order
+
+    chars = [r.character() for r in irrep_table(n)]
+    chars.append(rep_on_degree(gen_rep(), 2).character())
+    for a in chars:
+        for b in chars:
+            assert a.inner(b) == full(a, b)
+    G = chars[0].group
+    dense = Character(G, {g: chars[-1](g) for g in G.elements()})
+    assert dense == chars[-1] and all(dense.values.values())
+
+
 def test_tensor_square_decompositions():
     assert decompose(rep_on_degree(h3_gen_rep(), 2)) == {"H3:V2": 3}
     assert decompose(rep_on_degree(h4_gen_rep(), 2)) == {
