@@ -1,18 +1,26 @@
 """Free-algebra calculus: words, noncommutative polynomials, subspaces.
 
+NcPoly and MultiPoly share one term-dict body: a size and a dict from keys to
+nonzero FieldElems, with one checking constructor, one unchecked ``_of`` for
+results already clean, and one copy of the ring arithmetic.  The two differ in
+their keys.  An NcPoly lives in the free algebra on ``ngens`` generators and
+is keyed by Words.  A MultiPoly is commutative in ``nvars`` variables and is
+keyed by flat exponent tuples; these are the entries of the point-scheme
+coefficient matrices, their determinants and minors, and the quadrics those
+minors are checked against.
+
 A Word is a tuple of 0-based generator indices; a homogeneous degree-d
 component of the free algebra on n generators is identified with the span of
 all n^d words, ordered degree-lexicographically (within one degree this is
 plain lexicographic order, and the column index of a word is its base-n
 numeral).  Subspace wraps the canonical reduced echelon basis from linalg, so
 two subspaces are equal exactly when their representations coincide.
-
-MultiPoly holds commutative polynomials keyed by flat exponent tuples: the
-entries of the point-scheme coefficient matrices, their determinants and
-minors, and the quadrics those minors are checked against.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from operator import add
 
 from . import linalg
 from .errors import ShapeError
@@ -40,32 +48,117 @@ def word_text(word: Word, names) -> str:
     return "*".join(names[a] for a in word) if word else "1"
 
 
-class NcPoly:
-    """Polynomial in the free algebra on ``ngens`` generators."""
+class _Terms:
+    """A dict from keys to nonzero FieldElems, over one size.
 
-    __slots__ = ("ngens", "terms")
+    A subclass says how a key is checked (``_check_key``) and how two keys
+    multiply (``_join``); the ring arithmetic here is shared.
+    """
 
-    def __init__(self, ngens: int, terms=None) -> None:
-        self.ngens = ngens
-        clean: dict[Word, FieldElem] = {}
-        for w, c in (terms or {}).items():
+    __slots__ = ("size", "terms")
+
+    def __init__(self, size: int, terms=None) -> None:
+        clean = {}
+        for key, c in (terms or {}).items():
             c = fe(c)
             if not c:
                 continue
-            if any(a < 0 or a >= ngens for a in w):
-                raise ShapeError(f"word {w} has letters outside 0..{ngens - 1}")
-            clean[tuple(w)] = c
-        self.terms = clean
+            key = tuple(key)
+            self._check_key(key, size)
+            clean[key] = c
+        self.size, self.terms = size, clean
+
+    @classmethod
+    def _of(cls, size: int, terms: dict):
+        """An instance from terms already clean: keys the constructor would
+        accept, nonzero FieldElem coefficients."""
+        out = object.__new__(cls)
+        out.size, out.terms = size, terms
+        return out
+
+    @classmethod
+    def zero(cls, size: int):
+        return cls._of(size, {})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.size != other.size:
+            raise ShapeError(f"{type(self).__name__} sizes differ: {self.size}, {other.size}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, ZERO) + c
+            if s:
+                out[k] = s
+            elif k in out:
+                del out[k]
+        return self._of(self.size, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._of(self.size, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, _Terms):
+            x = fe(other)
+            if not x:
+                return self.zero(self.size)
+            return self._of(self.size, {k: c * x for k, c in self.terms.items()})
+        self._check(other)
+        join = self._join
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = join(k1, k2)
+                s = out.get(k, ZERO) + c1 * c2
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+        return self._of(self.size, out)
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.size == other.size and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.size, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+
+
+class NcPoly(_Terms):
+    """Polynomial in the free algebra on ``ngens`` generators, keyed by Words;
+    the product concatenates words."""
+
+    __slots__ = ()
+
+    _join = staticmethod(add)
+
+    @staticmethod
+    def _check_key(word: Word, ngens: int) -> None:
+        if any(a < 0 or a >= ngens for a in word):
+            raise ShapeError(f"word {word} has letters outside 0..{ngens - 1}")
+
+    @property
+    def ngens(self) -> int:
+        return self.size
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(ngens: int) -> "NcPoly":
-        return NcPoly(ngens)
-
-    @staticmethod
     def one(ngens: int) -> "NcPoly":
-        return NcPoly(ngens, {(): ONE})
+        return NcPoly._of(ngens, {(): ONE})
 
     @staticmethod
     def gen(ngens: int, i: int) -> "NcPoly":
@@ -76,9 +169,6 @@ class NcPoly:
         return [NcPoly.gen(ngens, i) for i in range(ngens)]
 
     # -- structure ---------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def coefficient(self, word: Word) -> FieldElem:
         return self.terms.get(tuple(word), ZERO)
@@ -91,50 +181,11 @@ class NcPoly:
         lens = {len(w) for w in self.terms}
         return len(lens) <= 1
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "NcPoly") -> None:
-        if self.ngens != other.ngens:
-            raise ShapeError("generator counts differ")
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return NcPoly(self.ngens, out)
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NcPoly":
-        return NcPoly(self.ngens, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, NcPoly):
-            return nc_mul(self, other)
-        return NcPoly(self.ngens, {w: c * fe(other) for w, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        return NcPoly(self.ngens, {w: fe(other) * c for w, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "NcPoly":
-        out = NcPoly.one(self.ngens)
+        out = NcPoly.one(self.size)
         for _ in range(n):
-            out = nc_mul(out, self)
+            out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.ngens == other.ngens and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.ngens, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     # -- row conversion ----------------------------------------------------
 
@@ -143,7 +194,7 @@ class NcPoly:
         for w, c in self.terms.items():
             if len(w) != degree:
                 raise ShapeError(f"word {w} not of degree {degree}")
-            row[word_index(w, self.ngens)] = c
+            row[word_index(w, self.size)] = c
         return row
 
     @staticmethod
@@ -161,44 +212,26 @@ class NcPoly:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return self.text([f"x{i}" for i in range(self.ngens)])
-
-
-def nc_mul(p: NcPoly, q: NcPoly) -> NcPoly:
-    """Concatenation product in the free algebra."""
-    if p.ngens != q.ngens:
-        raise ShapeError("generator counts differ")
-    out: dict[Word, FieldElem] = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
-            w = w1 + w2
-            s = out.get(w, ZERO) + c1 * c2
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-    return NcPoly(p.ngens, out)
+        return self.text([f"x{i}" for i in range(self.size)])
 
 
 def comm(p: NcPoly, q: NcPoly) -> NcPoly:
-    return nc_mul(p, q) - nc_mul(q, p)
+    return p * q - q * p
 
 
 def acomm(p: NcPoly, q: NcPoly) -> NcPoly:
-    return nc_mul(p, q) + nc_mul(q, p)
+    return p * q + q * p
 
 
+@dataclass(frozen=True)
 class Subspace:
-    """Subspace of one homogeneous component, held as canonical RREF rows."""
+    """Subspace of one homogeneous component, held as canonical RREF rows:
+    ascending pivots and one row per pivot, as ``linalg.rref`` returns them."""
 
-    __slots__ = ("ngens", "degree", "ncols", "pivots", "rows")
-
-    def __init__(self, ngens: int, degree: int, pivots, rows) -> None:
-        self.ngens = ngens
-        self.degree = degree
-        self.ncols = ngens ** degree
-        self.pivots = tuple(pivots)
-        self.rows = tuple(rows)
+    ngens: int
+    degree: int
+    pivots: tuple[int, ...]
+    rows: tuple[linalg.Row, ...]
 
     @staticmethod
     def zero(ngens: int, degree: int) -> "Subspace":
@@ -207,7 +240,11 @@ class Subspace:
     @staticmethod
     def full(ngens: int, degree: int) -> "Subspace":
         n = ngens ** degree
-        return Subspace(ngens, degree, range(n), ({i: ONE} for i in range(n)))
+        return Subspace(ngens, degree, tuple(range(n)), tuple({i: ONE} for i in range(n)))
+
+    @property
+    def ncols(self) -> int:
+        return self.ngens ** self.degree
 
     @property
     def dim(self) -> int:
@@ -227,12 +264,6 @@ class Subspace:
 
     def basis(self) -> tuple[NcPoly, ...]:
         return tuple(NcPoly.from_row(self.ngens, self.degree, r) for r in self.rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ngens == other.ngens and self.degree == other.degree
-                and self.pivots == other.pivots and self.rows == other.rows)
 
     def __repr__(self) -> str:
         return f"Subspace(ngens={self.ngens}, degree={self.degree}, dim={self.dim})"
@@ -267,102 +298,38 @@ def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     return total, meet
 
 
-class MultiPoly:
+class MultiPoly(_Terms):
     """Commutative polynomial in ``nvars`` variables.
 
-    Each term is keyed by one flat exponent tuple of length ``nvars``.  A
-    matrix entry of coefficient_matrix is (k-1)-linear in k-1 tensor factors
-    of n coordinates each; there x_a of factor b is variable b*n + a.
+    Each term is keyed by one flat exponent tuple of length ``nvars``, and the
+    product adds exponents.  A matrix entry of coefficient_matrix is
+    (k-1)-linear in k-1 tensor factors of n coordinates each; there x_a of
+    factor b is variable b*n + a.
     """
 
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None) -> None:
-        self.nvars = nvars
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = fe(c)
-            if not c:
-                continue
-            key = tuple(key)
-            if len(key) != nvars:
-                raise ShapeError(f"bad exponent key {key}")
-            clean[key] = c
-        self.terms = clean
+    __slots__ = ()
 
     @staticmethod
-    def _of(nvars: int, terms: dict) -> "MultiPoly":
-        """A MultiPoly from terms already clean: exponent tuples of length
-        ``nvars``, nonzero FieldElem coefficients."""
-        out = object.__new__(MultiPoly)
-        out.nvars, out.terms = nvars, terms
-        return out
+    def _join(k1: tuple, k2: tuple) -> tuple:
+        return tuple(map(add, k1, k2))
 
     @staticmethod
-    def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars)
+    def _check_key(key: tuple, nvars: int) -> None:
+        if len(key) != nvars:
+            raise ShapeError(f"bad exponent key {key}")
+
+    @property
+    def nvars(self) -> int:
+        return self.size
 
     @staticmethod
     def var(nvars: int, j: int) -> "MultiPoly":
         return MultiPoly(nvars, {tuple(int(i == j) for i in range(nvars)): ONE})
 
-    def _check(self, other: "MultiPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ShapeError("variable counts differ")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, ZERO) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return MultiPoly._of(self.nvars, out)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._of(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            x = fe(other)
-            if not x:
-                return MultiPoly.zero(self.nvars)
-            return MultiPoly._of(self.nvars, {k: c * x for k, c in self.terms.items()})
-        self._check(other)
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = out.get(k, ZERO) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return MultiPoly._of(self.nvars, out)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
     def evaluate(self, point) -> FieldElem:
         """Evaluate at one coordinate tuple of length ``nvars``."""
         pt = tuple(fe(c) for c in point)
-        if len(pt) != self.nvars:
+        if len(pt) != self.size:
             raise ShapeError("evaluation point does not match shape")
         total = ZERO
         for key, c in self.terms.items():
@@ -374,7 +341,7 @@ class MultiPoly:
         return total
 
     def __repr__(self) -> str:
-        return f"MultiPoly({self.nvars}, {self.terms!r})"
+        return f"MultiPoly({self.size}, {self.terms!r})"
 
 
 def substitute(p: NcPoly, images: list[NcPoly]) -> NcPoly:
@@ -386,7 +353,7 @@ def substitute(p: NcPoly, images: list[NcPoly]) -> NcPoly:
     for w, c in p.terms.items():
         v = NcPoly.one(ngens_out)
         for a in w:
-            v = nc_mul(v, images[a])
+            v = v * images[a]
         out = out + v * c
     return out
 

@@ -189,6 +189,16 @@ def test_max_degree_truncates_hilbert_checks(capsys):
     assert len(hil["data"]["dims"]) == 4
 
 
+def test_max_degree_bounds_both_quotient_hilbert_series(capsys):
+    assert main(["verify", "quotient", "--abc", "1,2,3", "--max-degree", "1",
+                 "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (hil,) = [c for c in report["checks"] if c["id"] == "quotient-hilbert"]
+    assert hil["data"]["mod_pair"] == [1, 4]
+    assert hil["data"]["mod_first"] == [1, 4]
+    assert hil["data"]["target_even_dims"] == [1, 4]
+
+
 def test_internal_error_is_recorded_and_exits_three(capsys, monkeypatch):
     def boom(p):
         raise KeyError("boom")

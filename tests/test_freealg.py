@@ -1,15 +1,19 @@
 """Free algebra on words: polynomials, spans, substitution, multilinear forms."""
 
+import operator
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skverify import freealg as fa
 from skverify.errors import ShapeError
-from skverify.field import ONE, ZERO, fe
-from skverify.freealg import (NcPoly, Subspace, acomm, comm, proportional, span,
+from skverify.field import ONE, ZERO, FieldElem, fe
+from skverify.freealg import (MultiPoly, NcPoly, Subspace, acomm, comm, proportional, span,
                               substitute, sum_and_intersect)
 from skverify.pointscheme import coefficient_matrix
 
@@ -156,3 +160,83 @@ def test_coefficient_matrix_evaluates_like_coefficients():
         coefficient_matrix([x * y, x * x * y])
     with pytest.raises(ShapeError):
         coefficient_matrix([x * y + x])
+
+
+# Shared arithmetic of NcPoly and MultiPoly against plain dict arithmetic.  Two
+# generators with words of length <= 2, or two variables with exponents <= 2,
+# keep the key space small enough that sums and products cancel often.
+SIZE = 2
+small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+scalars = st.one_of(st.integers(-2, 2), small,
+                    st.builds(lambda cs: FieldElem(cs), st.tuples(small, small, small, small)))
+KEYS = {NcPoly: st.lists(st.integers(0, SIZE - 1), max_size=2).map(tuple),
+        MultiPoly: st.tuples(*[st.integers(0, 2)] * SIZE)}
+JOIN = {NcPoly: operator.add,
+        MultiPoly: lambda k1, k2: tuple(a + b for a, b in zip(k1, k2))}
+
+
+def oracle(pairs):
+    """Collect (key, scalar) pairs into a dict without zero coefficients."""
+    out = defaultdict(lambda: ZERO)
+    for k, c in pairs:
+        out[k] = out[k] + fe(c)
+    return {k: c for k, c in out.items() if c}
+
+
+def assert_clean(r, kind):
+    """The invariant every arithmetic result keeps: nonzero FieldElem
+    coefficients under keys the public constructor would accept."""
+    assert type(r) is kind
+    assert kind(SIZE, r.terms) == r
+    for k, c in r.terms.items():
+        assert type(c) is FieldElem and c
+        assert type(k) is tuple and all(type(a) is int and a >= 0 for a in k)
+        if kind is NcPoly:
+            assert all(a < SIZE for a in k)
+        else:
+            assert len(k) == SIZE
+
+
+@pytest.mark.parametrize("kind", [NcPoly, MultiPoly])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_shared_arithmetic_matches_dict_oracle(kind, data):
+    terms = st.dictionaries(KEYS[kind], scalars, max_size=5)
+    a, b = data.draw(terms), data.draw(terms)
+    s = data.draw(scalars)
+    p, q = kind(SIZE, a), kind(SIZE, b)
+    assert p.terms == oracle(a.items())
+    cases = {
+        "add": (p + q, oracle([*a.items(), *b.items()])),
+        "sub": (p - q, oracle([*a.items(), *((k, -fe(c)) for k, c in b.items())])),
+        "neg": (-p, oracle((k, -fe(c)) for k, c in a.items())),
+        "cancel": (p - p, {}),
+        "scalar": (p * s, oracle((k, fe(c) * fe(s)) for k, c in a.items())),
+        "rscalar": (s * p, oracle((k, fe(s) * fe(c)) for k, c in a.items())),
+        "mul": (p * q, oracle((JOIN[kind](k1, k2), fe(c1) * fe(c2))
+                              for (k1, c1), (k2, c2) in product(a.items(), b.items()))),
+    }
+    for name, (got, want) in cases.items():
+        assert got.terms == want, name
+        assert_clean(got, kind)
+    assert (p + q == q + p) and hash(p + q) == hash(q + p)
+    assert bool(p) == bool(oracle(a.items()))
+    assert kind.zero(SIZE) == p - p and not kind.zero(SIZE)
+
+
+def test_mixed_kinds_do_not_combine():
+    x, v = NcPoly.gen(2, 0), MultiPoly.var(2, 0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises((ShapeError, TypeError)):
+            op(x, v)
+        with pytest.raises((ShapeError, TypeError)):
+            op(v, x)
+    assert x != v and NcPoly.zero(2) != MultiPoly.zero(2)
+    with pytest.raises(ShapeError):
+        NcPoly(2, {(2,): 1})
+    with pytest.raises(ShapeError):
+        MultiPoly(2, {(1,): 1})
+    with pytest.raises(ShapeError):
+        NcPoly.gen(2, 0) + NcPoly.gen(3, 0)
+    with pytest.raises(ShapeError):
+        MultiPoly.var(2, 0) * MultiPoly.var(3, 0)
