@@ -214,8 +214,8 @@ def _quotient_hilbert(p, vm, d):
     pres = build_s4(cp.sextuple)
     both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(d)
     want = series((1, 2, 1), (1, 1), d)
-    # s4 degree k is s2 degree 2k, and the s2 engine stops at degree 6
-    k = min(d, 3)
+    # s4 degree k is s2 degree 2k, so k stops at half the s2 ceiling
+    k = min(d, next(row[-1] for row in FAMILIES if row[0] == "s2") // 2)
     evens = vm().algebra.hilbert_dims(2 * k)[0::2]
     single = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(k)
     ok = both == want and single == evens

@@ -161,26 +161,6 @@ class GroupRep:
                 self.group, {g: trace(self.matrix(g)) for g in self.group.elements()})
         return self._character
 
-    def conjugate(self, cols: tuple[linalg.Row, ...], label: str) -> "GroupRep":
-        """The same representation in the basis whose k-th vector is the sparse
-        column cols[k]; each generator must stay monomial in it."""
-        if (len(cols) != self.dim or not all(0 <= r < self.dim for col in cols for r in col)
-                or len(linalg.rref(cols)[0]) != self.dim):
-            raise ShapeError("columns are not a basis of the representation space")
-
-        def rewrite(m: Monomial) -> Monomial:
-            # column k: the coordinates of m(c_k) in the basis, one nonzero
-            out = []
-            for k, col in enumerate(cols):
-                x = linalg.solve_columns(cols, {m[j][0]: v * m[j][1] for j, v in col.items()})
-                hits = [(r, s) for r, s in enumerate(x) if s]
-                if len(hits) != 1:
-                    raise RepresentationInvalidError(f"{label}: column {k} is not monomial")
-                out.extend(hits)
-            return tuple(out)
-
-        return GroupRep(self.group, rewrite(self.e1), rewrite(self.e2), label)
-
     def __repr__(self):
         return f"GroupRep({self.label}, dim={self.dim})"
 
@@ -374,10 +354,5 @@ def h4_gen_rep() -> GroupRep:
 
 
 def h4_pm_basis() -> tuple[linalg.Row, ...]:
-    """Sparse columns: x0+x2, x0-x2, x1+x3, x1-x3 (the sum/difference basis)."""
+    """Sparse columns x0+x2, x0-x2, x1+x3, x1-x3: e1^2 and e2^2 act on each by a sign."""
     return ({0: ONE, 2: ONE}, {0: ONE, 2: -ONE}, {1: ONE, 3: ONE}, {1: ONE, 3: -ONE})
-
-
-def h4_gen_rep_pm() -> GroupRep:
-    """The 4-dim action rewritten in the sum/difference basis."""
-    return h4_gen_rep().conjugate(h4_pm_basis(), "H4:V1(pm)")

@@ -12,7 +12,8 @@ presentation's quotient by one central quadric with the even Veronese of the
 degree-2 kernel of the map (a 7-dimensional space) is computed exactly.  For
 each pair group ((s,t),(u,v)) it meets the span of st, ts, uv, vu in the plane
 of [s,t] - a{u,v} and [u,v] - b{s,t}; one linear solve reads off a, one more
-b.  These six pair forms and the closed-form extra relation
+b.  The six pair forms are then the 4-generator relations at the derived
+sextuple (families.s4_relation_polys); they and the closed-form extra relation
 
     (a+c) v00^2 + (c-a) v10^2 + (a+b) v01^2 + (b-a) v11^2
 
@@ -27,15 +28,18 @@ from functools import cached_property
 from . import linalg
 from .errors import ParameterError, VerificationError
 from .families import (AbcParams, AlphaTriple, SextupleParams, alpha_from_abc,
-                       build_s2, build_s4, s2_central_quartic, s2_relation_polys)
+                       build_s2, build_s4, s2_central_quartic, s2_relation_polys,
+                       s4_relation_polys)
 from .field import ONE, ZERO, FieldElem, fe
 from .freealg import NcPoly, proportional, span_rows, substitute
 from .graded import Quotient
-from .heisenberg import h2_gen_rep, h4_gen_rep_pm, rep_on_degree
+from .heisenberg import (TensorPowerRep, h2_gen_rep, h4_gen_rep, h4_pm_basis,
+                         rep_on_degree)
 
 # signs of v00, v10, v01, v11 under e1^2 and e2^2: (-1)^i and (-1)^j on v_{i,j}
 _SIGN_E1 = (1, -1, 1, -1)
 _SIGN_E2 = (1, 1, -1, -1)
+_FIXED = (((1, 0, 0), 1), ((0, 1, 0), 1))   # (g, sign) pairs: e1 and e2 fix the row
 
 
 def quadratic_images() -> list[NcPoly]:
@@ -120,13 +124,6 @@ def _pair_slots(pair) -> tuple[int, int, int, int]:
     return 4 * s + t, 4 * t + s, 4 * u + v, 4 * v + u
 
 
-def _pair_rows(pair, a: FieldElem, b: FieldElem) -> list[linalg.Row]:
-    """The relations [s,t] - a{u,v} and [u,v] - b{s,t} as degree-2 symbol rows."""
-    st, ts, uv, vu = _pair_slots(pair)
-    rows = [{st: ONE, ts: -ONE, uv: -a, vu: -a}, {uv: ONE, vu: -ONE, st: -b, ts: -b}]
-    return [{c: v for c, v in r.items() if v} for r in rows]
-
-
 def _squares(coeffs) -> NcPoly:
     """sum n_i v_i^2 over the four generators."""
     vgens = NcPoly.gens(4)
@@ -159,8 +156,11 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     """Derive the sextuple, the alpha triple and the extra central relation.
 
     Each pair coefficient is one solve in the kernel's meet with the span of
-    its pair group's four words (see _pair_forms).  The six pair forms and the
-    extra quadric must span the kernel; they are kept as ``kernel_rows``.
+    its pair group's four words (see _pair_forms).  The six pair forms are the
+    4-generator relations at the derived sextuple; they and the extra quadric
+    must span the kernel, and are kept as ``kernel_rows``.  Seven rows spanning
+    the 7-dimensional kernel are independent and lie in it, so each pair's two
+    rows, supported on its four words, span that pair's slice.
     """
     if p.a == 0 or p.b == p.c or p.b == -p.c:
         raise ParameterError("quotient construction needs a != 0 and b != +-c")
@@ -177,20 +177,14 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     if kdim != 7:
         raise VerificationError(f"degree-2 kernel has dimension {kdim}, expected 7")
     coeffs = []
-    pair_rows = []
     for pair in _PAIRS:
         slots = _pair_slots(pair)
         meet = linalg.intersect(kernel, [{c: ONE} for c in slots], 16)
-        a, b = _pair_forms(meet, *slots)
-        coeffs.extend([a, b])
-        rows = _pair_rows(pair, a, b)
-        if span_rows(4, 2, rows).rows != span_rows(4, 2, meet).rows:
-            raise VerificationError("extracted pair does not span its kernel slice")
-        pair_rows.extend(rows)
+        coeffs.extend(_pair_forms(meet, *slots))
     sextuple = SextupleParams.of(*coeffs)
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
     extra = _squares((a + c, c - a, a + b, b - a))
-    kernel_rows = (*pair_rows, extra.to_row(2))
+    kernel_rows = tuple(r.to_row(2) for r in (*s4_relation_polys(sextuple), extra))
     if span_rows(4, 2, kernel_rows).rows != span_rows(4, 2, kernel).rows:
         raise VerificationError("six pairs plus the extra quadric do not span the kernel")
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple,
@@ -232,13 +226,10 @@ def _reference_pair_rows(p: AbcParams) -> list[linalg.Row]:
     ]
 
 
-def _scaled_by(poly: NcPoly, s1: int = 1, s2: int = 1) -> bool:
-    """Whether e1 and e2 of the order-8 group scale a homogeneous poly by s1 and s2."""
-    d = poly.degree()
-    tp = rep_on_degree(h2_gen_rep(), d)
-    row = poly.to_row(d)
+def _scaled_by(tp: TensorPowerRep, row: linalg.Row, pairs) -> bool:
+    """Whether the group element g of each (g, sign) pair scales ``row`` by sign."""
     return all(tp.act_row(g, row) == {c: v * fe(s) for c, v in row.items()}
-               for g, s in (((1, 0, 0), s1), ((0, 1, 0), s2)))
+               for g, s in pairs)
 
 
 def _closed_quartic(p: AbcParams) -> NcPoly:
@@ -265,10 +256,14 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
     """Full certification chain for the quotient map at one parameter point."""
     p = vm.params
     gammas = gamma_expansions(p)
-    pm = h4_gen_rep_pm()
-    diag_ok = all(pm.matrix(g) == tuple((i, fe(sign)) for i, sign in enumerate(signs))
-                  for g, signs in (((2, 0, 0), _SIGN_E1), ((0, 2, 0), _SIGN_E2)))
-    equiv_ok = all(_scaled_by(img, s1, s2)
+    # the sum/difference columns are a basis on which e1^2 and e2^2 of the
+    # order-64 group act by the signs _SIGN_E1 and _SIGN_E2
+    pm, h4 = h4_pm_basis(), rep_on_degree(h4_gen_rep(), 1)
+    diag_ok = len(linalg.rref(pm)[0]) == 4 and all(
+        _scaled_by(h4, col, (((2, 0, 0), s1), ((0, 2, 0), s2)))
+        for col, s1, s2 in zip(pm, _SIGN_E1, _SIGN_E2))
+    h2 = rep_on_degree(h2_gen_rep(), 2)
+    equiv_ok = all(_scaled_by(h2, img.to_row(2), (((1, 0, 0), s1), ((0, 1, 0), s2)))
                    for img, s1, s2 in zip(vm.images, _SIGN_E1, _SIGN_E2))
     nf = vm.algebra.normal_form
     in_ideal = [not nf(vm.apply(NcPoly.from_row(4, 2, row))) for row in vm.kernel_rows]
@@ -391,7 +386,7 @@ def extract_c4(vm: VeroneseMap) -> dict:
     img2 = nf(vm.apply(cp.omega2))
     c4 = _closed_quartic(vm.params)
     mu = proportional(img2, nf(c4)) if img2 else None
-    invariant = _scaled_by(c4)
+    invariant = _scaled_by(rep_on_degree(h2_gen_rep(), 4), c4.to_row(4), _FIXED)
     return {
         "omega1_maps_to_zero": not img1,
         "mu": mu,
@@ -415,7 +410,7 @@ def verify_c4_central(p: AbcParams, q: Quotient) -> dict:
         "quartic_in_centralizer": bool(resid) and cs.contains(resid),
         "quartic_nonzero_mod_ideal": bool(resid),
         "sigma_is_identity": cert.is_central,
-        "quartic_invariant": _scaled_by(c4),
+        "quartic_invariant": _scaled_by(rep_on_degree(h2_gen_rep(), 4), c4.to_row(4), _FIXED),
     }
     rec["pass"] = (cert.is_central and rec["quartic_in_centralizer"]
                    and rec["quartic_invariant"])

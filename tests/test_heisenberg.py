@@ -11,14 +11,14 @@ from fractions import Fraction
 import pytest
 
 from skverify import linalg
-from skverify.errors import NotASubrepError, RepresentationInvalidError, ShapeError
+from skverify.errors import NotASubrepError, RepresentationInvalidError
 from skverify.families import AbcParams, build_s3
 from skverify.field import ONE, ZERO, fe, root_of_unity
 from skverify.freealg import NcPoly, index_to_word, span, span_rows, sum_and_intersect
 from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup,
                                  antisymmetric_character, decompose,
                                  decompose_character, h2_gen_rep, h3_gen_rep,
-                                 h4_gen_rep, h4_gen_rep_pm, h4_pm_basis,
+                                 h4_gen_rep, h4_pm_basis,
                                  invariant_subspace, irrep_table, is_subrep,
                                  rep_on_degree, twist_equivalence_table)
 from skverify.veronese import quadratic_images
@@ -51,6 +51,22 @@ def dense(m):
 def dense_cols(cols):
     """The dense matrix whose k-th column is the sparse column cols[k]."""
     return tuple(tuple(col.get(i, ZERO) for col in cols) for i in range(len(cols)))
+
+
+def monomial(m):
+    """The monomial form of a dense matrix with one nonzero entry per column."""
+    cols = [[(i, m[i][j]) for i in range(len(m)) if m[i][j]] for j in range(len(m))]
+    assert all(len(col) == 1 for col in cols)
+    return tuple(col[0] for col in cols)
+
+
+def pm_rep():
+    """The coordinate 4-dim rep in the sum/difference basis B: e -> B^-1 e B."""
+    rep = h4_gen_rep()
+    basis = dense_cols(h4_pm_basis())
+    binv = mat_inv(basis)
+    e1, e2 = (monomial(mat_mul(binv, mat_mul(dense(e), basis))) for e in (rep.e1, rep.e2))
+    return GroupRep(rep.group, e1, e2, "H4:V1(pm)")
 
 
 def averaged(tp, rows):
@@ -120,7 +136,7 @@ def test_rep_matrices_respect_group_law():
 
 
 def test_monomial_matrices_match_dense_products():
-    reps = irrep_table(2) + irrep_table(3) + irrep_table(4) + (h4_gen_rep_pm(),)
+    reps = irrep_table(2) + irrep_table(3) + irrep_table(4) + (pm_rep(),)
     for rep in reps:
         n = rep.group.n
         e1, e2 = dense(rep.e1), dense(rep.e2)
@@ -141,7 +157,7 @@ def test_monomial_matrices_match_dense_products():
 
 def test_tensor_action_matches_dense_kronecker_product():
     # word a_1..a_d goes to sum over words r_1..r_d of prod m[r_k][a_k]
-    for rep, d in ((h3_gen_rep(), 3), (h4_gen_rep_pm(), 2)):
+    for rep, d in ((h3_gen_rep(), 3), (pm_rep(), 2)):
         tp = rep_on_degree(rep, d)
         words = [index_to_word(c, rep.dim, d) for c in range(tp.dim)]
         for g in rep.group.elements():
@@ -218,7 +234,7 @@ def test_bad_monomial_input_rejected(e1, e2):
 @pytest.mark.parametrize("rep, d", [
     (h2_gen_rep(), 2), (h2_gen_rep(), 3), (h2_gen_rep(), 4),
     (h3_gen_rep(), 2), (h3_gen_rep(), 3),
-    (h4_gen_rep(), 2), (h4_gen_rep_pm(), 2),
+    (h4_gen_rep(), 2), (pm_rep(), 2),
 ], ids=lambda x: getattr(x, "label", x))
 def test_invariant_subspace_matches_averaging_projector(rep, d):
     tp = rep_on_degree(rep, d)
@@ -290,31 +306,11 @@ def test_twist_table_shape():
 
 def test_pm_basis_conjugates_generator_rep():
     rep = h4_gen_rep()
-    pm = h4_gen_rep_pm()
+    pm = pm_rep()
     basis = dense_cols(h4_pm_basis())
     binv = mat_inv(basis)
     assert mat_mul(binv, mat_mul(dense(rep.e1), basis)) == dense(pm.e1)
     assert mat_mul(binv, mat_mul(dense(rep.e2), basis)) == dense(pm.e2)
-
-
-def test_conjugate_rep_has_same_character():
-    rep = h3_gen_rep()
-    # a scaled signed permutation keeps every generator monomial
-    basis = [{2: fe(3)}, {0: fe(2)}, {1: fe(-1)}]
-    conj = rep.conjugate(basis, "H3:conj")
-    av, bv = rep.character().values, conj.character().values
-    assert av == bv
-    # a shear mixes two basis vectors, so the rewritten generators are not monomial
-    shear = [{0: fe(1)}, {0: fe(1), 1: fe(1)}, {2: fe(1)}]
-    with pytest.raises(RepresentationInvalidError):
-        rep.conjugate(shear, "H3:shear")
-
-
-@pytest.mark.parametrize("cols", [
-    ({0: ONE}, {1: ONE}),                    # too few columns
-    ({0: ONE}, {1: ONE}, {0: ONE, 1: ONE}),  # singular
-    ({0: ONE}, {1: ONE}, {5: ONE}),          # row 5 outside a 3-dim space
-], ids=("too-few", "singular", "row-out-of-range"))
-def test_conjugate_rejects_columns_that_are_not_a_basis(cols):
-    with pytest.raises(ShapeError):
-        h3_gen_rep().conjugate(cols, "H3:bad")
+    # e1^2 and e2^2 are diagonal there, with signs (-1)^i and (-1)^j on v_{i,j}
+    assert pm.matrix((2, 0, 0)) == tuple(enumerate(map(fe, (1, -1, 1, -1))))
+    assert pm.matrix((0, 2, 0)) == tuple(enumerate(map(fe, (1, 1, -1, -1))))

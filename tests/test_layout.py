@@ -1,7 +1,8 @@
 """Source layout rules that no other test sees.
 
-Every import in the package sits at module level: a function-local import
-hides a dependency between modules, usually one that points the wrong way.
+Every import in the package, its demos and its tests sits at module level:
+a function-local import hides a dependency between modules, usually one that
+points the wrong way.
 No module-level name starts out as an empty container: that is what a
 process-global memo looks like, and such state outlives the run it served.
 The layers built on the field do not import fractions: field arithmetic runs
@@ -18,8 +19,9 @@ PACKAGE = ROOT / "src" / "skverify"
 
 
 def test_no_function_local_imports():
-    sources = sorted(PACKAGE.glob("*.py"))
-    assert sources, f"no sources under {PACKAGE}"
+    sources = [path for folder in (PACKAGE, ROOT / "demos", ROOT / "tests")
+               for path in sorted(folder.glob("*.py"))]
+    assert sources, f"no sources under {ROOT}"
     found = set()
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skverify.errors import ParameterError
-from skverify.families import (AbcParams, alpha_from_abc, build_s2,
-                               s2_central_quartic, s2_relation_polys)
+from skverify import veronese
+from skverify.errors import ParameterError, VerificationError
+from skverify.families import (AbcParams, alpha_from_abc, build_s2, build_s4,
+                               s2_central_quartic, s2_relation_polys,
+                               s4_relation_polys)
 from skverify.field import fe
-from skverify.freealg import NcPoly, comm, span_rows
+from skverify.freealg import NcPoly, comm, span, span_rows
 from skverify.graded import Quotient
 from skverify.sampling import s2_reject_reason
 from skverify.veronese import (build_veronese, closed_form_sextuple, extract_c4,
@@ -86,6 +88,19 @@ def test_pair_extraction_matches_closed_form(b, c):
     vm = build_veronese(p)
     assert vm.sextuple == closed_form_sextuple(p)
     assert span_rows(4, 2, vm.kernel_rows).dim == 7
+    assert span_rows(4, 2, vm.kernel_rows[:6]) == span(
+        s4_relation_polys(closed_form_sextuple(p)))
+
+
+@pytest.mark.parametrize("wrong", [lambda a, b: (b, a), lambda a, b: (-a, -b)],
+                         ids=("swapped", "negated"))
+@pytest.mark.parametrize("abc", [(1, 2, 3), (1, 3, 5)], ids=("1,2,3", "1,3,5"))
+def test_wrong_pair_coefficients_are_caught(monkeypatch, wrong, abc):
+    # a pair coefficient read wrongly must not reach the sextuple unnoticed
+    right = veronese._pair_forms
+    monkeypatch.setattr(veronese, "_pair_forms", lambda *args: wrong(*right(*args)))
+    with pytest.raises(VerificationError):
+        build_veronese(AbcParams.of(*abc))
 
 
 def test_closed_form_sextuple_values():
@@ -110,6 +125,23 @@ def test_quotient_map_certificate():
         assert rec["image_equivariance"]
         assert rec["element_characters"] == (
             (1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0))
+
+
+COORDINATES = ({0: fe(1)}, {1: fe(1)}, {2: fe(1)}, {3: fe(1)})
+PM_WITH_ZERO = ({0: fe(1), 2: fe(1)}, {}, {1: fe(1), 3: fe(1)}, {1: fe(1), 3: fe(-1)})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("h4_pm_basis", lambda: COORDINATES),    # e1^2 swaps x0 and x2: not diagonal
+    ("h4_pm_basis", lambda: PM_WITH_ZERO),   # every sign holds on a zero column
+    ("_SIGN_E1", (1, 1, 1, -1)),
+], ids=("coordinate-basis", "zero-column", "wrong-sign"))
+def test_squared_action_check_catches_a_wrong_basis_or_sign(monkeypatch, name, value):
+    vm = build_veronese(AbcParams.of(1, 2, 3))
+    monkeypatch.setattr(veronese, name, value)
+    rec = verify_quotient_map(vm)
+    assert rec["squared_action_diagonal"] is False
+    assert rec["pass"] is False
 
 
 def test_reference_pair_forms_reveal_one_mismatch():
@@ -193,7 +225,6 @@ def test_quartic_degenerates_to_commutator_square():
 def test_quotient_hilbert_matches_even_slice():
     for p in POINTS:
         cp = build_veronese(p).central_pair
-        from skverify.families import build_s4
         pres = build_s4(cp.sextuple)
         both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(5)
         assert both == (1, 4, 8, 12, 16, 20)
