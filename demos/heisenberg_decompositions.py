@@ -6,8 +6,7 @@ either come out right or raise.
 """
 
 from skverify.freealg import span
-from skverify.heisenberg import (HeisenbergGroup, antisymmetric_character,
-                                 decompose, decompose_character, h3_gen_rep,
+from skverify.heisenberg import (antisymmetric_character, decompose, h3_gen_rep,
                                  h4_gen_rep, invariant_subspace, irrep_table,
                                  rep_on_degree, twist_equivalence_table)
 from skverify.pointscheme import invariant_cubic_basis
@@ -19,13 +18,12 @@ for n in (2, 3, 4):
 
 print()
 print("tensor square of the standard 3-dim representation:")
-print(" ", decompose(rep_on_degree(h3_gen_rep(), 2)))
+print(" ", decompose(rep_on_degree(h3_gen_rep(), 2).character()))
 
 print("tensor square of the standard 4-dim representation:")
-print(" ", decompose(rep_on_degree(h4_gen_rep(), 2)))
+print(" ", decompose(rep_on_degree(h4_gen_rep(), 2).character()))
 
-wedge = decompose_character(HeisenbergGroup(4),
-                            antisymmetric_character(h4_gen_rep()), 6)
+wedge = decompose(antisymmetric_character(h4_gen_rep()))
 print("antisymmetric square of the 4-dim representation:")
 print(" ", wedge)
 

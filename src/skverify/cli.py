@@ -25,8 +25,8 @@ from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3
 from .field import ONE, ZERO
 from .freealg import span
 from .graded import Quotient, series
-from .heisenberg import (antisymmetric_character, decompose, decompose_character, h3_gen_rep,
-                         h4_gen_rep, invariant_subspace, irrep_table, rep_on_degree,
+from .heisenberg import (antisymmetric_character, decompose, h3_gen_rep, h4_gen_rep,
+                         invariant_subspace, irrep_table, rep_on_degree,
                          twist_equivalence_table)
 from .pointscheme import (ProjPoint, group_law_record, hesse_add, hesse_origin,
                           invariant_cubic_basis, s2_point_determinant,
@@ -246,13 +246,12 @@ def _irreps(n, count, sqsum):
 
 
 def _tensor_square(rep, want):
-    d = decompose(rep_on_degree(rep(), 2))
+    d = decompose(rep_on_degree(rep(), 2).character())
     return d == want, {"decomposition": d}, ""
 
 
 def _wedge4():
-    rep = h4_gen_rep()
-    d = decompose_character(rep.group, antisymmetric_character(rep), 6)
+    d = decompose(antisymmetric_character(h4_gen_rep()))
     want = {"H4:V_{0,1}": 1, "H4:V_{1,0}": 1, "H4:V_{1,1}": 1}
     return d == want, {"decomposition": d}, ""
 

@@ -237,11 +237,6 @@ class Subspace:
     def zero(ngens: int, degree: int) -> "Subspace":
         return Subspace(ngens, degree, (), ())
 
-    @staticmethod
-    def full(ngens: int, degree: int) -> "Subspace":
-        n = ngens ** degree
-        return Subspace(ngens, degree, tuple(range(n)), tuple({i: ONE} for i in range(n)))
-
     @property
     def ncols(self) -> int:
         return self.ngens ** self.degree

@@ -25,8 +25,10 @@ normal_row converts to FieldElem.  Only the engine, a Quotient, memoizes:
 whoever holds a parameter point builds one per presentation and hands it to
 every check that asks about that algebra, while a presentation with adjoined
 elements is another algebra with its own engine.  Centralizers are kernels
-of s -> NF(x_i s - s x_i) from A_k to A_{k+1}, and normality automorphisms
-are solved in A_{k+1} coordinates.
+of s -> NF(x_i s - s x_i) from A_k to A_{k+1}: one linalg.column_kernel over
+a column per standard word, keyed by (generator, word).  Normality
+automorphisms are solved in A_{k+1} coordinates, and is_central asks whether
+one is the identity.
 """
 
 from __future__ import annotations
@@ -83,30 +85,6 @@ class Presentation:
         """Presentation with all generators forced to commute."""
         gens = NcPoly.gens(self.ngens)
         return self.adjoin(g * h - h * g for i, g in enumerate(gens) for h in gens[i + 1:])
-
-
-@dataclass(frozen=True)
-class NormalCertificate:
-    """Witness that v*c = c*sigma(v) holds modulo the ideal for generators v.
-
-    ``sigma`` is a matrix over the generators, sigma(x_i) = sum_j sigma[i][j] x_j,
-    or None when no such automorphism matrix exists (c is not normal).  When
-    the right multiples {c*x_j mod J} are dependent the stored solution is the
-    canonical one with free coordinates set to zero.
-    """
-
-    degree: int
-    sigma: tuple[tuple[FieldElem, ...], ...] | None
-
-    @property
-    def is_normal(self) -> bool:
-        return self.sigma is not None
-
-    @property
-    def is_central(self) -> bool:
-        return self.sigma is not None and all(
-            v == (ONE if i == j else ZERO) for i, row in enumerate(self.sigma)
-            for j, v in enumerate(row))
 
 
 def series(num, den, n: int) -> tuple[int, ...]:
@@ -178,19 +156,26 @@ class Quotient:
             raise DegreeError("degree must be >= 1")
         n = self.p.ngens
         std, nk = self.standard(k), n ** k
-        eqrows: dict[tuple[int, int], linalg.Row] = {}
-        for col, s in enumerate(std):
+        cols = []
+        for s in std:
+            col: dict[tuple[int, int], FieldElem] = {}
             for i in range(n):
                 left, right = i * nk + s, s * n + i      # words x_i * s and s * x_i
-                if left == right:
-                    continue
-                for c, v in self.normal_row({left: ONE, right: -ONE}, k + 1).items():
-                    eqrows.setdefault((i, c), {})[col] = v
-        kernel = linalg.nullspace([eqrows[key] for key in sorted(eqrows)], len(std))
+                if left != right:
+                    for c, v in self.normal_row({left: ONE, right: -ONE}, k + 1).items():
+                        col[i, c] = v
+            cols.append(col)
+        kernel = linalg.column_kernel(cols)
         return span_rows(n, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
 
-    def normality_automorphism(self, c: NcPoly) -> NormalCertificate:
-        """Solve v*c = c*sigma(v) mod the ideal for a generator matrix sigma."""
+    def normality_automorphism(self, c: NcPoly) -> tuple[tuple[FieldElem, ...], ...] | None:
+        """Solve v*c = c*sigma(v) mod the ideal for a generator matrix sigma.
+
+        Returns sigma as a tuple of rows, sigma(x_i) = sum_j sigma[i][j] x_j,
+        or None when no such matrix exists (c is not normal).  When the right
+        multiples {c*x_j mod J} are dependent, sigma is the canonical solution
+        with free coordinates set to zero.
+        """
         if not c.is_homogeneous() or not c:
             raise ShapeError("need a nonzero homogeneous element")
         k = c.degree()
@@ -204,9 +189,19 @@ class Quotient:
         for g in gens:
             x = linalg.solve_columns(right, self.normal_row((g * c).to_row(k + 1), k + 1))
             if x is None:
-                return NormalCertificate(degree=k, sigma=None)
+                return None
             sigma.append(tuple(x))
-        return NormalCertificate(degree=k, sigma=tuple(sigma))
+        return tuple(sigma)
+
+    def is_central(self, c: NcPoly) -> bool:
+        """Whether the normality automorphism of c is the identity matrix.
+
+        That is centrality when the right multiples c*x_j are independent, as
+        in a domain; otherwise the canonical sigma can miss the identity.
+        """
+        n = self.p.ngens
+        return self.normality_automorphism(c) == tuple(
+            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
 
     def _shift(self, row: dict, m: int) -> tuple[dict, int]:
         """Sum of c * NF_{m-1}(w[:-1]) * w[-1] over the terms c*w of a degree-m

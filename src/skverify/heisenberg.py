@@ -9,9 +9,10 @@ product rule is
 Every representation is given and stored in one form: the monomial matrices
 of the generators e1 and e2 over Q(zeta_12), column j as (target row, nonzero
 scalar), so products, powers and traces cost O(dim) and every trace and
-inner product is exact.  Characters decide decompositions; multiplicities
-that fail to be nonnegative integers raise, since that can only mean the
-input matrices violate the presentation.  Since e1 and e2 generate the
+inner product is exact.  Characters decide decompositions: decompose reads
+the group and the degree from the character itself, and multiplicities that
+fail to be nonnegative integers raise, since that can only mean the input
+matrices violate the presentation.  Since e1 and e2 generate the
 group, the invariants of a tensor power are the joint kernel of e1 - 1 and
 e2 - 1.
 """
@@ -244,11 +245,14 @@ def irrep_table(n: int) -> tuple[GroupRep, ...]:
     return tuple(reps)
 
 
-def decompose_character(group: HeisenbergGroup, chi: Character, total_dim: int) -> dict[str, int]:
-    """Multiplicities of ``chi`` against the irreducible table."""
+def decompose(chi: Character) -> dict[str, int]:
+    """Multiplicities of ``chi`` against the irreducible table of its group.
+
+    They must be nonnegative integers whose dimensions add up to chi(1).
+    """
     out: dict[str, int] = {}
     dim_sum = 0
-    for irr in irrep_table(group.n):
+    for irr in irrep_table(chi.group.n):
         m = chi.inner(irr.character())
         if not m.is_integer() or m.num[0] < 0:
             raise RepresentationInvalidError(
@@ -257,15 +261,11 @@ def decompose_character(group: HeisenbergGroup, chi: Character, total_dim: int) 
         if mult:
             out[irr.label] = mult
             dim_sum += mult * irr.dim
-    if dim_sum != total_dim:
+    degree = chi(chi.group.identity())
+    if dim_sum != degree:
         raise RepresentationInvalidError(
-            f"multiplicities account for dimension {dim_sum}, expected {total_dim}")
+            f"multiplicities account for dimension {dim_sum}, expected {degree}")
     return out
-
-
-def decompose(rep) -> dict[str, int]:
-    """Decompose a GroupRep or TensorPowerRep into irreducibles by character."""
-    return decompose_character(rep.group, rep.character(), rep.dim)
 
 
 def antisymmetric_character(rep: GroupRep) -> Character:

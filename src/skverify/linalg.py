@@ -285,28 +285,30 @@ def nullspace(rows, ncols: int) -> list[Row]:
     return out
 
 
+def _column_rows(cols) -> list[Row]:
+    """Equation rows of the map sending unknown j to the sparse vector
+    ``cols[j]``: one row per coordinate key, in ascending key order."""
+    eqs: dict = {}
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            if v:
+                eqs.setdefault(r, {})[j] = v
+    return [eqs[r] for r in sorted(eqs)]
+
+
+def column_kernel(cols) -> list[Row]:
+    """Canonical kernel basis, as in ``nullspace``, of the map sending unknown
+    j to ``cols[j]``; coordinate keys may be any sortable values."""
+    return nullspace(_column_rows(cols), len(cols))
+
+
 def solve_columns(cols: list[Row], target: Row):
     """Solve sum_j x_j * cols[j] = target; None if inconsistent.
 
     Underdetermined systems get the canonical solution with free unknowns 0.
     """
     n = len(cols)
-    coords = set(target)
-    for col in cols:
-        coords.update(col)
-    eqs = []
-    for r in sorted(coords):
-        row: Row = {}
-        for j, col in enumerate(cols):
-            v = col.get(r)
-            if v:
-                row[j] = v
-        t = target.get(r)
-        if t:
-            row[n] = t
-        if row:
-            eqs.append(row)
-    pivots, prows = rref(eqs)
+    pivots, prows = rref(_column_rows([*cols, target]))
     if n in pivots:
         return None
     x = [ZERO] * n

@@ -490,9 +490,8 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     combo = sum((t * f for t, f in zip(tangent, basis)), NcPoly.zero(3))
     ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio
-    cert = q.normality_automorphism(c3)
-    record["sigma_is_identity"] = cert.is_central
-    record["pass"] = bool(record["invariant_basis_match"] and ratio and cert.is_central)
+    central = record["sigma_is_identity"] = q.is_central(c3)
+    record["pass"] = bool(record["invariant_basis_match"] and ratio and central)
     return record
 
 

@@ -82,11 +82,7 @@ def s2_reject_reason(p: AbcParams) -> str | None:
         return "curve is singular"
     if p.b == p.c or p.b == -p.c:
         return "b equals +-c"
-    try:
-        alpha = alpha_from_abc(p)
-    except ParameterError as exc:
-        return str(exc)
-    if alpha.is_degenerate():
+    if alpha_from_abc(p).is_degenerate():
         return "alpha triple is degenerate"
     if not s2_central_quartic(p):
         return "closed-form quartic vanishes"

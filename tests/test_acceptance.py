@@ -8,8 +8,7 @@ message scrolls away.  All comparisons are exact; nothing is approximate.
 from skverify.cli import main
 from skverify.families import SextupleParams, build_s2, build_s3, build_s4
 from skverify.graded import Quotient
-from skverify.heisenberg import (HeisenbergGroup, antisymmetric_character,
-                                 decompose, decompose_character, h3_gen_rep,
+from skverify.heisenberg import (antisymmetric_character, decompose, h3_gen_rep,
                                  h4_gen_rep, invariant_subspace, irrep_table,
                                  rep_on_degree, twist_equivalence_table)
 from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
@@ -65,11 +64,10 @@ def test_criterion_03_representation_suite():
         table = irrep_table(n)
         ok &= len(table) == count
         ok &= sum(r.dim ** 2 for r in table) == sumsq
-    ok &= decompose(rep_on_degree(h3_gen_rep(), 2)) == {"H3:V2": 3}
-    ok &= decompose(rep_on_degree(h4_gen_rep(), 2)) == {
+    ok &= decompose(rep_on_degree(h3_gen_rep(), 2).character()) == {"H3:V2": 3}
+    ok &= decompose(rep_on_degree(h4_gen_rep(), 2).character()) == {
         "H4:V_{0,0}": 2, "H4:V_{0,1}": 2, "H4:V_{1,0}": 2, "H4:V_{1,1}": 2}
-    wedge = decompose_character(HeisenbergGroup(4),
-                                antisymmetric_character(h4_gen_rep()), 6)
+    wedge = decompose(antisymmetric_character(h4_gen_rep()))
     ok &= wedge == {"H4:V_{0,1}": 1, "H4:V_{1,0}": 1, "H4:V_{1,1}": 1}
     table = twist_equivalence_table()
     ok &= len(table) == 256 and sum(1 for v in table.values() if v) == 64

@@ -100,7 +100,6 @@ def test_span_reduce_and_contains_agree():
     assert s.contains(x * x)
     assert s.reduce(x * y) == y * x
     assert s.reduce(s.reduce(y * y)) == s.reduce(y * y)
-    assert Subspace.full(2, 2).dim == 4
     assert Subspace.zero(2, 2).dim == 0
 
 

@@ -23,7 +23,7 @@ from skverify.families import (S3_NAMES, AbcParams, AlphaTriple, SextupleParams,
                                s3_relation_polys)
 from skverify.field import ONE, FieldElem, fe
 from skverify.freealg import NcPoly, Subspace, span_rows
-from skverify.graded import NormalCertificate, Presentation, Quotient
+from skverify.graded import Presentation, Quotient
 
 
 class SliceOracle:
@@ -68,7 +68,7 @@ class SliceOracle:
         kernel = linalg.nullspace([eqrows[r] for r in sorted(eqrows)], nk)
         return span_rows(n, k, [jk.reduce_row(v) for v in kernel])
 
-    def normality(self, c: NcPoly) -> NormalCertificate:
+    def normality(self, c: NcPoly):
         n, k = self.p.ngens, c.degree()
         if self.slice(k).contains(c):
             raise ParameterError("element vanishes in the quotient algebra")
@@ -82,9 +82,9 @@ class SliceOracle:
             target = jk1.reduce_row({i * nk + col: v for col, v in crow.items()})
             x = linalg.solve_columns(right, target)
             if x is None:
-                return NormalCertificate(degree=k, sigma=None)
+                return None
             sigma.append(tuple(x))
-        return NormalCertificate(degree=k, sigma=tuple(sigma))
+        return tuple(sigma)
 
 
 def normality_or_error(solve, c):

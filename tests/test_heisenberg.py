@@ -17,7 +17,7 @@ from skverify.field import ONE, ZERO, fe, root_of_unity
 from skverify.freealg import NcPoly, index_to_word, span, span_rows, sum_and_intersect
 from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup,
                                  antisymmetric_character, decompose,
-                                 decompose_character, h2_gen_rep, h3_gen_rep,
+                                 h2_gen_rep, h3_gen_rep,
                                  h4_gen_rep, h4_pm_basis,
                                  invariant_subspace, irrep_table, is_subrep,
                                  rep_on_degree, twist_equivalence_table)
@@ -190,15 +190,13 @@ def test_inner_matches_sum_over_every_element(n, gen_rep):
 
 
 def test_tensor_square_decompositions():
-    assert decompose(rep_on_degree(h3_gen_rep(), 2)) == {"H3:V2": 3}
-    assert decompose(rep_on_degree(h4_gen_rep(), 2)) == {
+    assert decompose(rep_on_degree(h3_gen_rep(), 2).character()) == {"H3:V2": 3}
+    assert decompose(rep_on_degree(h4_gen_rep(), 2).character()) == {
         "H4:V_{0,0}": 2, "H4:V_{0,1}": 2, "H4:V_{1,0}": 2, "H4:V_{1,1}": 2}
 
 
 def test_antisymmetric_square_of_four_dim_rep():
-    rep = h4_gen_rep()
-    chi = antisymmetric_character(rep)
-    got = decompose_character(rep.group, chi, 6)
+    got = decompose(antisymmetric_character(h4_gen_rep()))
     assert got == {"H4:V_{0,1}": 1, "H4:V_{1,0}": 1, "H4:V_{1,1}": 1}
 
 
@@ -209,7 +207,7 @@ def test_decompose_character_rejects_non_characters():
     broken = Character(G, {g: v + fe(1) if g == G.identity() else v
                            for g, v in chi.values.items()})
     with pytest.raises(RepresentationInvalidError):
-        decompose_character(G, broken, 3)
+        decompose(broken)
 
 
 def test_bad_generator_matrices_rejected():

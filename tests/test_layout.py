@@ -8,14 +8,20 @@ process-global memo looks like, and such state outlives the run it served.
 The layers built on the field do not import fractions: field arithmetic runs
 on integer numerators, and Fraction arithmetic above it would bring back a
 normalising gcd per coefficient. Every name a module, demo or test imports is
-read somewhere in it.
+read somewhere in it. The benchmark in ``perfbench/`` reads the package by
+attribute and by module name, which no test of the package sees, so those
+names are checked here too.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+from skverify import families, field, sampling
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skverify"
+BENCH = ROOT / "perfbench"
 
 
 def test_no_function_local_imports():
@@ -98,3 +104,21 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.update(f"{path.name}:{u}" for u in _unused_imports(tree))
     assert not found, f"imported and never read: {sorted(found)}"
+
+
+def test_benchmark_reads_only_existing_names():
+    modules = {"families": families, "field": field, "sampling": sampling}
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    read = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert read, "run.py reads no package attribute"
+    missing = sorted(f"{mod}.{attr}" for mod, attr in read
+                     if not hasattr(modules[mod], attr))
+    assert not missing, f"perfbench/run.py reads missing names: {missing}"
+    tracer = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    layers = next(ast.literal_eval(node.value) for node in tracer.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    for layer in layers:
+        importlib.import_module(f"skverify.{layer}")

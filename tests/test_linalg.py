@@ -125,6 +125,26 @@ def test_solve_columns_detects_unsolvable():
     assert linalg.solve_columns(cols, {0: fe(2), 1: fe(-1)}) is not None
 
 
+def test_solve_columns_sets_free_unknowns_to_zero():
+    # x0 + x1 = 3, 2 x2 = 4, x3 free on a zero column: x1 and x3 are free
+    cols = [{0: ONE}, {0: ONE}, {1: fe(2)}, {}]
+    assert linalg.solve_columns(cols, {0: fe(3), 1: fe(4)}) == [fe(3), ZERO, fe(2), ZERO]
+    # a dependent pair: x0 (1, 1) + x1 (2, 2) = (2, 2) leaves x1 free
+    assert linalg.solve_columns([{0: ONE, 1: ONE}, {0: fe(2), 1: fe(2)}],
+                                {0: fe(2), 1: fe(2)}) == [fe(2), ZERO]
+
+
+def test_solve_columns_on_tuple_keyed_coordinates():
+    # the same systems with coordinates keyed (generator, word), as a
+    # centralizer's columns are
+    cols = [{(1, 0): ONE}, {(1, 0): ONE}, {(0, 5): fe(2)}, {}]
+    assert (linalg.solve_columns(cols, {(1, 0): fe(3), (0, 5): fe(4)})
+            == [fe(3), ZERO, fe(2), ZERO])
+    cols = [{(0, 2): ONE, (1, 1): -ONE}, {(1, 1): ONE}, {(0, 2): fe(2), (1, 1): -fe(2)}]
+    assert linalg.solve_columns(cols, {(0, 2): fe(2)}) == [fe(2), fe(2), ZERO]
+    assert linalg.solve_columns(cols, {(2, 0): ONE}) is None
+
+
 def test_intersect_dimension_formula():
     rng = random.Random(12)
     for _ in range(15):
@@ -280,3 +300,26 @@ def test_int_rows_reduce_matches_reduce_mod(m, data):
     t, den = k.lift(target)
     assert k.lower(*k.reduce(t, den, basis)) == want
     assert k.lower(*k.reduce(t, den, k.echelon(k.lift(r)[0] for r in mixed))) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_kernel_property(data):
+    """Sparse columns keyed by (generator, word) tuples, as a centralizer's are."""
+    cyclotomic = data.draw(st.booleans())
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 3))
+    cols = data.draw(st.lists(st.dictionaries(keys, field_elems(cyclotomic), max_size=5),
+                              max_size=7))
+    cols = [{k: v for k, v in col.items() if v} for col in cols]
+    kernel = linalg.column_kernel(cols)
+    for vec in kernel:
+        image = {}
+        for j, x in vec.items():
+            image = add_multiple(image, x, cols[j])
+        assert not image
+    index = {k: i for i, k in enumerate(sorted({k for col in cols for k in col}))}
+    # the rank of the columns themselves, as rows over integer coordinates
+    rank = len(linalg.rref([{index[k]: v for k, v in col.items()} for col in cols])[0])
+    assert len(kernel) == len(cols) - rank
+    transposed = [{j: col[k] for j, col in enumerate(cols) if k in col} for k in index]
+    assert kernel == linalg.nullspace(transposed, len(cols))

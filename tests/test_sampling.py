@@ -66,6 +66,14 @@ def test_accepted_samples_satisfy_their_own_filters():
         SextupleParams.from_sqrt(*lam)  # constructor revalidates the locus
 
 
+def test_s2_alpha_poles_are_caught_by_the_earlier_guards():
+    # alpha_from_abc raises only at a = 0 or b = +-c; a = 0 makes the curve
+    # singular and b = +-c has its own guard, so neither reaches it
+    assert s2_reject_reason(AbcParams.of(0, 1, 2)) == "curve is singular"
+    assert s2_reject_reason(AbcParams.of(1, 2, 2)) == "b equals +-c"
+    assert s2_reject_reason(AbcParams.of(1, -2, 2)) == "b equals +-c"
+
+
 def test_rejection_log_structure():
     # scan seeds until the log is non-empty, then check the record shape
     for seed in range(40):
