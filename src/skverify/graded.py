@@ -24,11 +24,11 @@ basis, S_m and every normal form are those of the canonical RREF; only
 normal_row converts to FieldElem.  Only the engine, a Quotient, memoizes:
 whoever holds a parameter point builds one per presentation and hands it to
 every check that asks about that algebra, while a presentation with adjoined
-elements is another algebra with its own engine.  Centralizers are kernels
-of s -> NF(x_i s - s x_i) from A_k to A_{k+1}: one linalg.column_kernel over
-a column per standard word, keyed by (generator, word).  Normality
-automorphisms are solved in A_{k+1} coordinates, and is_central asks whether
-one is the identity.
+elements is another algebra with its own engine.  Centrality is read from
+its definition, the commutator map s -> NF(x_i s - s x_i) from A_k to
+A_{k+1}: a centralizer is its kernel, one linalg.column_kernel over a column
+per standard word, keyed by (generator, word), and is_central asks whether it
+sends the residue of one element to zero.
 """
 
 from __future__ import annotations
@@ -154,54 +154,37 @@ class Quotient:
         """Canonical representatives of degree-k elements central in the quotient."""
         if k < 1:
             raise DegreeError("degree must be >= 1")
-        n = self.p.ngens
-        std, nk = self.standard(k), n ** k
-        cols = []
-        for s in std:
-            col: dict[tuple[int, int], FieldElem] = {}
-            for i in range(n):
-                left, right = i * nk + s, s * n + i      # words x_i * s and s * x_i
-                if left != right:
-                    for c, v in self.normal_row({left: ONE, right: -ONE}, k + 1).items():
-                        col[i, c] = v
-            cols.append(col)
-        kernel = linalg.column_kernel(cols)
-        return span_rows(n, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
+        std = self.standard(k)
+        kernel = linalg.column_kernel([self._commutators({s: ONE}, k) for s in std])
+        return span_rows(self.p.ngens, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
 
-    def normality_automorphism(self, c: NcPoly) -> tuple[tuple[FieldElem, ...], ...] | None:
-        """Solve v*c = c*sigma(v) mod the ideal for a generator matrix sigma.
-
-        Returns sigma as a tuple of rows, sigma(x_i) = sum_j sigma[i][j] x_j,
-        or None when no such matrix exists (c is not normal).  When the right
-        multiples {c*x_j mod J} are dependent, sigma is the canonical solution
-        with free coordinates set to zero.
-        """
+    def is_central(self, c: NcPoly) -> bool:
+        """Whether NF(x_i c - c x_i) = 0 for every generator x_i."""
         if not c.is_homogeneous() or not c:
             raise ShapeError("need a nonzero homogeneous element")
         k = c.degree()
         if k < 1:
             raise DegreeError("degree must be >= 1")
-        gens = NcPoly.gens(self.p.ngens)
-        if not self.normal_form(c):
+        row = self.normal_row(c.to_row(k), k)
+        if not row:
             raise ParameterError("element vanishes in the quotient algebra")
-        right = [self.normal_row((c * g).to_row(k + 1), k + 1) for g in gens]
-        sigma = []
-        for g in gens:
-            x = linalg.solve_columns(right, self.normal_row((g * c).to_row(k + 1), k + 1))
-            if x is None:
-                return None
-            sigma.append(tuple(x))
-        return tuple(sigma)
+        return not self._commutators(row, k)
 
-    def is_central(self, c: NcPoly) -> bool:
-        """Whether the normality automorphism of c is the identity matrix.
-
-        That is centrality when the right multiples c*x_j are independent, as
-        in a domain; otherwise the canonical sigma can miss the identity.
-        """
+    def _commutators(self, row: linalg.Row, k: int) -> dict[tuple[int, int], FieldElem]:
+        """The nonzero NF(x_i s - s x_i) of a degree-k row s, keyed (i, word)."""
         n = self.p.ngens
-        return self.normality_automorphism(c) == tuple(
-            tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+        nk = n ** k
+        out = {}
+        for i in range(n):
+            comm: linalg.Row = {}
+            for w, v in row.items():
+                left, right = i * nk + w, w * n + i      # words x_i * w and w * x_i
+                if left != right:
+                    comm[left] = comm.get(left, ZERO) + v
+                    comm[right] = comm.get(right, ZERO) - v
+            nf = self.normal_row({w: v for w, v in comm.items() if v}, k + 1)
+            out.update(((i, c), v) for c, v in nf.items())
+        return out
 
     def _shift(self, row: dict, m: int) -> tuple[dict, int]:
         """Sum of c * NF_{m-1}(w[:-1]) * w[-1] over the terms c*w of a degree-m

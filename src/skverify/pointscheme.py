@@ -434,6 +434,13 @@ def invariant_cubic_basis() -> list[NcPoly]:
     return [f1, f2, f3]
 
 
+def invariant_cubics() -> tuple[int, bool]:
+    """Dimension of the invariants of the order-27 group action on cubics, and
+    whether invariant_cubic_basis spans them."""
+    inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3))
+    return inv.dim, span(invariant_cubic_basis()) == inv
+
+
 def s3_degree3_overlap(p: AbcParams) -> dict:
     """Dimensions of R*V + V*R in degree 3 and the line they intersect in."""
     pres = build_s3(p)
@@ -466,7 +473,8 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     a*f1 + b*f2 + c*f3, so the coefficient triple is a point of P^2 modulo
     that line.  The check is therefore proportionality of canonical residues:
     the combination with coefficients -2*tau (the tangent-third of [a:b:c])
-    must reduce to a nonzero multiple of the central element's residue.
+    must reduce to a nonzero multiple of the central element's residue, and
+    is then checked central itself.
     """
     if not is_smooth_hesse(p):
         raise SingularCurveError(f"{p} fails the smoothness criterion")
@@ -474,11 +482,9 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     if flag in ("order1", "order3"):
         raise ParameterError(f"translation point has {flag}: not in the verified regime")
     cents = q.centralizer_slice(3)
-    record: dict = {"tau_flag": flag, "centralizer_dim": cents.dim}
-    basis = invariant_cubic_basis()
-    inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3))
-    record["invariant_dim"] = inv.dim
-    record["invariant_basis_match"] = span(basis) == inv
+    inv_dim, match = invariant_cubics()
+    record: dict = {"tau_flag": flag, "centralizer_dim": cents.dim,
+                    "invariant_dim": inv_dim, "invariant_basis_match": match}
     if cents.dim != 1:
         record["pass"] = False
         record["reason"] = "centralizer dimension is not 1"
@@ -487,11 +493,11 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     nf = q.normal_form
     tangent = hesse_tangent_third(p, ProjPoint.of(p.a, p.b, p.c))
     record["coefficient_triple"] = tuple(tangent)
-    combo = sum((t * f for t, f in zip(tangent, basis)), NcPoly.zero(3))
+    combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3))
     ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio
-    central = record["sigma_is_identity"] = q.is_central(c3)
-    record["pass"] = bool(record["invariant_basis_match"] and ratio and central)
+    central = record["sigma_is_identity"] = bool(ratio) and q.is_central(combo)
+    record["pass"] = bool(match and central)
     return record
 
 

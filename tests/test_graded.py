@@ -1,4 +1,4 @@
-"""Graded quotients: normal forms, Hilbert dimensions, centralizers, normality.
+"""Graded quotients: normal forms, Hilbert dimensions, centralizers, centrality.
 
 Small presentations with hand-countable monomial bases pin down the graded
 engine before the three main families rely on it.
@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from skverify.errors import ParameterError
+from skverify.errors import DegreeError, ParameterError, ShapeError
 from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
                                alpha_from_abc, build_s2, build_s3, build_s4)
 from skverify.freealg import NcPoly, acomm, comm
@@ -166,16 +166,18 @@ def test_centralizer_detects_noncommutativity():
     assert Quotient(p).centralizer_slice(1).dim == 0
 
 
-def test_normality_certificates_on_toy_quotients():
+def test_is_central_on_toy_quotients():
     x, y = NcPoly.gens(2)
-    comm2 = Presentation.make("xy", [comm(x, y)])
-    assert Quotient(comm2).normality_automorphism(x) == ((1, 0), (0, 1))
-    assert Quotient(comm2).is_central(x)
-
-    skew = Presentation.make("xy", [acomm(x, y)])
-    assert Quotient(skew).normality_automorphism(x) == ((1, 0), (0, -1))
-    assert not Quotient(skew).is_central(x)
-
-    xsq = Presentation.make("xy", [x * x])
-    assert Quotient(xsq).normality_automorphism(x) is None
-    assert not Quotient(xsq).is_central(x)
+    assert Quotient(Presentation.make("xy", [comm(x, y)])).is_central(x)
+    assert not Quotient(Presentation.make("xy", [acomm(x, y)])).is_central(x)
+    assert not Quotient(Presentation.make("xy", [x * x])).is_central(x)
+    # not a domain: x * x = 0, so the right multiples x*x and x*y are dependent
+    q = Quotient(Presentation.make("xy", [comm(x, y), x * x]))
+    assert q.is_central(x)
+    assert q.centralizer_slice(1).contains(x)
+    with pytest.raises(ParameterError):
+        q.is_central(x * x)
+    with pytest.raises(ShapeError):
+        q.is_central(x + x * y)
+    with pytest.raises(DegreeError):
+        q.is_central(NcPoly.one(2))

@@ -5,14 +5,16 @@ The oracle builds J_m inside V^{tensor m} by the recurrence
     J_m  =  V * J_{m-1}  +  sum_d  R_d * V^{m-d}
 
 and reduces modulo the canonical RREF of J_m.  Its residues, Hilbert
-dimensions, centralizer bases and normality matrices must equal the engine's
-exactly, on random rational and cyclotomic parameters and through the
-degrees the command line uses.
+dimensions and centralizer bases must equal the engine's exactly, and an
+element is central for the engine exactly when its residue lies in the
+oracle's centralizer, on random rational and cyclotomic parameters and
+through the degrees the command line uses.
 """
 
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -68,35 +70,10 @@ class SliceOracle:
         kernel = linalg.nullspace([eqrows[r] for r in sorted(eqrows)], nk)
         return span_rows(n, k, [jk.reduce_row(v) for v in kernel])
 
-    def normality(self, c: NcPoly):
-        n, k = self.p.ngens, c.degree()
-        if self.slice(k).contains(c):
-            raise ParameterError("element vanishes in the quotient algebra")
-        jk1 = self.slice(k + 1)
-        crow = c.to_row(k)
-        nk = n ** k
-        right = [jk1.reduce_row({col * n + j: v for col, v in crow.items()})
-                 for j in range(n)]
-        sigma = []
-        for i in range(n):
-            target = jk1.reduce_row({i * nk + col: v for col, v in crow.items()})
-            x = linalg.solve_columns(right, target)
-            if x is None:
-                return None
-            sigma.append(tuple(x))
-        return tuple(sigma)
-
-
-def normality_or_error(solve, c):
-    try:
-        return solve(c)
-    except ParameterError:
-        return "vanishes"
-
 
 def assert_engine_matches(pres, top, centralizer_degrees, elements=()):
-    """Hilbert dims and every word's normal form to ``top``; centralizers and
-    the normality solve of each centralizer basis element and of ``elements``."""
+    """Hilbert dims and every word's normal form to ``top``; centralizers, and
+    the centrality of each centralizer basis element and of ``elements``."""
     oracle = SliceOracle(pres)
     engine = Quotient(pres)
     n = pres.ngens
@@ -108,13 +85,16 @@ def assert_engine_matches(pres, top, centralizer_degrees, elements=()):
     for c in elements:
         want = oracle.slice(c.degree()).reduce(c)
         assert engine.normal_form(c) == want
-        assert (normality_or_error(engine.normality_automorphism, c)
-                == normality_or_error(oracle.normality, c))
+        if want:
+            assert engine.is_central(c) == oracle.centralizer(c.degree()).contains(want)
+        else:
+            with pytest.raises(ParameterError):
+                engine.is_central(c)
     for k in centralizer_degrees:
         cents = engine.centralizer_slice(k)
         assert cents == oracle.centralizer(k)
         for c in cents.basis():
-            assert engine.normality_automorphism(c) == oracle.normality(c)
+            assert engine.is_central(c)
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=9)

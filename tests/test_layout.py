@@ -10,7 +10,10 @@ on integer numerators, and Fraction arithmetic above it would bring back a
 normalising gcd per coefficient. Every name a module, demo or test imports is
 read somewhere in it. The benchmark in ``perfbench/`` reads the package by
 attribute and by module name, which no test of the package sees, so those
-names are checked here too.
+names are checked here too. Every function, class and non-dunder method the
+package defines at top level is read by name somewhere in the package, its
+demos, its tests or the benchmark: code that nothing reads is deleted, not
+kept.
 """
 
 import ast
@@ -104,6 +107,36 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.update(f"{path.name}:{u}" for u in _unused_imports(tree))
     assert not found, f"imported and never read: {sorted(found)}"
+
+
+def _definitions(tree) -> dict[str, int]:
+    """Top-level functions and classes of ``tree`` and the non-dunder methods
+    of its classes, by name."""
+    found = {}
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for fn in [node, *members]:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+                found[fn.name] = fn.lineno
+    return found
+
+
+def test_every_definition_is_read():
+    read = set()
+    for folder in (ROOT / "src", ROOT / "demos", ROOT / "tests", BENCH):
+        for path in sorted(folder.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update(f"{path.name}:{line} {name}"
+                     for name, line in _definitions(tree).items() if name not in read)
+    assert not found, f"defined and never read: {sorted(found)}"
 
 
 def test_benchmark_reads_only_existing_names():

@@ -202,7 +202,7 @@ def test_quartic_image_extraction():
     assert extract_c4(build_veronese(AbcParams.of(1, 2, 3)))["mu"] == fe(1)
 
 
-def test_quartic_normality_certificate():
+def test_quartic_is_central():
     for p in POINTS:
         rec = verify_c4_central(p, Quotient(build_s2(p)))
         assert rec["pass"]
