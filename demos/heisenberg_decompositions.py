@@ -6,9 +6,9 @@ either come out right or raise.
 """
 
 from skverify.freealg import span
-from skverify.heisenberg import (antisymmetric_character, decompose, h3_gen_rep,
-                                 h4_gen_rep, invariant_subspace, irrep_table,
-                                 rep_on_degree, twist_equivalence_table)
+from skverify.heisenberg import (TensorPowerRep, antisymmetric_character, decompose,
+                                 h3_gen_rep, h4_gen_rep, invariant_subspace,
+                                 irrep_table, twist_equivalence_table)
 from skverify.pointscheme import invariant_cubic_basis
 
 for n in (2, 3, 4):
@@ -18,17 +18,17 @@ for n in (2, 3, 4):
 
 print()
 print("tensor square of the standard 3-dim representation:")
-print(" ", decompose(rep_on_degree(h3_gen_rep(), 2).character()))
+print(" ", decompose(TensorPowerRep(h3_gen_rep(), 2).character()))
 
 print("tensor square of the standard 4-dim representation:")
-print(" ", decompose(rep_on_degree(h4_gen_rep(), 2).character()))
+print(" ", decompose(TensorPowerRep(h4_gen_rep(), 2).character()))
 
 wedge = decompose(antisymmetric_character(h4_gen_rep()))
 print("antisymmetric square of the 4-dim representation:")
 print(" ", wedge)
 
 print()
-inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3))
+inv = invariant_subspace(TensorPowerRep(h3_gen_rep(), 3))
 print("invariant cubics in three noncommuting variables: dim", inv.dim)
 names = "xyz"
 for b in invariant_cubic_basis():

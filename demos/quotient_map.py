@@ -1,10 +1,11 @@
 """The squaring map from the four-generator family onto the two-generator one.
 
 Send the four generators to x^2+y^2, x^2-y^2, xy+yx, xy-yx.  The kernel of
-the induced map on quadrics is computed from scratch: its dimension, a
-canonical basis of commutator/anticommutator pairs, the leftover diagonal
-relation, and the parameter values the pairs force.  Nothing here is typed
-in from a table; the closed forms are only compared at the end.
+the induced map on quadrics is computed from scratch: one linear solve in it
+per commutator/anticommutator relation gives that relation's coefficient,
+and the six relations and a leftover diagonal one span it.  The sign
+characters are read from the group actions.  Nothing here is typed in from a
+table; the closed forms are only compared at the end.
 """
 
 from skverify.families import AbcParams
@@ -15,9 +16,9 @@ p = AbcParams.of(1, 2, 3)
 print("parameters", p)
 
 vm = build_veronese(p)
-print("kernel of the degree-2 pullback: dim", vm.kernel_dim)
+print("kernel of the degree-2 pullback: dim", len(vm.kernel_rows))
 print("pair coefficients recovered from the kernel:", vm.sextuple)
-print("product coordinates:", vm.alpha)
+print("product coordinates:", vm.sextuple.alpha())
 
 rec = verify_quotient_map(vm)
 print()

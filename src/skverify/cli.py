@@ -24,8 +24,8 @@ from .errors import ParameterError, SamplingExhaustedError, SkverifyError
 from .families import AbcParams, AlphaTriple, SextupleParams, build_s2, build_s3, build_s4
 from .field import ONE, ZERO
 from .graded import Quotient, series
-from .heisenberg import (antisymmetric_character, decompose, h3_gen_rep, h4_gen_rep,
-                         irrep_table, rep_on_degree, twist_equivalence_table)
+from .heisenberg import (TensorPowerRep, antisymmetric_character, decompose, h3_gen_rep,
+                         h4_gen_rep, irrep_table, twist_equivalence_table)
 from .pointscheme import (ProjPoint, group_law_record, hesse_add, hesse_origin,
                           invariant_cubics, s2_point_determinant,
                           s3_degree3_overlap, s3_next_point, s4_minor_membership,
@@ -50,15 +50,19 @@ class RunConfig:
             raise ParameterError(f"unknown suite {self.suite!r}")
         if self.samples < 1:
             raise ParameterError("sample count must be >= 1")
-        top = max(row[-1] for row in FAMILIES if row[-1])
+        # the lowest ceiling among the families in the run; with none, the highest
+        top = min((row[-1] for row in FAMILIES if row[-1] and row[0] in self.suites()),
+                  default=max(row[-1] for row in FAMILIES if row[-1]))
         if self.max_degree is not None and not 1 <= self.max_degree <= top:
             raise ParameterError(f"max degree must lie in 1..{top}")
         if self.fmt not in ("json", "text"):
             raise ParameterError(f"unknown format {self.fmt!r}")
 
+    def suites(self) -> tuple[str, ...]:
+        return SUITES if self.suite == "all" else (self.suite,)
+
     def cutoff(self, ceiling: int) -> int:
-        d = self.max_degree if self.max_degree is not None else ceiling
-        return min(d, ceiling)
+        return self.max_degree if self.max_degree is not None else ceiling
 
 
 def _stringify(value):
@@ -244,7 +248,7 @@ def _irreps(n, count, sqsum):
 
 
 def _tensor_square(rep, want):
-    d = decompose(rep_on_degree(rep(), 2).character())
+    d = decompose(TensorPowerRep(rep(), 2).character())
     return d == want, {"decomposition": d}, ""
 
 
@@ -300,7 +304,7 @@ FAMILIES = (
 
 def run_suite(config: RunConfig) -> dict:
     config.validate()
-    suites = SUITES if config.suite == "all" else (config.suite,)
+    suites = config.suites()
     t0 = time.perf_counter()
     col = _Collector()
     sampling_echo: dict = {}

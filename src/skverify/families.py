@@ -162,16 +162,15 @@ def build_s2(p: AbcParams) -> Presentation:
     return Presentation.make(S2_NAMES, s2_relation_polys(p))
 
 
+# (s, t, u, v) per relation, in sextuple order a10, b10, a01, b01, a11, b11:
+# relation i is [v_s, v_t] - (coefficient i) {v_u, v_v}, generators v00, v10, v01, v11
+S4_PAIRS = ((0, 1, 2, 3), (2, 3, 0, 1), (0, 2, 3, 1), (3, 1, 0, 2), (0, 3, 1, 2), (1, 2, 0, 3))
+
+
 def s4_relation_polys(s: SextupleParams) -> list[NcPoly]:
-    v00, v10, v01, v11 = NcPoly.gens(4)
-    return [
-        comm(v00, v10) - s.a10 * acomm(v01, v11),
-        comm(v01, v11) - s.b10 * acomm(v00, v10),
-        comm(v00, v01) - s.a01 * acomm(v11, v10),
-        comm(v11, v10) - s.b01 * acomm(v00, v01),
-        comm(v00, v11) - s.a11 * acomm(v10, v01),
-        comm(v10, v01) - s.b11 * acomm(v00, v11),
-    ]
+    v = NcPoly.gens(4)
+    return [comm(v[i], v[j]) - coeff * acomm(v[k], v[l])
+            for (i, j, k, l), coeff in zip(S4_PAIRS, s)]
 
 
 def build_s4(s: SextupleParams) -> Presentation:

@@ -199,13 +199,17 @@ class TensorPowerRep:
                 out[idx] = coeff
         return out
 
+    def eigenvalue(self, g, row):
+        """The scalar s with g . row = s * row; None if there is none or row is zero."""
+        if not row:
+            return None
+        image = self.act_row(g, row)
+        col, coeff = next(iter(row.items()))
+        s = image.get(col, ZERO) / coeff
+        return s if image == {c: v * s for c, v in row.items()} else None
+
     def __repr__(self):
         return f"TensorPowerRep({self.base.label}, degree={self.degree})"
-
-
-def rep_on_degree(rep: GroupRep, d: int) -> TensorPowerRep:
-    """Action on the degree-d component of the free algebra on the basis."""
-    return TensorPowerRep(rep, d)
 
 
 # -- the irreducible representations ---------------------------------------

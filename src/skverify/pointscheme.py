@@ -54,7 +54,7 @@ from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
 from .field import ZERO, FieldElem, fe, root_of_unity
 from .freealg import MultiPoly, NcPoly, proportional, span, sum_and_intersect
 from .graded import Quotient
-from .heisenberg import h3_gen_rep, invariant_subspace, rep_on_degree
+from .heisenberg import TensorPowerRep, h3_gen_rep, invariant_subspace
 
 
 class ProjPoint:
@@ -437,7 +437,7 @@ def invariant_cubic_basis() -> list[NcPoly]:
 def invariant_cubics() -> tuple[int, bool]:
     """Dimension of the invariants of the order-27 group action on cubics, and
     whether invariant_cubic_basis spans them."""
-    inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3))
+    inv = invariant_subspace(TensorPowerRep(h3_gen_rep(), 3))
     return inv.dim, span(invariant_cubic_basis()) == inv
 
 
@@ -452,7 +452,7 @@ def s3_degree3_overlap(p: AbcParams) -> dict:
     f1, f2, f3 = invariant_cubic_basis()
     combo = fe(p.a) * f1 + fe(p.b) * f2 + fe(p.c) * f3
     combo_in_meet = meet.dim == 1 and meet.contains(combo)
-    inv = invariant_subspace(rep_on_degree(h3_gen_rep(), 3), total)
+    inv = invariant_subspace(TensorPowerRep(h3_gen_rep(), 3), total)
     return {
         "rv_dim": rv.dim,
         "vr_dim": vr.dim,
@@ -496,7 +496,7 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3))
     ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio
-    central = record["sigma_is_identity"] = bool(ratio) and q.is_central(combo)
+    central = record["central"] = bool(ratio) and q.is_central(combo)
     record["pass"] = bool(match and central)
     return record
 

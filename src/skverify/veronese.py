@@ -4,20 +4,22 @@ The four quadratics
 
     x^2 + y^2,  x^2 - y^2,  xy + yx,  xy - yx
 
-span the degree-2 component and are simultaneous eigenvectors of the squared
-generators of the order-8 group action (signs (-1)^i, (-1)^j).  Mapping the
-four generators of a 4-generator presentation onto them identifies that
+span the degree-2 component and are simultaneous eigenvectors of the
+generators of the order-8 group action on the 2-generator family.  Mapping
+the four generators of a 4-generator presentation onto them identifies that
 presentation's quotient by one central quadric with the even Veronese of the
 2-generator family.  Everything here is derived, not transcribed: the
-degree-2 kernel of the map (a 7-dimensional space) is computed exactly.  For
-each pair group ((s,t),(u,v)) it meets the span of st, ts, uv, vu in the plane
-of [s,t] - a{u,v} and [u,v] - b{s,t}; one linear solve reads off a, one more
-b.  The six pair forms are then the 4-generator relations at the derived
-sextuple (families.s4_relation_polys); they and the closed-form extra relation
+degree-2 kernel of the map (a 7-dimensional space) is computed exactly, and
+each of the six coefficients is one linear solve in it, for the c with
+[v_s, v_t] - c {v_u, v_v} in the kernel, (s, t, u, v) running over
+families.S4_PAIRS.  The six relations at the derived sextuple and the
+closed-form extra relation
 
     (a+c) v00^2 + (c-a) v10^2 + (a+b) v01^2 + (b-a) v11^2
 
-must span the kernel.
+must span the kernel.  The signs the checks compare are read from the group
+actions: the eigenvalues of the order-8 generators on each image, and those
+of the squared order-64 generators on the sum/difference basis.
 """
 
 from __future__ import annotations
@@ -27,19 +29,13 @@ from functools import cached_property
 
 from . import linalg
 from .errors import ParameterError, VerificationError
-from .families import (AbcParams, AlphaTriple, SextupleParams, alpha_from_abc,
-                       build_s2, build_s4, s2_central_quartic, s2_relation_polys,
+from .families import (S4_PAIRS, AbcParams, SextupleParams, alpha_from_abc, build_s2,
+                       build_s4, s2_central_quartic, s2_relation_polys,
                        s4_relation_polys)
 from .field import ONE, ZERO, FieldElem, fe
-from .freealg import NcPoly, proportional, span_rows, substitute
+from .freealg import NcPoly, acomm, comm, proportional, span_rows, substitute
 from .graded import Quotient
-from .heisenberg import (TensorPowerRep, h2_gen_rep, h4_gen_rep, h4_pm_basis,
-                         rep_on_degree)
-
-# signs of v00, v10, v01, v11 under e1^2 and e2^2: (-1)^i and (-1)^j on v_{i,j}
-_SIGN_E1 = (1, -1, 1, -1)
-_SIGN_E2 = (1, 1, -1, -1)
-_FIXED = (((1, 0, 0), 1), ((0, 1, 0), 1))   # (g, sign) pairs: e1 and e2 fix the row
+from .heisenberg import TensorPowerRep, h2_gen_rep, h4_gen_rep, h4_pm_basis
 
 
 def quadratic_images() -> list[NcPoly]:
@@ -89,10 +85,8 @@ class VeroneseMap:
     params: AbcParams
     images: tuple[NcPoly, ...]
     sextuple: SextupleParams
-    alpha: AlphaTriple
     extra: NcPoly            # the central quadric spanning the rest of the kernel
-    kernel_dim: int
-    kernel_rows: tuple[linalg.Row, ...]   # the six pair forms, then the extra quadric
+    kernel_rows: tuple[linalg.Row, ...]   # the six relations, then the extra quadric
     algebra: Quotient        # the 2-generator algebra the map was derived in
 
     def apply(self, poly: NcPoly) -> NcPoly:
@@ -114,16 +108,6 @@ class VeroneseMap:
         return CentralPair(omega1=self.extra, omega2=omega2, sextuple=self.sextuple)
 
 
-# pair groups: ((s,t),(u,v)) index positions in generator order v00,v10,v01,v11
-_PAIRS = (((0, 1), (2, 3)), ((0, 2), (3, 1)), ((0, 3), (1, 2)))
-
-
-def _pair_slots(pair) -> tuple[int, int, int, int]:
-    """Row slots of the words st, ts, uv, vu for a pair group ((s,t),(u,v))."""
-    (s, t), (u, v) = pair
-    return 4 * s + t, 4 * t + s, 4 * u + v, 4 * v + u
-
-
 def _squares(coeffs) -> NcPoly:
     """sum n_i v_i^2 over the four generators."""
     vgens = NcPoly.gens(4)
@@ -133,34 +117,15 @@ def _squares(coeffs) -> NcPoly:
     return out
 
 
-def _pair_forms(meet_rows, st, ts, uv, vu):
-    """Extract ([s,t] - a{u,v}, [u,v] - b{s,t}) coefficients from a 2-dim space.
-
-    a is the last unknown of m + a(uv + vu) = st - ts with m in the space,
-    unique because uv + vu is not in it; b likewise with the roles swapped.
-    """
-    if len(meet_rows) != 2:
-        raise VerificationError("pair slice of the kernel is not 2-dimensional")
-
-    def solve(first, second, read1, read2):
-        sol = linalg.solve_columns(meet_rows + [{read1: ONE, read2: ONE}],
-                                   {first: ONE, second: -ONE})
-        if sol is None:
-            raise VerificationError("no commutator-normalized vector in the pair slice")
-        return sol[-1]
-
-    return solve(st, ts, uv, vu), solve(uv, vu, st, ts)
-
-
 def build_veronese(p: AbcParams) -> VeroneseMap:
-    """Derive the sextuple, the alpha triple and the extra central relation.
+    """Derive the sextuple and the extra central relation.
 
-    Each pair coefficient is one solve in the kernel's meet with the span of
-    its pair group's four words (see _pair_forms).  The six pair forms are the
-    4-generator relations at the derived sextuple; they and the extra quadric
-    must span the kernel, and are kept as ``kernel_rows``.  Seven rows spanning
-    the 7-dimensional kernel are independent and lie in it, so each pair's two
-    rows, supported on its four words, span that pair's slice.
+    The coefficient of relation (s, t, u, v) in families.S4_PAIRS is the last
+    unknown of one solve, sum_i x_i k_i + c {v_u, v_v} = [v_s, v_t] over the
+    kernel basis k_i; it is unique because {v_u, v_v} never lies in the
+    kernel.  The six relations at the derived sextuple and the extra quadric
+    must span the kernel, and are kept as ``kernel_rows``: a wrong coefficient
+    puts its relation outside the kernel, and this check catches it.
     """
     if p.a == 0 or p.b == p.c or p.b == -p.c:
         raise ParameterError("quotient construction needs a != 0 and b != +-c")
@@ -169,22 +134,23 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     rows = [q.normal_row((images[i] * images[j]).to_row(4), 4)
             for i in range(4) for j in range(4)]
     kernel = linalg.column_kernel(rows)
-    kdim = len(kernel)
-    if kdim != 7:
-        raise VerificationError(f"degree-2 kernel has dimension {kdim}, expected 7")
+    if len(kernel) != 7:
+        raise VerificationError(f"degree-2 kernel has dimension {len(kernel)}, expected 7")
+    v = NcPoly.gens(4)
     coeffs = []
-    for pair in _PAIRS:
-        slots = _pair_slots(pair)
-        meet = linalg.intersect(kernel, [{c: ONE} for c in slots], 16)
-        coeffs.extend(_pair_forms(meet, *slots))
+    for s, t, u, w in S4_PAIRS:
+        sol = linalg.solve_columns(kernel + [acomm(v[u], v[w]).to_row(2)],
+                                   comm(v[s], v[t]).to_row(2))
+        if sol is None:
+            raise VerificationError(f"no relation [v{s}, v{t}] - c {{v{u}, v{w}}} in the kernel")
+        coeffs.append(sol[-1])
     sextuple = SextupleParams.of(*coeffs)
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
     extra = _squares((a + c, c - a, a + b, b - a))
     kernel_rows = tuple(r.to_row(2) for r in (*s4_relation_polys(sextuple), extra))
     if span_rows(4, 2, kernel_rows).rows != span_rows(4, 2, kernel).rows:
-        raise VerificationError("six pairs plus the extra quadric do not span the kernel")
-    return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple,
-                       alpha=sextuple.alpha(), extra=extra, kernel_dim=kdim,
+        raise VerificationError("six relations plus the extra quadric do not span the kernel")
+    return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple, extra=extra,
                        kernel_rows=kernel_rows, algebra=q)
 
 
@@ -222,10 +188,16 @@ def _reference_pair_rows(p: AbcParams) -> list[linalg.Row]:
     ]
 
 
-def _scaled_by(tp: TensorPowerRep, row: linalg.Row, pairs) -> bool:
-    """Whether the group element g of each (g, sign) pair scales ``row`` by sign."""
-    return all(tp.act_row(g, row) == {c: v * fe(s) for c, v in row.items()}
-               for g, s in pairs)
+def _signs(tp: TensorPowerRep, row: linalg.Row, power: int = 1):
+    """The eigenvalues of e1^power and e2^power on ``row``; None unless it is
+    an eigenvector of both."""
+    signs = (tp.eigenvalue((power, 0, 0), row), tp.eigenvalue((0, power, 0), row))
+    return None if None in signs else signs
+
+
+def _invariant(quartic: NcPoly) -> bool:
+    """Whether e1 and e2 of the order-8 group both fix ``quartic``."""
+    return _signs(TensorPowerRep(h2_gen_rep(), 4), quartic.to_row(4)) == (ONE, ONE)
 
 
 def _closed_quartic(p: AbcParams) -> NcPoly:
@@ -236,45 +208,41 @@ def _closed_quartic(p: AbcParams) -> NcPoly:
     return c4
 
 
-def _bicharacter(row: linalg.Row):
-    """(i, j) with signs (-1)^i, (-1)^j under the two diagonal involutions."""
-    seen = set()
-    for col in row:
-        i, j = divmod(col, 4)
-        seen.add((_SIGN_E1[i] * _SIGN_E1[j], _SIGN_E2[i] * _SIGN_E2[j]))
-    if len(seen) != 1:
-        return None
-    s1, s2 = seen.pop()
-    return (0 if s1 == 1 else 1, 0 if s2 == 1 else 1)
-
-
 def verify_quotient_map(vm: VeroneseMap) -> dict:
     """Full certification chain for the quotient map at one parameter point."""
     p = vm.params
     gammas = gamma_expansions(p)
-    # the sum/difference columns are a basis on which e1^2 and e2^2 of the
-    # order-64 group act by the signs _SIGN_E1 and _SIGN_E2
-    pm, h4 = h4_pm_basis(), rep_on_degree(h4_gen_rep(), 1)
+    # each image is an eigenvector of e1 and e2 of the order-8 group, and the
+    # squares of the order-64 generators act on the matching sum/difference
+    # column by the same two signs: the map intertwines the two actions
+    h2 = TensorPowerRep(h2_gen_rep(), 2)
+    image_signs = [_signs(h2, img.to_row(2)) for img in vm.images]
+    equiv_ok = all(image_signs)
+    pm, h4 = h4_pm_basis(), TensorPowerRep(h4_gen_rep(), 1)
     diag_ok = len(linalg.rref(pm)[0]) == 4 and all(
-        _scaled_by(h4, col, (((2, 0, 0), s1), ((0, 2, 0), s2)))
-        for col, s1, s2 in zip(pm, _SIGN_E1, _SIGN_E2))
-    h2 = rep_on_degree(h2_gen_rep(), 2)
-    equiv_ok = all(_scaled_by(h2, img.to_row(2), (((1, 0, 0), s1), ((0, 1, 0), s2)))
-                   for img, s1, s2 in zip(vm.images, _SIGN_E1, _SIGN_E2))
+        signs is not None and _signs(h4, col, power=2) == signs
+        for col, signs in zip(pm, image_signs))
     nf = vm.algebra.normal_form
-    in_ideal = [not nf(vm.apply(NcPoly.from_row(4, 2, row))) for row in vm.kernel_rows]
-    characters = [_bicharacter(r) for r in vm.kernel_rows]
+    pushed = [vm.apply(NcPoly.from_row(4, 2, row)) for row in vm.kernel_rows]
+    in_ideal = [not nf(img) for img in pushed]
+    # (i, j) with e1 and e2 scaling the pushforward by (-1)^i and (-1)^j
+    h2_quartic = TensorPowerRep(h2_gen_rep(), 4)
+    characters = []
+    for img in pushed:
+        signs = _signs(h2_quartic, img.to_row(4))
+        characters.append(None if signs is None else tuple(0 if x == ONE else 1 for x in signs))
     expected_chars = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0)]
     kspan = span_rows(4, 2, vm.kernel_rows)
     refs = _reference_pair_rows(p)
     ref_in_kernel = [kspan.contains_row(r) for r in refs]
+    alpha = vm.sextuple.alpha()
     record = {
         "gamma_expansions_pass": gammas["pass"],
-        "kernel_dim": vm.kernel_dim,
+        "kernel_dim": len(vm.kernel_rows),
         "sextuple": vm.sextuple,
         "sextuple_matches_closed_form": vm.sextuple == closed_form_sextuple(p),
-        "alpha": vm.alpha,
-        "alpha_matches_closed_form": vm.alpha == alpha_from_abc(p),
+        "alpha": alpha,
+        "alpha_matches_closed_form": alpha == alpha_from_abc(p),
         "fivefold_holds": True,   # enforced by the SextupleParams constructor
         "relations_in_ideal": tuple(in_ideal),
         "element_characters": tuple(characters),
@@ -381,7 +349,7 @@ def extract_c4(vm: VeroneseMap) -> dict:
     img2 = nf(vm.apply(cp.omega2))
     c4 = _closed_quartic(vm.params)
     mu = proportional(img2, nf(c4)) if img2 else None
-    invariant = _scaled_by(rep_on_degree(h2_gen_rep(), 4), c4.to_row(4), _FIXED)
+    invariant = _invariant(c4)
     return {
         "omega1_maps_to_zero": not img1,
         "mu": mu,
@@ -404,8 +372,8 @@ def verify_c4_central(p: AbcParams, q: Quotient) -> dict:
         "centralizer_dim": cs.dim,
         "quartic_in_centralizer": bool(resid) and cs.contains(resid),
         "quartic_nonzero_mod_ideal": bool(resid),
-        "sigma_is_identity": central,
-        "quartic_invariant": _scaled_by(rep_on_degree(h2_gen_rep(), 4), c4.to_row(4), _FIXED),
+        "central": central,
+        "quartic_invariant": _invariant(c4),
     }
     rec["pass"] = (central and rec["quartic_in_centralizer"]
                    and rec["quartic_invariant"])

@@ -172,6 +172,13 @@ def test_bad_degree_bound_exits_two(capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["s4", "--alpha", "6,-21"], ["all"]], ids=("s4", "all"))
+def test_degree_bound_above_a_family_ceiling_exits_two(capsys, args):
+    # s4 computes through degree 5 at most: a sixth is refused, not cut silently
+    assert main(["verify", *args, "--max-degree", "6"]) == 2
+    assert "max degree must lie in 1..5" in capsys.readouterr().err
+
+
 def test_output_file(tmp_path, capsys):
     out = tmp_path / "report.txt"
     code = main(["verify", "s3", "--abc", "1,2,3", "--seed", "5", "--out", str(out)])

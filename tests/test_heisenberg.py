@@ -15,12 +15,12 @@ from skverify.errors import NotASubrepError, RepresentationInvalidError
 from skverify.families import AbcParams, build_s3
 from skverify.field import ONE, ZERO, fe, root_of_unity
 from skverify.freealg import NcPoly, index_to_word, span, span_rows, sum_and_intersect
-from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup,
+from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup, TensorPowerRep,
                                  antisymmetric_character, decompose,
                                  h2_gen_rep, h3_gen_rep,
                                  h4_gen_rep, h4_pm_basis,
                                  invariant_subspace, irrep_table, is_subrep,
-                                 rep_on_degree, twist_equivalence_table)
+                                 twist_equivalence_table)
 from skverify.veronese import quadratic_images
 
 
@@ -158,7 +158,7 @@ def test_monomial_matrices_match_dense_products():
 def test_tensor_action_matches_dense_kronecker_product():
     # word a_1..a_d goes to sum over words r_1..r_d of prod m[r_k][a_k]
     for rep, d in ((h3_gen_rep(), 3), (pm_rep(), 2)):
-        tp = rep_on_degree(rep, d)
+        tp = TensorPowerRep(rep, d)
         words = [index_to_word(c, rep.dim, d) for c in range(tp.dim)]
         for g in rep.group.elements():
             m = dense(rep.matrix(g))
@@ -173,6 +173,51 @@ def test_tensor_action_matches_dense_kronecker_product():
                 assert tp.act_row(g, {col: ONE}) == want
 
 
+def dense_power(m, d):
+    """The dense matrix of the d-th tensor power of the monomial form m, on words
+    in index order: entry (image, word) is prod m[r][a] over matching letters."""
+    n = len(m)
+    dm = dense(m)
+    words = [index_to_word(c, n, d) for c in range(n ** d)]
+    out = []
+    for image in words:
+        line = []
+        for word in words:
+            v = ONE
+            for r, a in zip(image, word):
+                v = v * dm[r][a]
+            line.append(v)
+        out.append(tuple(line))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("rep", [*(r for n in (2, 3, 4) for r in irrep_table(n)), pm_rep()],
+                         ids=lambda r: r.label)
+def test_eigenvalue_matches_dense_oracle(rep):
+    # oracle: g . v = s v solved for s by linalg.solve_columns, with g . v
+    # from the dense tensor-power matrix
+    n = rep.group.n
+    elements = {(i % n, j % n, k % n) for i, j, k in
+                ((1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 0), (0, 2, 0))}
+    found = set()
+    for d in (1, 2):
+        tp = TensorPowerRep(rep, d)
+        units = [{c: ONE} for c in range(tp.dim)]
+        rows = units + [{a: ONE, b: ONE} for a in range(tp.dim) for b in range(a + 1, tp.dim)]
+        for g in sorted(elements):
+            m = dense_power(rep.matrix(g), d)
+            for row in rows:
+                image = {i: x for i in range(tp.dim)
+                         if (x := sum((m[i][c] * v for c, v in row.items()), ZERO))}
+                sol = linalg.solve_columns([row], image)
+                want = None if sol is None else sol[0]
+                assert tp.eigenvalue(g, row) == want, (d, g, row)
+                found.add(want is None)
+        assert tp.eigenvalue(g, {}) is None
+    # every representation of dimension > 1 has vectors of both kinds
+    assert found == ({False} if rep.dim == 1 else {False, True})
+
+
 @pytest.mark.parametrize("n, gen_rep", [(2, h2_gen_rep), (3, h3_gen_rep), (4, h4_gen_rep)])
 def test_inner_matches_sum_over_every_element(n, gen_rep):
     # oracle: the sum over all n^3 group elements
@@ -180,7 +225,7 @@ def test_inner_matches_sum_over_every_element(n, gen_rep):
         return sum((a(g) * b(g).conj() for g in a.group.elements()), ZERO) / a.group.order
 
     chars = [r.character() for r in irrep_table(n)]
-    chars.append(rep_on_degree(gen_rep(), 2).character())
+    chars.append(TensorPowerRep(gen_rep(), 2).character())
     for a in chars:
         for b in chars:
             assert a.inner(b) == full(a, b)
@@ -190,8 +235,8 @@ def test_inner_matches_sum_over_every_element(n, gen_rep):
 
 
 def test_tensor_square_decompositions():
-    assert decompose(rep_on_degree(h3_gen_rep(), 2).character()) == {"H3:V2": 3}
-    assert decompose(rep_on_degree(h4_gen_rep(), 2).character()) == {
+    assert decompose(TensorPowerRep(h3_gen_rep(), 2).character()) == {"H3:V2": 3}
+    assert decompose(TensorPowerRep(h4_gen_rep(), 2).character()) == {
         "H4:V_{0,0}": 2, "H4:V_{0,1}": 2, "H4:V_{1,0}": 2, "H4:V_{1,1}": 2}
 
 
@@ -235,7 +280,7 @@ def test_bad_monomial_input_rejected(e1, e2):
     (h4_gen_rep(), 2), (pm_rep(), 2),
 ], ids=lambda x: getattr(x, "label", x))
 def test_invariant_subspace_matches_averaging_projector(rep, d):
-    tp = rep_on_degree(rep, d)
+    tp = TensorPowerRep(rep, d)
     assert invariant_subspace(tp) == averaged(tp, [{c: ONE} for c in range(tp.dim)])
 
 
@@ -254,14 +299,14 @@ def relation_overlap(*abc):
     (h2_gen_rep(), span(quadratic_images()), 1),
 ], ids=("overlap-1,2,3", "overlap-1,-1/3,-2", "squaring-images"))
 def test_invariant_subspace_of_stable_subspace_matches_averaging_projector(rep, stable, dim):
-    tp = rep_on_degree(rep, stable.degree)
+    tp = TensorPowerRep(rep, stable.degree)
     inv = invariant_subspace(tp, stable)
     assert inv == averaged(tp, stable.rows)
     assert inv.dim == dim
 
 
 def test_invariant_subspace_of_cubics():
-    tp = rep_on_degree(h3_gen_rep(), 3)
+    tp = TensorPowerRep(h3_gen_rep(), 3)
     inv = invariant_subspace(tp)
     assert inv.dim == 3
     for b in inv.basis():
@@ -272,7 +317,7 @@ def test_invariant_subspace_of_cubics():
 
 def test_invariant_subspace_restricted_to_subrep():
     x, y = NcPoly.gens(2)
-    tp = rep_on_degree(h2_gen_rep(), 2)
+    tp = TensorPowerRep(h2_gen_rep(), 2)
     stable = span([x * x, y * y, x * y + y * x, x * y - y * x], 2, 2)
     inv = invariant_subspace(tp, stable)
     assert inv.dim <= stable.dim
@@ -284,7 +329,7 @@ def test_invariant_subspace_restricted_to_subrep():
 
 def test_is_subrep_and_rejection():
     x, y = NcPoly.gens(2)
-    tp = rep_on_degree(h2_gen_rep(), 2)
+    tp = TensorPowerRep(h2_gen_rep(), 2)
     assert is_subrep(span([x * y - y * x], 2, 2), tp)
     assert not is_subrep(span([x * y], 2, 2), tp)
     with pytest.raises(NotASubrepError):

@@ -10,10 +10,10 @@ on integer numerators, and Fraction arithmetic above it would bring back a
 normalising gcd per coefficient. Every name a module, demo or test imports is
 read somewhere in it. The benchmark in ``perfbench/`` reads the package by
 attribute and by module name, which no test of the package sees, so those
-names are checked here too. Every function, class and non-dunder method the
-package defines at top level is read by name somewhere in the package, its
-demos, its tests or the benchmark: code that nothing reads is deleted, not
-kept.
+names are checked here too. Every function, class, non-dunder method and
+module-level name the package defines at top level is read by name somewhere
+in the package, its demos, its tests or the benchmark: code or a table that
+nothing reads is deleted, not kept.
 """
 
 import ast
@@ -110,16 +110,19 @@ def test_no_unused_imports():
 
 
 def _definitions(tree) -> dict[str, int]:
-    """Top-level functions and classes of ``tree`` and the non-dunder methods
-    of its classes, by name."""
+    """Top-level functions, classes and assigned names of ``tree`` and the
+    methods of its classes, by name; dunders excepted."""
     found = {}
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for fn in [node, *members]:
-            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 found[fn.name] = fn.lineno
-    return found
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        found.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in found.items()
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_every_definition_is_read():

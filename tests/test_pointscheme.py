@@ -206,7 +206,7 @@ def test_center_cubic_certificate():
         rec = verify_c3_description(p, Quotient(build_s3(p)))
         assert rec["pass"]
         assert rec["centralizer_dim"] == 1
-        assert rec["sigma_is_identity"]
+        assert rec["central"]
         assert rec["coefficient_triple"] is not None
 
 

@@ -4,6 +4,7 @@ Everything here is re-derived from the defining images x^2+y^2, x^2-y^2,
 xy+yx, xy-yx; closed-form parameter values only enter as cross-checks.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from skverify import veronese
 from skverify.errors import ParameterError, VerificationError
-from skverify.families import (AbcParams, alpha_from_abc, build_s2, build_s4,
-                               s2_central_quartic, s2_relation_polys,
+from skverify.families import (AbcParams, SextupleParams, alpha_from_abc, build_s2,
+                               build_s4, s2_central_quartic, s2_relation_polys,
                                s4_relation_polys)
 from skverify.field import fe
 from skverify.freealg import NcPoly, comm, span, span_rows
@@ -71,7 +72,7 @@ def test_gamma_expansion_reference_coefficients():
 def test_kernel_has_dimension_seven():
     for p in POINTS:
         vm = build_veronese(p)
-        assert vm.kernel_dim == 7
+        assert span_rows(4, 2, vm.kernel_rows).dim == 7
         assert vm.algebra.p == build_s2(p)
 
 
@@ -96,10 +97,17 @@ def test_pair_extraction_matches_closed_form(b, c):
                          ids=("swapped", "negated"))
 @pytest.mark.parametrize("abc", [(1, 2, 3), (1, 3, 5)], ids=("1,2,3", "1,3,5"))
 def test_wrong_pair_coefficients_are_caught(monkeypatch, wrong, abc):
-    # a pair coefficient read wrongly must not reach the sextuple unnoticed
-    right = veronese._pair_forms
-    monkeypatch.setattr(veronese, "_pair_forms", lambda *args: wrong(*right(*args)))
-    with pytest.raises(VerificationError):
+    # a pair coefficient read wrongly must not reach the sextuple unnoticed:
+    # swapping or negating each (a, b) pair keeps the fivefold products, so
+    # only the kernel span check can catch it
+    right = SextupleParams.of
+
+    def misread(*coeffs):
+        pairs = (wrong(a, b) for a, b in zip(coeffs[0::2], coeffs[1::2]))
+        return right(*(x for pair in pairs for x in pair))
+
+    monkeypatch.setattr(SextupleParams, "of", staticmethod(misread))
+    with pytest.raises(VerificationError, match="do not span the kernel"):
         build_veronese(AbcParams.of(*abc))
 
 
@@ -131,14 +139,26 @@ COORDINATES = ({0: fe(1)}, {1: fe(1)}, {2: fe(1)}, {3: fe(1)})
 PM_WITH_ZERO = ({0: fe(1), 2: fe(1)}, {}, {1: fe(1), 3: fe(1)}, {1: fe(1), 3: fe(-1)})
 
 
-@pytest.mark.parametrize("name, value", [
-    ("h4_pm_basis", lambda: COORDINATES),    # e1^2 swaps x0 and x2: not diagonal
-    ("h4_pm_basis", lambda: PM_WITH_ZERO),   # every sign holds on a zero column
-    ("_SIGN_E1", (1, 1, 1, -1)),
+def _pm_basis(cols):
+    def patch(monkeypatch, vm):
+        monkeypatch.setattr(veronese, "h4_pm_basis", lambda: cols)
+        return vm
+    return patch
+
+
+def _swap_images(monkeypatch, vm):
+    images = list(vm.images)
+    images[1], images[2] = images[2], images[1]
+    return dataclasses.replace(vm, images=tuple(images))
+
+
+@pytest.mark.parametrize("breaks", [
+    _pm_basis(COORDINATES),    # e1^2 swaps x0 and x2: not diagonal
+    _pm_basis(PM_WITH_ZERO),   # every sign holds on a zero column
+    _swap_images,              # x^2 - y^2 and xy + yx carry different signs
 ], ids=("coordinate-basis", "zero-column", "wrong-sign"))
-def test_squared_action_check_catches_a_wrong_basis_or_sign(monkeypatch, name, value):
-    vm = build_veronese(AbcParams.of(1, 2, 3))
-    monkeypatch.setattr(veronese, name, value)
+def test_squared_action_check_catches_a_wrong_basis_or_sign(monkeypatch, breaks):
+    vm = breaks(monkeypatch, build_veronese(AbcParams.of(1, 2, 3)))
     rec = verify_quotient_map(vm)
     assert rec["squared_action_diagonal"] is False
     assert rec["pass"] is False
@@ -157,7 +177,7 @@ def test_reference_pair_forms_reveal_one_mismatch():
 def test_alpha_agrees_with_closed_form():
     for p in POINTS:
         vm = build_veronese(p)
-        assert vm.alpha == alpha_from_abc(p)
+        assert vm.sextuple.alpha() == alpha_from_abc(p)
 
 
 def test_map_is_multiplicative():
@@ -206,7 +226,7 @@ def test_quartic_is_central():
     for p in POINTS:
         rec = verify_c4_central(p, Quotient(build_s2(p)))
         assert rec["pass"]
-        assert rec["sigma_is_identity"]
+        assert rec["central"]
         assert rec["quartic_invariant"]
 
 
