@@ -6,24 +6,35 @@ product rule is
 
     (i1,j1,k1)(i2,j2,k2) = (i1+i2, j1+j2, k1+k2 - j1*i2)   (mod n).
 
+Conjugating by e1 or e2 moves k by a multiple of i or j, so the class of
+(i, j, k) is {(i, j, k + t*d)} with d = gcd(i, j, n): n/d elements, with
+(i, j, k mod d) as its representative.  Summing d over all (i, j) gives 5,
+11 and 22 classes for n = 2, 3, 4, one per irreducible.
+
 Every representation is given and stored in one form: the monomial matrices
 of the generators e1 and e2 over Q(zeta_12), column j as (target row, nonzero
 scalar), so products, powers and traces cost O(dim) and every trace and
-inner product is exact.  Characters decide decompositions: decompose reads
-the group and the degree from the character itself, and multiplicities that
-fail to be nonnegative integers raise, since that can only mean the input
-matrices violate the presentation.  Since e1 and e2 generate the
-group, the invariants of a tensor power are the joint kernel of e1 - 1 and
-e2 - 1.
+inner product is exact.  A character is a class function, kept as its values
+on the class representatives, so traces, powers and inner products run over
+the classes rather than the n^3 elements.  Characters decide
+decompositions: decompose reads the group and the degree from the character
+itself, and multiplicities that fail to be nonnegative integers raise, since
+that can only mean the input matrices violate the presentation.
+
+A tensor power acts monomially on words, and e1 and e2 generate the group,
+so its fixed vectors are read off the orbits of the basis words under the
+two generators: an orbit carries one fixed vector when the scalars along
+its generator edges agree, and none otherwise.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import linalg
 from .errors import NotASubrepError, RepresentationInvalidError, ShapeError
-from .field import ONE, ZERO, FieldElem, fe, root_of_unity
+from .field import ONE, ZERO, FieldElem, fe, mul_i4, ratio, root_of_unity
 from .freealg import Subspace, index_to_word, span_rows
 
 # Column j of a monomial matrix as (target row, nonzero scalar).
@@ -35,11 +46,18 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple((a[r][0], a[r][1] * s) for r, s in b)
 
 
-def _mono_pow(a: Monomial, e: int) -> Monomial:
-    out = tuple((j, ONE) for j in range(len(a)))
-    for _ in range(e):
-        out = _mono_mul(out, a)
-    return out
+def _mono_powers(a: Monomial, n: int) -> tuple[Monomial, ...]:
+    """a^0, a^1, ..., a^n."""
+    out = [tuple((j, ONE) for j in range(len(a)))]
+    for _ in range(n):
+        out.append(_mono_mul(out[-1], a))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    return tuple(((i, j, k), n // d) for i in range(n) for j in range(n)
+                 for d in (gcd(i, j, n),) for k in range(d))
 
 
 class HeisenbergGroup:
@@ -71,6 +89,15 @@ class HeisenbergGroup:
         n = self.n
         return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
 
+    def class_of(self, g):
+        """The representative (i, j, k mod gcd(i, j, n)) of the class of g."""
+        i, j, k = g
+        return (i, j, k % gcd(i, j, self.n))
+
+    def classes(self):
+        """(representative, size) for every conjugacy class, in element order."""
+        return _classes(self.n)
+
     def __eq__(self, other):
         return isinstance(other, HeisenbergGroup) and self.n == other.n
 
@@ -82,26 +109,41 @@ class HeisenbergGroup:
 
 
 class Character:
-    """Exact class function on a Heisenberg group, kept as its nonzero values."""
+    """Exact class function on a Heisenberg group, kept as its nonzero values
+    on class representatives.
+
+    ``values`` may name any elements; two different values on one class
+    raise RepresentationInvalidError, since no class function has them.
+    """
 
     def __init__(self, group: HeisenbergGroup, values: dict) -> None:
         self.group = group
-        self.values = {g: x for g, v in values.items() if (x := fe(v))}
+        on_classes: dict = {}
+        for g, v in values.items():
+            c, x = group.class_of(g), fe(v)
+            if on_classes.setdefault(c, x) != x:
+                raise RepresentationInvalidError(
+                    f"{x} and {on_classes[c]} on one class of {group}")
+        self.values = {c: x for c, x in on_classes.items() if x}
 
     def __call__(self, g) -> FieldElem:
-        return self.values.get(g, ZERO)
+        return self.values.get(self.group.class_of(g), ZERO)
 
     def inner(self, other: "Character") -> FieldElem:
-        """<self, other> = |G|^-1 sum chi(g) conj(psi(g)), over the common support."""
-        common = self.values.keys() & other.values.keys()
-        return sum((self.values[g] * other.values[g].conj() for g in common),
-                   ZERO) / self.group.order
+        """<self, other> = |G|^-1 sum |C| chi(C) conj(psi(C)) over the classes C
+        in both supports, summed as integer numerators and divided once."""
+        terms = [(size, mul_i4(a.num, b.conj().num), a.den * b.den)
+                 for c, size in self.group.classes()
+                 if (a := self.values.get(c)) and (b := other.values.get(c))]
+        den = lcm(*(d for _, _, d in terms))
+        acc = tuple(sum(size * (den // d) * num[t] for size, num, d in terms) for t in range(4))
+        return ratio(acc, den * self.group.order)
 
     def __mul__(self, other: "Character") -> "Character":
-        return Character(self.group, {g: v * other(g) for g, v in self.values.items()})
+        return Character(self.group, {c: v * other(c) for c, v in self.values.items()})
 
     def __pow__(self, d: int) -> "Character":
-        return Character(self.group, {g: self(g) ** d for g in self.group.elements()})
+        return Character(self.group, {c: self(c) ** d for c, _ in self.group.classes()})
 
     def __eq__(self, other):
         if not isinstance(other, Character):
@@ -116,7 +158,8 @@ class GroupRep:
     with e1(basis j) = s * basis r.  A row outside the dimension, a zero
     scalar or generators of different sizes are rejected, and so is any
     violation of the defining relations e1^n = e2^n = 1, z = [e1,e2]
-    central with z^n = 1.
+    central with z^n = 1.  The powers 0..n of e1, e2 and z are kept, so the
+    relations read them and matrix((i, j, k)) is two monomial products.
     """
 
     def __init__(self, group: HeisenbergGroup, e1: Monomial, e2: Monomial, label: str) -> None:
@@ -130,36 +173,37 @@ class GroupRep:
             raise RepresentationInvalidError(
                 f"{label}: e1 and e2 are not monomial matrices of one size")
         n = group.n
-        ident = _mono_pow(self.e1, 0)
-        if _mono_pow(self.e1, n) != ident or _mono_pow(self.e2, n) != ident:
+        p1, p2 = _mono_powers(self.e1, n), _mono_powers(self.e2, n)
+        if p1[n] != p1[0] or p2[n] != p2[0]:
             raise RepresentationInvalidError(f"{label}: generator order is not {n}")
-        z = _mono_mul(_mono_mul(self.e1, self.e2),
-                      _mono_mul(_mono_pow(self.e1, n - 1), _mono_pow(self.e2, n - 1)))
-        self._z = z
-        if _mono_pow(z, n) != ident:
+        z = _mono_mul(_mono_mul(self.e1, self.e2), _mono_mul(p1[n - 1], p2[n - 1]))
+        pz = _mono_powers(z, n)
+        if pz[n] != pz[0]:
             raise RepresentationInvalidError(f"{label}: commutator order does not divide {n}")
         if (_mono_mul(z, self.e1) != _mono_mul(self.e1, z)
                 or _mono_mul(z, self.e2) != _mono_mul(self.e2, z)):
             raise RepresentationInvalidError(f"{label}: commutator is not central")
+        self._powers = (p1, p2, pz)
         self._matrices: dict = {}
         self._character: Character | None = None
 
     def matrix(self, g) -> Monomial:
         m = self._matrices.get(g)
         if m is None:
+            p1, p2, pz = self._powers
             i, j, k = g
-            m = _mono_mul(_mono_pow(self.e1, i),
-                          _mono_mul(_mono_pow(self.e2, j), _mono_pow(self._z, k)))
+            m = _mono_mul(p1[i], _mono_mul(p2[j], pz[k]))
             self._matrices[g] = m
         return m
 
     def character(self) -> Character:
-        """Computed on the first call and kept; the representation is immutable."""
+        """Traces on the class representatives, computed on the first call and
+        kept; the representation is immutable."""
         if self._character is None:
             def trace(m: Monomial) -> FieldElem:
                 return sum((s for j, (r, s) in enumerate(m) if r == j), ZERO)
             self._character = Character(
-                self.group, {g: trace(self.matrix(g)) for g in self.group.elements()})
+                self.group, {c: trace(self.matrix(c)) for c, _ in self.group.classes()})
         return self._character
 
     def __repr__(self):
@@ -273,13 +317,10 @@ def decompose(chi: Character) -> dict[str, int]:
 
 
 def antisymmetric_character(rep: GroupRep) -> Character:
-    """Character of the exterior square: (chi(g)^2 - chi(g^2)) / 2."""
+    """Character of the exterior square: (chi(g)^2 - chi(g^2)) / 2 on each class."""
     chi = rep.character()
     g = rep.group
-    vals = {}
-    for x in g.elements():
-        vals[x] = (chi(x) ** 2 - chi(g.mul(x, x))) / 2
-    return Character(g, vals)
+    return Character(g, {c: (chi(c) ** 2 - chi(g.mul(c, c))) / 2 for c, _ in g.classes()})
 
 
 def is_subrep(s: Subspace, tp: TensorPowerRep) -> bool:
@@ -294,22 +335,41 @@ def is_subrep(s: Subspace, tp: TensorPowerRep) -> bool:
 
 
 def invariant_subspace(tp: TensorPowerRep, s: Subspace | None = None) -> Subspace:
-    """Fixed vectors: the joint kernel of g - 1 for the generators g = e1, e2.
+    """Fixed vectors of the generators e1 and e2, one per orbit of basis words.
 
-    With ``s`` given, which must be stable, returns s meet the fixed vectors;
-    otherwise the fixed vectors of the full degree-d component.
+    A generator sends word c to v * word r, so a fixed vector x has
+    x[r] = v * x[c].  Walking an orbit from its first word with x = 1 fixes x
+    on the whole orbit; the orbit carries a fixed vector exactly when every
+    generator edge agrees with that walk.  With ``s`` given, which must be
+    stable, returns s meet the fixed vectors; otherwise the fixed vectors of
+    the full degree-d component.
     """
     if s is not None and not is_subrep(s, tp):
         raise NotASubrepError("subspace is not stable under the group")
-    rows = []
-    for g in ((1, 0, 0), (0, 1, 0)):
-        for c in range(tp.dim):
-            # g sends basis c to v * basis r: row r of g - 1 is v at c, -1 at r
-            ((r, v),) = tp.act_row(g, {c: ONE}).items()
-            row = {c: v}
-            row[r] = row.get(r, ZERO) - ONE
-            rows.append({k: w for k, w in row.items() if w})
-    fixed = linalg.nullspace(rows, tp.dim)
+    edges = [[next(iter(tp.act_row(g, {c: ONE}).items())) for c in range(tp.dim)]
+             for g in ((1, 0, 0), (0, 1, 0))]
+    seen: set = set()
+    fixed = []
+    for root in range(tp.dim):
+        if root in seen:
+            continue
+        seen.add(root)
+        x = {root: ONE}
+        todo = [root]
+        consistent = True
+        while todo:
+            c = todo.pop()
+            for gen in edges:
+                r, v = gen[c]
+                want = x[c] * v
+                if r not in x:
+                    x[r] = want
+                    seen.add(r)
+                    todo.append(r)
+                elif x[r] != want:
+                    consistent = False
+        if consistent:
+            fixed.append(x)
     if s is not None:
         fixed = linalg.intersect(s.rows, fixed, tp.dim)
     return span_rows(tp.base.dim, tp.degree, fixed)

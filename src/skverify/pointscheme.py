@@ -375,16 +375,23 @@ def group_law_record(p: AbcParams) -> dict:
     pts[i] + pts[j] must land on pts[i+j+1].  The chord construction
     recomputes the walk steps pts[k] + tau and the pair sums independently
     (chord_agrees); tau_order is the exact order of tau, or "infinite".
-    Everything runs on primitive integer triples.
+    Everything runs on primitive integer triples, and each triple an
+    operation takes is checked to lie on the curve once.
     """
     cubic = _smooth_cubic(p)
     count = MULTIPLES
+    on_curve = set()
+
+    def on(v):
+        if v not in on_curve:
+            on_curve.add(_require_on(cubic, v, p))
+        return v
 
     def add(u, v):
-        return _add(_require_on(cubic, u, p), _require_on(cubic, v, p))
+        return _add(on(u), on(v))
 
     def third(u, v):
-        return _primitive(_third(cubic, _require_on(cubic, u, p), _require_on(cubic, v, p)))
+        return _primitive(_third(cubic, on(u), on(v)))
 
     def chord(i, j):
         return third(third(pts[i], pts[j]), _ORIGIN)

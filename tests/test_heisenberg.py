@@ -119,6 +119,44 @@ def test_irrep_tables_complete():
                 assert ci.inner(cj) == want
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classes_match_brute_force_conjugation(n):
+    G = HeisenbergGroup(n)
+    elems = G.elements()
+    brute = {frozenset(G.mul(G.mul(h, g), G.inv(h)) for h in elems) for g in elems}
+    classes = G.classes()
+    got = {frozenset(g for g in elems if G.class_of(g) == c) for c, _ in classes}
+    assert got == brute
+    for c, size in classes:
+        assert G.class_of(c) == c
+        assert size == len({G.mul(G.mul(h, c), G.inv(h)) for h in elems})
+    assert sum(size for _, size in classes) == n ** 3
+    assert len(classes) == len(irrep_table(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_characters_are_traces_on_every_element(n):
+    # oracle: the trace of the dense matrix of each group element
+    for rep in irrep_table(n):
+        chi = rep.character()
+        for g in rep.group.elements():
+            m = dense(rep.matrix(g))
+            assert chi(g) == sum((m[i][i] for i in range(rep.dim)), ZERO), (rep.label, g)
+
+
+def test_character_rejects_two_values_on_one_class():
+    G = HeisenbergGroup(4)
+    g = (1, 2, 0)
+    h = G.mul(G.mul((0, 1, 0), g), G.inv((0, 1, 0)))
+    assert h != g and G.class_of(h) == G.class_of(g)
+    with pytest.raises(RepresentationInvalidError):
+        Character(G, {g: 1, h: 2})
+    with pytest.raises(RepresentationInvalidError):
+        Character(G, {g: 1, h: 0})
+    chi = Character(G, {g: 3, h: 3})
+    assert chi(g) == chi(h) == fe(3) and chi.values == {G.class_of(g): fe(3)}
+
+
 def test_character_is_computed_once_per_rep():
     for r in irrep_table(4):
         assert r.character() is r.character()
@@ -282,6 +320,58 @@ def test_bad_monomial_input_rejected(e1, e2):
 def test_invariant_subspace_matches_averaging_projector(rep, d):
     tp = TensorPowerRep(rep, d)
     assert invariant_subspace(tp) == averaged(tp, [{c: ONE} for c in range(tp.dim)])
+
+
+def joint_kernel(tp, s=None):
+    """The invariants as the nullspace of the 2*dim rows of e1 - 1 and e2 - 1,
+    met with s when given: the construction the orbit walk replaced."""
+    rows = []
+    for g in ((1, 0, 0), (0, 1, 0)):
+        for c in range(tp.dim):
+            # g sends basis c to v * basis r: row r of g - 1 is v at c, -1 at r
+            ((r, v),) = tp.act_row(g, {c: ONE}).items()
+            row = {c: v}
+            row[r] = row.get(r, ZERO) - ONE
+            rows.append({k: w for k, w in row.items() if w})
+    fixed = linalg.nullspace(rows, tp.dim)
+    if s is not None:
+        fixed = linalg.intersect(s.rows, fixed, tp.dim)
+    return span_rows(tp.base.dim, tp.degree, fixed)
+
+
+def cyclic_span(tp):
+    """A stable subspace: the span of the images of e_0 + 2 e_last (of e_0 in dimension 1)."""
+    row = {0: ONE, tp.dim - 1: fe(2)} if tp.dim > 1 else {0: ONE}
+    return span_rows(tp.base.dim, tp.degree, [tp.act_row(g, row) for g in tp.group.elements()])
+
+
+# every irreducible at degrees 1-4 (H4 at 1-3), and the coordinate H4 rep in
+# the sum/difference basis
+ORBIT_CASES = ([(rep, d) for n in (2, 3, 4) for rep in irrep_table(n)
+                for d in range(1, 4 if n == 4 else 5)]
+               + [(pm_rep(), d) for d in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("rep, d", ORBIT_CASES,
+                         ids=[f"{rep.label}-deg{d}" for rep, d in ORBIT_CASES])
+def test_orbit_walk_matches_joint_kernel(rep, d):
+    tp = TensorPowerRep(rep, d)
+    assert invariant_subspace(tp) == joint_kernel(tp)
+    stable = cyclic_span(tp)
+    assert is_subrep(stable, tp)
+    assert invariant_subspace(tp, stable) == joint_kernel(tp, stable)
+
+
+def test_orbit_walk_cases_are_not_vacuous():
+    # some fixed spaces are empty, some are not, and some stable subspaces
+    # are proper and still carry invariants
+    dims, proper = set(), False
+    for rep, d in ORBIT_CASES:
+        tp = TensorPowerRep(rep, d)
+        dims.add(invariant_subspace(tp).dim)
+        stable = cyclic_span(tp)
+        proper |= stable.dim < tp.dim and invariant_subspace(tp, stable).dim > 0
+    assert 0 in dims and len(dims) > 2 and proper
 
 
 def relation_overlap(*abc):
