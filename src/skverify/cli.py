@@ -15,9 +15,9 @@ import sys
 import tempfile
 import time
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from typing import NamedTuple
 
 from . import __version__, sampling, veronese
 from .errors import ParameterError, SamplingExhaustedError, SkverifyError
@@ -34,8 +34,7 @@ from .pointscheme import (ProjPoint, group_law_record, hesse_add, hesse_origin,
 SUITES = ("s3", "s2", "s4", "quotient", "reps")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     suite: str = "all"
     abc: tuple = ()
     alpha: tuple = ()
@@ -68,7 +67,8 @@ class RunConfig:
 def _stringify(value):
     if value is None or isinstance(value, int):
         return value
-    if isinstance(value, (list, tuple)):
+    # exact types: a record is a NamedTuple, and renders through its str
+    if type(value) in (list, tuple):
         return [_stringify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _stringify(v) for k, v in value.items()}

@@ -15,8 +15,8 @@ l10^2 + l01^2 - l11^2 - (l10 l01 l11)^2 = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .field import FieldElem, fe
@@ -24,8 +24,7 @@ from .freealg import NcPoly, acomm, comm
 from .graded import Presentation
 
 
-@dataclass(frozen=True)
-class AbcParams:
+class AbcParams(NamedTuple):
     """Projective parameter point [a:b:c] with rational coordinates."""
 
     a: Fraction
@@ -40,15 +39,11 @@ class AbcParams:
             raise ParameterError("[0:0:0] is not a projective point")
         return AbcParams(*(x / lead for x in coords))
 
-    def __iter__(self):
-        return iter((self.a, self.b, self.c))
-
     def __str__(self):
         return f"[{self.a}:{self.b}:{self.c}]"
 
 
-@dataclass(frozen=True)
-class AlphaTriple:
+class AlphaTriple(NamedTuple):
     """Product coordinates of the fivefold locus: sum + product = 0."""
 
     alpha1: FieldElem
@@ -71,9 +66,6 @@ class AlphaTriple:
             raise ParameterError("1 + alpha1*alpha2 = 0 leaves alpha3 undetermined")
         return AlphaTriple(a1, a2, -(a1 + a2) / den)
 
-    def __iter__(self):
-        return iter((self.alpha1, self.alpha2, self.alpha3))
-
     def is_degenerate(self) -> bool:
         """Any coordinate in {0, 1, -1}."""
         return any(x == v for x in self for v in (fe(0), fe(1), fe(-1)))
@@ -82,8 +74,7 @@ class AlphaTriple:
         return f"({self.alpha1}, {self.alpha2}, {self.alpha3})"
 
 
-@dataclass(frozen=True)
-class SextupleParams:
+class SextupleParams(NamedTuple):
     """Coefficients (a10, b10, a01, b01, a11, b11) on the fivefold locus."""
 
     a10: FieldElem
@@ -118,9 +109,6 @@ class SextupleParams:
 
     def alpha(self) -> AlphaTriple:
         return AlphaTriple.of(*self.products())
-
-    def __iter__(self):
-        return iter((self.a10, self.b10, self.a01, self.b01, self.a11, self.b11))
 
     def __str__(self):
         return "(" + ", ".join(str(x) for x in self) + ")"

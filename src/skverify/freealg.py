@@ -19,8 +19,8 @@ two subspaces are equal exactly when their representations coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ShapeError
@@ -223,8 +223,7 @@ def acomm(p: NcPoly, q: NcPoly) -> NcPoly:
     return p * q + q * p
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Subspace of one homogeneous component, held as canonical RREF rows:
     ascending pivots and one row per pivot, as ``linalg.rref`` returns them."""
 

@@ -33,8 +33,8 @@ sends the residue of one element to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from . import linalg
 from .errors import DegreeError, ParameterError, ShapeError
@@ -42,8 +42,7 @@ from .field import ONE, ZERO, ZETA12, FieldElem, ratio
 from .freealg import NcPoly, Subspace, span, span_rows
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Free algebra on named generators modulo graded relation subspaces."""
 
     gen_names: tuple[str, ...]

@@ -324,14 +324,15 @@ def antisymmetric_character(rep: GroupRep) -> Character:
 
 
 def is_subrep(s: Subspace, tp: TensorPowerRep) -> bool:
-    """Whether a subspace of the degree-d component is stable under the action."""
+    """Whether a subspace of the degree-d component is stable under the action.
+
+    The action is invertible, so s is stable exactly when each generator
+    sends each basis row of s back into s.
+    """
     if s.ncols != tp.dim:
         raise ShapeError("subspace does not match the representation space")
-    for g in ((1, 0, 0), (0, 1, 0)):
-        image = span_rows(s.ngens, s.degree, [tp.act_row(g, r) for r in s.rows])
-        if image != s:
-            return False
-    return True
+    return all(s.contains_row(tp.act_row(g, r))
+               for g in ((1, 0, 0), (0, 1, 0)) for r in s.rows)
 
 
 def invariant_subspace(tp: TensorPowerRep, s: Subspace | None = None) -> Subspace:

@@ -21,10 +21,9 @@ basis in one pass, without leaving the integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .field import I4, ONE, ZERO, FieldElem, mul_i4, norm_cofactor, ratio
 
@@ -148,8 +147,7 @@ def _head(x) -> int:
     return x if x.__class__ is int else x[0]
 
 
-@dataclass(frozen=True)
-class IntRows:
+class IntRows(NamedTuple):
     """Fraction-free arithmetic on integer rows of one entry kind.
 
     ``lift`` writes a FieldElem row as (integer row, positive int den) and

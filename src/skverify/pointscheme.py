@@ -376,7 +376,8 @@ def group_law_record(p: AbcParams) -> dict:
     recomputes the walk steps pts[k] + tau and the pair sums independently
     (chord_agrees); tau_order is the exact order of tau, or "infinite".
     Everything runs on primitive integer triples, and each triple an
-    operation takes is checked to lie on the curve once.
+    operation takes is checked to lie on the curve once: tau or a multiple
+    off the curve raises OffCurveError rather than reaching the record.
     """
     cubic = _smooth_cubic(p)
     count = MULTIPLES
@@ -408,8 +409,6 @@ def group_law_record(p: AbcParams) -> dict:
     record = {
         "count": count,
         "tau_order": "infinite" if order is None else order,
-        "tau_on_curve": _on_cubic(cubic, tau),
-        "multiples_on_curve": all(_on_cubic(cubic, q) for q in pts),
         "identity": all(add(q, _ORIGIN) == q for q in pts),
         "inverses": all(add(q, _neg(q)) == _ORIGIN for q in pts),
         "commutative": all(sums[(i, j)] == add(pts[j], pts[i])

@@ -10,8 +10,8 @@ of another.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError, SamplingExhaustedError
 from .families import (AbcParams, AlphaTriple, alpha_from_abc, s2_central_quartic,
@@ -59,8 +59,7 @@ def nonzero_rational(rng: SplitMix64) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class RejectionEvent:
+class RejectionEvent(NamedTuple):
     kind: str
     candidate: str
     reason: str

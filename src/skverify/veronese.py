@@ -24,8 +24,7 @@ of the squared order-64 generators on the sum/difference basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ParameterError, VerificationError
@@ -78,9 +77,12 @@ def gamma_expansions(p: AbcParams) -> dict:
     return record
 
 
-@dataclass(frozen=True)
-class VeroneseMap:
-    """Derived data of the quotient map at one parameter point."""
+class VeroneseMap(NamedTuple):
+    """Derived data of the quotient map at one parameter point.
+
+    A NamedTuple, so it keeps no cache: ``central_pair`` is a plain property,
+    derived again on each read.
+    """
 
     params: AbcParams
     images: tuple[NcPoly, ...]
@@ -93,13 +95,13 @@ class VeroneseMap:
         """Image of a polynomial in the 4 symbols inside the 2-generator algebra."""
         return substitute(poly, list(self.images))
 
-    @cached_property
+    @property
     def central_pair(self) -> "CentralPair":
         """omega1 is the extra kernel quadric; omega2 its symmetry translate.
 
         Both are supported on generator squares, so the translate is computed
         with the in-field squared scalars from _square_translates.  The pair is
-        derived once per map; a failure is raised again on every access.
+        derived on every access, so a failure is raised on every access.
         """
         t1, _ = _square_translates(self.sextuple)
         omega2 = _squares(t1(_square_coeffs(self.extra)))
@@ -258,8 +260,7 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
     return record
 
 
-@dataclass(frozen=True)
-class CentralPair:
+class CentralPair(NamedTuple):
     """The two degree-2 central elements of the derived 4-generator algebra."""
 
     omega1: NcPoly

@@ -8,6 +8,7 @@ import pytest
 import skverify.cli as cli
 from skverify.cli import RunConfig, main, render_report, run_suite
 from skverify.errors import VerificationError
+from skverify.families import AbcParams, AlphaTriple, SextupleParams
 
 
 def strip_timing(text):
@@ -32,6 +33,16 @@ def test_json_report_schema(capsys):
     assert report["summary"]["failed"] == 0
     assert report["summary"]["errors"] == 0
     assert report["summary"]["total"] == len(report["checks"])
+
+
+def test_stringify_renders_records_through_str():
+    # the parameter records are NamedTuples; they must not become JSON arrays
+    records = [AbcParams.of(1, 2, 3), AlphaTriple.complete(2, 3),
+               SextupleParams.from_alpha(AlphaTriple.complete(2, 3))]
+    for rec in records:
+        assert cli._stringify(rec) == str(rec)
+    assert cli._stringify({"p": records[0], "pair": (records[0], 2)}) == {
+        "p": "[1:2:3]", "pair": ["[1:2:3]", 2]}
 
 
 def test_checks_sorted_by_id_then_params(capsys):

@@ -14,7 +14,8 @@ from skverify import linalg
 from skverify.errors import NotASubrepError, RepresentationInvalidError
 from skverify.families import AbcParams, build_s3
 from skverify.field import ONE, ZERO, fe, root_of_unity
-from skverify.freealg import NcPoly, index_to_word, span, span_rows, sum_and_intersect
+from skverify.freealg import (NcPoly, Subspace, index_to_word, span, span_rows,
+                              sum_and_intersect)
 from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup, TensorPowerRep,
                                  antisymmetric_character, decompose,
                                  h2_gen_rep, h3_gen_rep,
@@ -372,6 +373,55 @@ def test_orbit_walk_cases_are_not_vacuous():
         stable = cyclic_span(tp)
         proper |= stable.dim < tp.dim and invariant_subspace(tp, stable).dim > 0
     assert 0 in dims and len(dims) > 2 and proper
+
+
+def spans_its_images(s, tp):
+    """s is stable when the span of its images under each generator is s: the
+    definition the row-by-row membership test replaced."""
+    return all(span_rows(s.ngens, s.degree, [tp.act_row(g, r) for r in s.rows]) == s
+               for g in ((1, 0, 0), (0, 1, 0)))
+
+
+def power_sum(tp, i, j):
+    """The sum of the images of e_0 under the powers of the element (i, j, 0):
+    fixed by that element, so its line is stable under it, if not under both
+    generators."""
+    out = {}
+    for k in range(tp.group.n):
+        for c, v in tp.act_row((k * i, k * j, 0), {0: ONE}).items():
+            out[c] = out.get(c, ZERO) + v
+    return {c: v for c, v in out.items() if v}
+
+
+def subrep_candidates(tp):
+    """Stable and unstable subspaces: the cyclic span of e_0 + 2 e_last, the
+    lines of the e1 and e2 power sums, one basis word, that vector alone and
+    the zero subspace."""
+    n, d = tp.base.dim, tp.degree
+    row = {0: ONE, tp.dim - 1: fe(2)} if tp.dim > 1 else {0: ONE}
+    return [cyclic_span(tp), span_rows(n, d, [power_sum(tp, 1, 0)]),
+            span_rows(n, d, [power_sum(tp, 0, 1)]), span_rows(n, d, [{0: ONE}]),
+            span_rows(n, d, [row]), Subspace.zero(n, d)]
+
+
+SUBREP_CASES = [(rep, d) for n in (2, 3, 4) for rep in irrep_table(n) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("rep, d", SUBREP_CASES,
+                         ids=[f"{rep.label}-deg{d}" for rep, d in SUBREP_CASES])
+def test_is_subrep_matches_spanned_images(rep, d):
+    tp = TensorPowerRep(rep, d)
+    for s in subrep_candidates(tp):
+        assert is_subrep(s, tp) == spans_its_images(s, tp)
+
+
+def test_is_subrep_cases_are_not_vacuous():
+    # the candidates include proper stable subspaces and unstable ones
+    seen = set()
+    for rep, d in SUBREP_CASES:
+        tp = TensorPowerRep(rep, d)
+        seen.update((is_subrep(s, tp), 0 < s.dim < tp.dim) for s in subrep_candidates(tp))
+    assert {(True, True), (False, True)} <= seen
 
 
 def relation_overlap(*abc):

@@ -7,17 +7,22 @@ No module-level name starts out as an empty container: that is what a
 process-global memo looks like, and such state outlives the run it served.
 The layers built on the field do not import fractions: field arithmetic runs
 on integer numerators, and Fraction arithmetic above it would bring back a
-normalising gcd per coefficient. Every name a module, demo or test imports is
-read somewhere in it. The benchmark in ``perfbench/`` reads the package by
-attribute and by module name, which no test of the package sees, so those
-names are checked here too. Every function, class, non-dunder method and
-module-level name the package defines at top level is read by name somewhere
-in the package, its demos, its tests or the benchmark: code or a table that
-nothing reads is deleted, not kept.
+normalising gcd per coefficient. No module imports dataclasses, and starting
+the command loads neither it nor inspect: every run is a fresh interpreter.
+Every name a module, demo or test imports is read somewhere in it. The
+benchmark in ``perfbench/`` reads the package by attribute and by module name,
+which no test of the package sees, so those names are checked here too.
+Every function, class, non-dunder method and module-level name the package
+defines at top level is read by name somewhere in the package, its demos, its
+tests or the benchmark: code or a table that nothing reads is deleted, not
+kept.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from skverify import families, field, sampling
@@ -63,10 +68,10 @@ def test_no_module_level_empty_containers():
 FRACTION_FREE = ("linalg", "graded", "heisenberg", "freealg", "veronese")
 
 
-def test_hot_layers_do_not_import_fractions():
+def _imports_of(paths, module: str) -> set[str]:
+    """The import statements in ``paths`` that import ``module``, as file:line."""
     found = set()
-    for name in FRACTION_FREE:
-        path = PACKAGE / f"{name}.py"
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -75,9 +80,31 @@ def test_hot_layers_do_not_import_fractions():
                 mods = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "fractions" for m in mods):
+            if any(m.split(".")[0] == module for m in mods):
                 found.add(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_hot_layers_do_not_import_fractions():
+    found = _imports_of([PACKAGE / f"{name}.py" for name in FRACTION_FREE], "fractions")
     assert not found, f"fractions imported by a hot layer: {sorted(found)}"
+
+
+def test_package_does_not_import_dataclasses():
+    # records are NamedTuples: dataclasses (with the inspect, ast and dis it
+    # pulls in) and its per-class code generation cost every run at start-up
+    found = _imports_of(sorted(PACKAGE.glob("*.py")), "dataclasses")
+    assert not found, f"dataclasses imported by the package: {sorted(found)}"
+
+
+def test_command_start_up_leaves_dataclasses_and_inspect_unloaded():
+    code = ("import sys, skverify.cli; skverify.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _unused_imports(tree) -> set[str]:

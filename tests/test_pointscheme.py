@@ -79,10 +79,21 @@ def test_group_law_axioms_on_ten_multiples():
         assert rec["count"] == 10
         assert rec["tau_order"] == order
         assert rec["pass"]
-        for key in ("tau_on_curve", "multiples_on_curve", "identity",
-                    "inverses", "commutative", "multiple_consistency",
+        for key in ("identity", "inverses", "commutative", "multiple_consistency",
                     "associative", "chord_agrees"):
             assert rec[key] is True, key
+
+
+@pytest.mark.parametrize("name, fake", [
+    ("_smooth_cubic", lambda p: pointscheme._cubic(AbcParams.of(1, 2, 5))),
+    ("_add", lambda u, v: (1, 1, 1)),
+], ids=("tau", "multiple"))
+def test_group_law_raises_on_a_point_off_the_curve(monkeypatch, name, fake):
+    # the record has no on-curve fields: tau (on another curve) and each
+    # multiple (from _add) must pass the on-curve check before any axiom runs
+    monkeypatch.setattr(pointscheme, name, fake)
+    with pytest.raises(OffCurveError):
+        group_law_record(AbcParams.of(1, 2, 3))
 
 
 def test_chord_cross_check_does_not_use_the_closed_law(monkeypatch):

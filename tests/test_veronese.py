@@ -4,7 +4,6 @@ Everything here is re-derived from the defining images x^2+y^2, x^2-y^2,
 xy+yx, xy-yx; closed-form parameter values only enter as cross-checks.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -146,7 +145,7 @@ def _pm_basis(cols):
 def _swap_images(monkeypatch, vm):
     images = list(vm.images)
     images[1], images[2] = images[2], images[1]
-    return dataclasses.replace(vm, images=tuple(images))
+    return vm._replace(images=tuple(images))
 
 
 @pytest.mark.parametrize("breaks", [
