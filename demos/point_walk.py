@@ -35,7 +35,8 @@ print("two-generator family: 2x2 matrix of bilinear forms")
 print("  determinant proportional to the reference biquadratic:",
       rec["proportional"], "(ratio", str(rec["ratio_to_reference"]) + ")")
 rec0 = s2_point_determinant(AbcParams.of(0, 2, 3))
-print("  at a = 0 it splits into lines:", rec0["degenerate_product_of_lines"])
+print("  at a = 0 it is a multiple of x0 y0 x1 y1, a product of lines:",
+      list(rec0["determinant"].terms) == [(1, 1, 1, 1)])
 
 print()
 lam = (fe(1), fe(Fraction(-7, 4)), fe(1))

@@ -27,12 +27,6 @@ print("all seven kernel elements land in the target relation ideal:",
 print("sign characters of the kernel basis:", rec["element_characters"])
 print("images transform with matching signs:", rec["image_equivariance"])
 print()
-print("catalogued pair forms against the derived kernel:",
-      rec["reference_forms_in_kernel"])
-print("  index 3 disagrees at every sample point; the engine keeps the")
-print("  derived form, which is the one that actually lies in the kernel")
-
-print()
 cp = vm.central_pair
 names = ("v00", "v10", "v01", "v11")
 print("first central quadric: ", cp.omega1.text(names))

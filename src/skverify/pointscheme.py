@@ -164,8 +164,8 @@ def s2_reference_curve(p: AbcParams) -> MultiPoly:
 def s2_point_determinant(p: AbcParams) -> dict:
     """Determinant of the 2x2 matrix, compared to the reference (2,2)-form.
 
-    At a = 0 the determinant degenerates to a multiple of x0 y0 x1 y1
-    (a product of coordinate lines); the record flags that case.
+    At a = 0 the determinant degenerates to a multiple of x0 y0 x1 y1, a
+    product of coordinate lines.
     """
     m = coefficient_matrix(s2_relation_polys(p))  # the 2x2 matrix of bilinear forms
     ref = s2_reference_matrix(p)
@@ -178,7 +178,6 @@ def s2_point_determinant(p: AbcParams) -> dict:
         "determinant": det,
         "ratio_to_reference": ratio,
         "proportional": ratio is not None and bool(ratio),
-        "degenerate_product_of_lines": p.a == 0,
     }
 
 
@@ -488,9 +487,7 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     if flag in ("order1", "order3"):
         raise ParameterError(f"translation point has {flag}: not in the verified regime")
     cents = q.centralizer_slice(3)
-    inv_dim, match = invariant_cubics()
-    record: dict = {"tau_flag": flag, "centralizer_dim": cents.dim,
-                    "invariant_dim": inv_dim, "invariant_basis_match": match}
+    record: dict = {"tau_flag": flag, "centralizer_dim": cents.dim}
     if cents.dim != 1:
         record["pass"] = False
         record["reason"] = "centralizer dimension is not 1"
@@ -502,8 +499,8 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3))
     ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio
-    central = record["central"] = bool(ratio) and q.is_central(combo)
-    record["pass"] = bool(match and central)
+    record["central"] = bool(ratio) and q.is_central(combo)
+    record["pass"] = record["central"]
     return record
 
 

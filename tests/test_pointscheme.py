@@ -23,6 +23,7 @@ from skverify.pointscheme import (ProjPoint, _maximal_minors, coefficient_matrix
                                   s3_point_matrix, s4_minor_membership,
                                   tau_order, verify_c3_description)
 from skverify.graded import Quotient
+from skverify.heisenberg import GroupRep, HeisenbergGroup
 from skverify.veronese import verify_c4_central
 
 CURVES = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),
@@ -108,6 +109,8 @@ def test_chord_cross_check_does_not_use_the_closed_law(monkeypatch):
     rec = group_law_record(AbcParams.of(1, 2, 3))
     assert rec["chord_agrees"] is False
     assert rec["pass"] is False
+    # the axioms the swap breaks are caught by the law's own checks too
+    assert not (rec["identity"] or rec["associative"] or rec["multiple_consistency"])
 
 
 def test_tau_order_matches_chord_oracle():
@@ -206,6 +209,30 @@ def test_degree3_overlap_shape():
         assert rec["rv_dim"] == 9 and rec["vr_dim"] == 9
 
 
+def test_wrong_invariant_basis_or_action_is_caught(monkeypatch):
+    # with f2 and f3 swapped, a*f1 + b*f2 + c*f3 is not the relation
+    # combination, and the tangent combination is not the central cubic
+    p = CURVES[0]
+    basis = invariant_cubic_basis()
+    monkeypatch.setattr(pointscheme, "invariant_cubic_basis",
+                        lambda: [basis[0], basis[2], basis[1]])
+    rec = s3_degree3_overlap(p)
+    assert rec["meet_is_relation_combo"] is False
+    assert rec["invariant_is_meet"]
+    rec = verify_c3_description(p, Quotient(build_s3(p)))
+    assert rec["central"] is False
+    assert rec["pass"] is False
+    monkeypatch.undo()
+    # the cycle alone, without diag(1, w, w^2), fixes more than the meet
+    g = HeisenbergGroup(3)
+    cycle = tuple(((c - 1) % 3, fe(1)) for c in range(3))
+    monkeypatch.setattr(pointscheme, "h3_gen_rep",
+                        lambda: GroupRep(g, cycle, tuple((c, fe(1)) for c in range(3)), "cycle"))
+    rec = s3_degree3_overlap(p)
+    assert rec["invariant_is_meet"] is False
+    assert rec["invariant_dim"] == 5
+
+
 def test_invariant_cubic_basis_is_three_dimensional():
     basis = invariant_cubic_basis()
     assert len(basis) == 3
@@ -245,13 +272,26 @@ def test_point_determinant_matches_reference_curve():
         rec = s2_point_determinant(p)
         assert rec["matrix_matches_reference"]
         assert rec["proportional"]
-        assert not rec["degenerate_product_of_lines"]
         assert rec["ratio_to_reference"] is not None
+
+
+def test_point_determinant_catches_a_wrong_reference_curve(monkeypatch):
+    right = pointscheme.s2_reference_curve
+
+    def flipped(p):
+        # negate the ab (x0^2 y1^2 + y0^2 x1^2) term
+        x0, y0, x1, y1 = (MultiPoly.var(4, j) for j in range(4))
+        ab = fe(p.a) * fe(p.b) * (x0 * x0 * y1 * y1 + y0 * y0 * x1 * x1)
+        return right(p) - ab - ab
+
+    monkeypatch.setattr(pointscheme, "s2_reference_curve", flipped)
+    rec = s2_point_determinant(AbcParams.of(1, 2, 3))
+    assert rec["proportional"] is False
+    assert rec["ratio_to_reference"] is None
 
 
 def test_point_determinant_splits_when_first_parameter_vanishes():
     rec = s2_point_determinant(AbcParams.of(0, 2, 3))
-    assert rec["degenerate_product_of_lines"]
     expr = multipoly_to_sympy(rec["determinant"])
     factors = sympy.factor_list(expr)[1]
     for base, _mult in factors:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skverify import veronese
+from skverify import linalg, veronese
 from skverify.errors import ParameterError, VerificationError
 from skverify.families import (AbcParams, SextupleParams, alpha_from_abc, build_s2,
                                build_s4, s2_central_quartic, s2_relation_polys,
@@ -20,9 +20,8 @@ from skverify.freealg import NcPoly, comm, span, span_rows
 from skverify.graded import Quotient
 from skverify.sampling import s2_reject_reason
 from skverify.veronese import (build_veronese, closed_form_sextuple, extract_c4,
-                               gamma_expansions, quadratic_images,
-                               verify_c4_central, verify_central_pair,
-                               verify_quotient_map)
+                               quadratic_images, verify_c4_central,
+                               verify_central_pair, verify_quotient_map)
 
 POINTS = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(3, 4), Fraction(-3, 5)),
           AbcParams.of(2, 1, 7)]
@@ -37,35 +36,45 @@ def test_quadratic_images_are_the_four_symmetric_forms():
     assert w[3] == x * y - y * x
 
 
-def test_gamma_expansions_reconstruct_relations():
+def _gamma_bases():
+    """Image*generator and generator*image: the left and right expansion bases."""
     x, y = NcPoly.gens(2)
-    gens = (x, y)
     images = quadratic_images()
+    return {"left": [w * g for w in images for g in (x, y)],
+            "right": [g * w for g in (x, y) for w in images]}
+
+
+def _expand(rel, basis):
+    return linalg.solve_columns([b.to_row(3) for b in basis], (rel + rel).to_row(3))
+
+
+def test_gamma_expansions_reconstruct_relations():
+    # both bases have rank 8 in the 8-dimensional degree-3 space, so twice
+    # each relation always expands on either side and the rebuild is exact
+    for side, basis in _gamma_bases().items():
+        assert len(linalg.rref([b.to_row(3) for b in basis])[0]) == 8, side
     for p in POINTS:
-        rec = gamma_expansions(p)
-        assert rec["pass"]
-        rels = {"x": s2_relation_polys(p)[0], "y": s2_relation_polys(p)[1]}
-        assert len(rec["expansions"]) == 4
-        for entry in rec["expansions"]:
-            rel = rels[entry["relation"]]
-            if entry["side"] == "left":
-                basis = [wi * g for wi in images for g in gens]
-            else:
-                basis = [g * wi for g in gens for wi in images]
-            total = NcPoly.zero(2)
-            for cf, b in zip(entry["coefficients"], basis):
-                total = total + cf * b
-            assert total == fe(2) * rel
+        for rel in s2_relation_polys(p):
+            for basis in _gamma_bases().values():
+                sol = _expand(rel, basis)
+                assert sum((cf * b for cf, b in zip(sol, basis)), NcPoly.zero(2)) == rel + rel
 
 
 def test_gamma_expansion_reference_coefficients():
-    # left expansion of twice the first relation at [1:2:3]:
-    # (a+c) w00 x + (c-a) w10 x + (a+b) w01 y + (a-b) w11 y
-    rec = gamma_expansions(AbcParams.of(1, 2, 3))
-    left_x = [e for e in rec["expansions"]
-              if e["relation"] == "x" and e["side"] == "left"][0]
-    assert left_x["coefficients"] == (fe(4), fe(0), fe(2), fe(0),
-                                      fe(0), fe(3), fe(0), fe(-1))
+    # oracle for the closed-form extra quadric: twice the first relation,
+    # expanded over image*generator, has coefficients (a+c, c-a, a+b, a-b) on
+    # w00 x, w10 x, w01 y, w11 y; up to the last sign these are extra's
+    # coefficients on v00^2, v10^2, v01^2, v11^2
+    left = _gamma_bases()["left"]
+    assert _expand(s2_relation_polys(AbcParams.of(1, 2, 3))[0], left) == [
+        fe(4), fe(0), fe(2), fe(0), fe(0), fe(3), fe(0), fe(-1)]
+    for p in POINTS:
+        sol = _expand(s2_relation_polys(p)[0], left)
+        assert [sol[1], sol[3], sol[4], sol[6]] == [fe(0)] * 4
+        extra = build_veronese(p).extra
+        want = [extra.terms[(i, i)] for i in range(4)]
+        want[3] = -want[3]
+        assert [sol[0], sol[2], sol[5], sol[7]] == want
 
 
 def test_kernel_has_dimension_seven():
@@ -148,26 +157,58 @@ def _swap_images(monkeypatch, vm):
     return vm._replace(images=tuple(images))
 
 
-@pytest.mark.parametrize("breaks", [
-    _pm_basis(COORDINATES),    # e1^2 swaps x0 and x2: not diagonal
-    _pm_basis(PM_WITH_ZERO),   # every sign holds on a zero column
-    _swap_images,              # x^2 - y^2 and xy + yx carry different signs
-], ids=("coordinate-basis", "zero-column", "wrong-sign"))
-def test_squared_action_check_catches_a_wrong_basis_or_sign(monkeypatch, breaks):
+def _image_off_the_eigenvectors(monkeypatch, vm):
+    x, y = NcPoly.gens(2)
+    return vm._replace(images=(*vm.images[:3], x * y))
+
+
+@pytest.mark.parametrize("breaks, fields", [
+    # e1^2 swaps x0 and x2: not diagonal
+    (_pm_basis(COORDINATES), ("squared_action_diagonal",)),
+    # every sign holds on a zero column
+    (_pm_basis(PM_WITH_ZERO), ("squared_action_diagonal",)),
+    # x^2 - y^2 and xy + yx carry different signs
+    (_swap_images, ("squared_action_diagonal", "elements_are_eigenvectors")),
+    # e1 swaps x and y: xy goes to yx
+    (_image_off_the_eigenvectors, ("image_equivariance", "elements_are_eigenvectors")),
+], ids=("coordinate-basis", "zero-column", "wrong-sign", "image-no-eigenvector"))
+def test_squared_action_check_catches_a_wrong_basis_or_sign(monkeypatch, breaks, fields):
     vm = breaks(monkeypatch, build_veronese(AbcParams.of(1, 2, 3)))
     rec = verify_quotient_map(vm)
-    assert rec["squared_action_diagonal"] is False
+    for field in fields:
+        assert rec[field] is False
     assert rec["pass"] is False
 
 
+def E(i, j):
+    """Row key of the word v_i v_j, generators in order v00, v10, v01, v11."""
+    return 4 * i + j
+
+
+def _catalogued_pair_rows(p):
+    """The six relation couples in a, b, c as catalogued."""
+    a, b, c = fe(p.a), fe(p.b), fe(p.c)
+    return [
+        {E(0, 1): a, E(1, 0): -a, E(2, 3): -b, E(3, 2): -b},
+        {E(2, 3): a, E(3, 2): -a, E(0, 1): -c, E(1, 0): -c},
+        {E(0, 2): c - b, E(2, 0): b - c, E(3, 1): b + c - 2 * a, E(1, 3): b + c - 2 * a},
+        {E(3, 2): b - c, E(2, 3): c - b, E(0, 2): b + c + 2 * a, E(2, 0): b + c + 2 * a},
+        {E(0, 3): b + c, E(3, 0): -(b + c), E(1, 2): c - b - 2 * a, E(2, 1): c - b - 2 * a},
+        {E(1, 2): b + c, E(2, 1): -(b + c), E(0, 3): 2 * a - b + c, E(3, 0): 2 * a - b + c},
+    ]
+
+
 def test_reference_pair_forms_reveal_one_mismatch():
-    # the fourth catalogued pair form fails kernel membership at every
-    # sample point; the derived replacement is what the engine certifies
+    # the fourth catalogued form puts its commutator on (v11, v01) and lies
+    # outside the derived kernel at every sample point; on (v11, v10), the
+    # slot of the derived relation, it lies inside
     for p in POINTS:
-        rec = verify_quotient_map(build_veronese(p))
-        assert rec["reference_forms_in_kernel"] == (
-            True, True, True, False, True, True)
-        assert rec["reference_form_mismatches"] == (3,)
+        kernel = span_rows(4, 2, build_veronese(p).kernel_rows)
+        rows = _catalogued_pair_rows(p)
+        assert [kernel.contains_row(r) for r in rows] == [True] * 3 + [False] + [True] * 2
+        fourth = rows[3]
+        moved = {E(3, 1): fourth.pop(E(3, 2)), E(1, 3): fourth.pop(E(2, 3)), **fourth}
+        assert kernel.contains_row(moved)
 
 
 def test_alpha_agrees_with_closed_form():
@@ -199,6 +240,23 @@ def test_central_pair_certificate():
         assert rec["independent_mod_relations"]
         assert rec["centralizer_dim"] == 2
         assert rec["centralizer_is_pair_span"]
+        assert rec["second_translate_in_span"]
+
+
+@pytest.mark.parametrize("abc", [(1, 2, 3), (1, 1, 8)], ids=("1,2,3", "1,1,8"))
+def test_central_pair_fails_on_a_wrong_second_translate(monkeypatch, abc):
+    # reversing the coordinates of the second symmetry's translate moves it
+    # out of the pair span, and the pair check must fail with it
+    translates = veronese._square_translates
+
+    def reversed_t2(s):
+        t1, t2 = translates(s)
+        return t1, lambda n: t2(n)[::-1]
+
+    monkeypatch.setattr(veronese, "_square_translates", reversed_t2)
+    rec = verify_central_pair(build_veronese(AbcParams.of(*abc)))
+    assert rec["second_translate_in_span"] is False
+    assert rec["pass"] is False
 
 
 def test_central_pair_needs_all_six_coefficients():
