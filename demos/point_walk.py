@@ -42,7 +42,7 @@ print()
 lam = (fe(1), fe(Fraction(-7, 4)), fe(1))
 rec = s4_minor_membership(*lam)
 print("four-generator family at a square-root parameter triple:")
-print("  6x4 matrix of linear forms,", rec["minor_count"], "maximal minors")
+print("  6x4 matrix of linear forms,", len(rec["memberships"]), "maximal minors")
 print("  all lie in the span of the two reference quadrics:",
       rec["all_members"])
 print("  perturbing the triple breaks", rec["perturbed_failures"],

@@ -27,8 +27,8 @@ every check that asks about that algebra, while a presentation with adjoined
 elements is another algebra with its own engine.  Centrality is read from
 its definition, the commutator map s -> NF(x_i s - s x_i) from A_k to
 A_{k+1}: a centralizer is its kernel, one linalg.column_kernel over a column
-per standard word, keyed by (generator, word), and is_central asks whether it
-sends the residue of one element to zero.
+per standard word, keyed by (generator, word), and an element is central
+exactly when its residue lies in that slice.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import DegreeError, ParameterError, ShapeError
-from .field import ONE, ZERO, ZETA12, FieldElem, ratio
+from .field import ONE, ZERO, ZETA12, ratio
 from .freealg import NcPoly, Subspace, span, span_rows
 
 
@@ -150,40 +150,24 @@ class Quotient:
         return NcPoly.from_row(poly.ngens, m, self.normal_row(poly.to_row(m), m))
 
     def centralizer_slice(self, k: int) -> Subspace:
-        """Canonical representatives of degree-k elements central in the quotient."""
+        """Canonical representatives of degree-k elements central in the quotient,
+        the kernel of s -> NF(x_i s - s x_i) with one column per standard word."""
         if k < 1:
             raise DegreeError("degree must be >= 1")
-        std = self.standard(k)
-        kernel = linalg.column_kernel([self._commutators({s: ONE}, k) for s in std])
-        return span_rows(self.p.ngens, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
-
-    def is_central(self, c: NcPoly) -> bool:
-        """Whether NF(x_i c - c x_i) = 0 for every generator x_i."""
-        if not c.is_homogeneous() or not c:
-            raise ShapeError("need a nonzero homogeneous element")
-        k = c.degree()
-        if k < 1:
-            raise DegreeError("degree must be >= 1")
-        row = self.normal_row(c.to_row(k), k)
-        if not row:
-            raise ParameterError("element vanishes in the quotient algebra")
-        return not self._commutators(row, k)
-
-    def _commutators(self, row: linalg.Row, k: int) -> dict[tuple[int, int], FieldElem]:
-        """The nonzero NF(x_i s - s x_i) of a degree-k row s, keyed (i, word)."""
         n = self.p.ngens
         nk = n ** k
-        out = {}
-        for i in range(n):
-            comm: linalg.Row = {}
-            for w, v in row.items():
-                left, right = i * nk + w, w * n + i      # words x_i * w and w * x_i
+        std = self.standard(k)
+        columns = []
+        for s in std:
+            col = {}
+            for i in range(n):
+                left, right = i * nk + s, s * n + i      # words x_i * s and s * x_i
                 if left != right:
-                    comm[left] = comm.get(left, ZERO) + v
-                    comm[right] = comm.get(right, ZERO) - v
-            nf = self.normal_row({w: v for w, v in comm.items() if v}, k + 1)
-            out.update(((i, c), v) for c, v in nf.items())
-        return out
+                    nf = self.normal_row({left: ONE, right: -ONE}, k + 1)
+                    col.update(((i, c), v) for c, v in nf.items())
+            columns.append(col)
+        kernel = linalg.column_kernel(columns)
+        return span_rows(n, k, [{std[j]: v for j, v in vec.items()} for vec in kernel])
 
     def _shift(self, row: dict, m: int) -> tuple[dict, int]:
         """Sum of c * NF_{m-1}(w[:-1]) * w[-1] over the terms c*w of a degree-m

@@ -251,11 +251,11 @@ def verify_central_pair(vm: VeroneseMap) -> dict:
     """Centrality and independence of the pair inside the derived algebra."""
     cp = vm.central_pair
     q = Quotient(build_s4(cp.sextuple))
-    central1, central2 = q.is_central(cp.omega1), q.is_central(cp.omega2)
     cs = q.centralizer_slice(2)
     nf = q.normal_form
     r1 = nf(cp.omega1)
     r2 = nf(cp.omega2)
+    central1, central2 = (bool(r) and cs.contains(r) for r in (r1, r2))
     pair_span = span_rows(4, 2, [r1.to_row(2), r2.to_row(2)])
     independent = pair_span.dim == 2
     record = {
@@ -304,16 +304,13 @@ def verify_c4_central(p: AbcParams, q: Quotient) -> dict:
     ``q`` is the 2-generator algebra at ``p``.
     """
     c4 = _closed_quartic(p)
-    central = q.is_central(c4)
     cs = q.centralizer_slice(4)
     resid = q.normal_form(c4)
     rec = {
         "centralizer_dim": cs.dim,
-        "quartic_in_centralizer": bool(resid) and cs.contains(resid),
         "quartic_nonzero_mod_ideal": bool(resid),
-        "central": central,
+        "central": bool(resid) and cs.contains(resid),
         "quartic_invariant": _invariant(c4),
     }
-    rec["pass"] = (central and rec["quartic_in_centralizer"]
-                   and rec["quartic_invariant"])
+    rec["pass"] = rec["central"] and rec["quartic_invariant"]
     return rec

@@ -5,21 +5,18 @@ The oracle builds J_m inside V^{tensor m} by the recurrence
     J_m  =  V * J_{m-1}  +  sum_d  R_d * V^{m-d}
 
 and reduces modulo the canonical RREF of J_m.  Its residues, Hilbert
-dimensions and centralizer bases must equal the engine's exactly, and an
-element is central for the engine exactly when its residue lies in the
-oracle's centralizer, on random rational and cyclotomic parameters and
-through the degrees the command line uses.
+dimensions and centralizer bases must equal the engine's exactly, on random
+rational and cyclotomic parameters and through the degrees the command line
+uses.
 """
 
 from fractions import Fraction
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skverify import linalg
-from skverify.errors import ParameterError
 from skverify.families import (S3_NAMES, AbcParams, AlphaTriple, SextupleParams,
                                alpha_from_abc, build_s2, build_s3, build_s4,
                                s3_relation_polys)
@@ -72,8 +69,8 @@ class SliceOracle:
 
 
 def assert_engine_matches(pres, top, centralizer_degrees, elements=()):
-    """Hilbert dims and every word's normal form to ``top``; centralizers, and
-    the centrality of each centralizer basis element and of ``elements``."""
+    """Hilbert dims and every word's normal form to ``top``, the normal form of
+    each of ``elements``, and centralizers."""
     oracle = SliceOracle(pres)
     engine = Quotient(pres)
     n = pres.ngens
@@ -85,16 +82,8 @@ def assert_engine_matches(pres, top, centralizer_degrees, elements=()):
     for c in elements:
         want = oracle.slice(c.degree()).reduce(c)
         assert engine.normal_form(c) == want
-        if want:
-            assert engine.is_central(c) == oracle.centralizer(c.degree()).contains(want)
-        else:
-            with pytest.raises(ParameterError):
-                engine.is_central(c)
     for k in centralizer_degrees:
-        cents = engine.centralizer_slice(k)
-        assert cents == oracle.centralizer(k)
-        for c in cents.basis():
-            assert engine.is_central(c)
+        assert engine.centralizer_slice(k) == oracle.centralizer(k)
 
 
 small = st.fractions(min_value=-9, max_value=9, max_denominator=9)

@@ -1,5 +1,6 @@
 """Point geometry: cubic group law, point matrices, determinants, minors."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,12 +9,13 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skverify import pointscheme
+from skverify import pointscheme, veronese
+from skverify.cli import main
 from skverify.errors import OffCurveError
 from skverify.families import (AbcParams, SextupleParams, build_s2, build_s3,
                                is_smooth_hesse, s4_relation_polys)
 from skverify.field import fe, root_of_unity
-from skverify.freealg import MultiPoly, span
+from skverify.freealg import MultiPoly, NcPoly, span
 from skverify.pointscheme import (ProjPoint, _maximal_minors, coefficient_matrix,
                                   group_law_record, hesse_add,
                                   hesse_neg, hesse_origin, hesse_tangent_third,
@@ -111,6 +113,32 @@ def test_chord_cross_check_does_not_use_the_closed_law(monkeypatch):
     assert rec["pass"] is False
     # the axioms the swap breaks are caught by the law's own checks too
     assert not (rec["identity"] or rec["associative"] or rec["multiple_consistency"])
+
+
+def _rotated(closed):
+    # the cubic is symmetric in X, Y, Z, so the rotated sum stays on the curve
+    def rotated(u, v):
+        x, y, z = closed(u, v)
+        return (y, z, x)
+    return rotated
+
+
+def _order_dependent(closed):
+    def ordered(u, v):
+        x, y, z = closed(u, v)
+        return (x, y, z) if u <= v else (y, x, z)
+    return ordered
+
+
+@pytest.mark.parametrize("breaks, field", [
+    (_rotated, "inverses"),
+    (_order_dependent, "commutative"),
+], ids=("rotated-sum", "order-dependent-sum"))
+def test_group_law_axiom_catches_a_broken_sum(monkeypatch, breaks, field):
+    monkeypatch.setattr(pointscheme, "_sum", breaks(pointscheme._sum))
+    rec = group_law_record(AbcParams.of(1, 2, 3))
+    assert rec[field] is False
+    assert rec["pass"] is False
 
 
 def test_tau_order_matches_chord_oracle():
@@ -251,9 +279,21 @@ def test_center_cubic_certificate():
 def test_quartic_centralizer_record():
     p = AbcParams.of(1, 2, 3)
     rec = verify_c4_central(p, Quotient(build_s2(p)))
-    assert rec["quartic_in_centralizer"]
+    assert rec["central"]
     assert rec["quartic_nonzero_mod_ideal"]
     assert rec["centralizer_dim"] >= 1
+
+
+def test_quartic_centralizer_record_fails_on_a_quartic_in_the_ideal(monkeypatch):
+    # a relation times x reduces to zero: the record reads not central, it does not raise
+    p = AbcParams.of(1, 2, 3)
+    pres = build_s2(p)
+    x, _ = NcPoly.gens(2)
+    monkeypatch.setattr(veronese, "_closed_quartic", lambda p: pres.relation_polys()[0] * x)
+    rec = verify_c4_central(p, Quotient(pres))
+    assert rec["central"] is False
+    assert rec["quartic_nonzero_mod_ideal"] is False
+    assert rec["pass"] is False
 
 
 def multipoly_to_sympy(mp):
@@ -288,6 +328,27 @@ def test_point_determinant_catches_a_wrong_reference_curve(monkeypatch):
     rec = s2_point_determinant(AbcParams.of(1, 2, 3))
     assert rec["proportional"] is False
     assert rec["ratio_to_reference"] is None
+
+
+def _negate_entry(monkeypatch, name, i, j):
+    right = getattr(pointscheme, name)
+
+    def flipped(*args):
+        m = right(*args)
+        m[i][j] = -m[i][j]
+        return m
+
+    monkeypatch.setattr(pointscheme, name, flipped)
+
+
+def test_point_determinant_catches_a_wrong_reference_matrix(monkeypatch, capsys):
+    _negate_entry(monkeypatch, "s2_reference_matrix", 0, 1)
+    assert s2_point_determinant(AbcParams.of(1, 2, 3))["matrix_matches_reference"] is False
+    assert main(["verify", "s2", "--abc", "1,2,3", "--format", "json"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    check = checks["s2-point-determinant"]
+    assert check["data"]["matrix_matches_reference"] is False
+    assert check["status"] == "fail"
 
 
 def test_point_determinant_splits_when_first_parameter_vanishes():
@@ -331,9 +392,15 @@ def test_minor_membership_for_three_families():
     for lam in SQRT_TRIPLES:
         rec = s4_minor_membership(*lam)
         assert rec["pass"]
-        assert rec["minor_count"] == 15
         assert rec["all_members"]
         assert all(rec["memberships"])
         assert rec["matrix_matches_reference"]
         # a generic perturbation must break at least one minor
         assert rec["perturbed_failures"] >= 1
+
+
+def test_minor_membership_catches_a_wrong_reference_matrix(monkeypatch):
+    _negate_entry(monkeypatch, "s4_reference_matrix", 2, 3)
+    rec = s4_minor_membership(*SQRT_TRIPLES[0])
+    assert rec["matrix_matches_reference"] is False
+    assert rec["pass"] is False

@@ -259,6 +259,24 @@ def test_central_pair_fails_on_a_wrong_second_translate(monkeypatch, abc):
     assert rec["pass"] is False
 
 
+def test_central_pair_fails_on_a_non_central_square():
+    vm = build_veronese(AbcParams.of(1, 2, 3))
+    v00 = NcPoly.gens(4)[0]
+    # its translate v01^2 is not central either, and neither spans the centralizer
+    rec = verify_central_pair(vm._replace(extra=v00 * v00))
+    assert rec["omega1_central"] is False
+    assert rec["omega2_central"] is False
+    assert rec["centralizer_is_pair_span"] is False
+    assert rec["pass"] is False
+
+
+def test_central_pair_fails_when_omega2_is_omega1(monkeypatch):
+    _first_translate_is_identity(monkeypatch)
+    rec = verify_central_pair(build_veronese(AbcParams.of(1, 2, 3)))
+    assert rec["independent_mod_relations"] is False
+    assert rec["pass"] is False
+
+
 def test_central_pair_needs_all_six_coefficients():
     # 2a = b - c makes one pair coefficient vanish and the translate undefined
     with pytest.raises(ParameterError):
@@ -274,6 +292,48 @@ def test_quartic_image_extraction():
         assert rec["quartic_invariant"]
     # normalization-dependent regression pin at the reference point
     assert extract_c4(build_veronese(AbcParams.of(1, 2, 3)))["mu"] == fe(1)
+
+
+def _omega1_is_omega2(monkeypatch):
+    pair = veronese.CentralPair
+    monkeypatch.setattr(veronese, "CentralPair",
+                        lambda omega1, omega2, sextuple: pair(omega2, omega2, sextuple))
+
+
+def _first_translate_is_identity(monkeypatch):
+    translates = veronese._square_translates
+
+    def identity_t1(s):
+        return lambda n: n, translates(s)[1]
+
+    monkeypatch.setattr(veronese, "_square_translates", identity_t1)
+
+
+def _quartic_plus_relation(monkeypatch):
+    closed = veronese._closed_quartic
+
+    def shifted(p):
+        x, _ = NcPoly.gens(2)
+        return closed(p) + build_s2(p).relation_polys()[0] * x
+
+    monkeypatch.setattr(veronese, "_closed_quartic", shifted)
+
+
+@pytest.mark.parametrize("breaks, field", [
+    # omega2 maps to mu times the quartic, not to zero
+    (_omega1_is_omega2, "omega1_maps_to_zero"),
+    # omega2 is then omega1 again, whose image vanishes: no ratio to the quartic
+    (_first_translate_is_identity, "mu_nonzero"),
+    # same residue, so mu is unchanged, but the sign action moves r * x
+    (_quartic_plus_relation, "quartic_invariant"),
+], ids=("omega1-is-omega2", "identity-translate", "quartic-plus-relation"))
+def test_quartic_image_catches_each_broken_part(monkeypatch, breaks, field):
+    breaks(monkeypatch)
+    rec = extract_c4(build_veronese(AbcParams.of(1, 2, 3)))
+    assert rec[field] is False
+    assert rec["pass"] is False
+    assert [k for k in ("omega1_maps_to_zero", "mu_nonzero", "quartic_invariant")
+            if not rec[k]] == [field]
 
 
 def test_quartic_is_central():
