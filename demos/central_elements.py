@@ -20,7 +20,7 @@ print("degree-3 centralizer dimension:", rec["centralizer_dim"])
 print("coefficients in the invariant cubic basis:", rec["coefficient_triple"])
 print("  (that triple is the third intersection of the tangent line")
 print("   at the translation point with its curve)")
-print("commutes with every generator:", rec["central"])
+print("tangent combination is central, ratio", rec["ratio"], "to the slice basis:", rec["pass"])
 
 c3 = q.centralizer_slice(3).basis()[0]
 print()

@@ -32,8 +32,7 @@ print("group law axioms on ten multiples:",
 print()
 rec = s2_point_determinant(p)
 print("two-generator family: 2x2 matrix of bilinear forms")
-print("  determinant proportional to the reference biquadratic:",
-      rec["proportional"], "(ratio", str(rec["ratio_to_reference"]) + ")")
+print("  determinant over the reference biquadratic, ratio:", rec["ratio_to_reference"])
 rec0 = s2_point_determinant(AbcParams.of(0, 2, 3))
 print("  at a = 0 it is a multiple of x0 y0 x1 y1, a product of lines:",
       list(rec0["determinant"].terms) == [(1, 1, 1, 1)])

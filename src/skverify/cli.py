@@ -56,6 +56,11 @@ class RunConfig(NamedTuple):
             raise ParameterError(f"max degree must lie in 1..{top}")
         if self.fmt not in ("json", "text"):
             raise ParameterError(f"unknown format {self.fmt!r}")
+        # an explicit point no suite in the run reads would be silently ignored
+        labels = {row[2] for row in FAMILIES if row[0] in self.suites()}
+        for label in ("abc", "alpha"):
+            if getattr(self, label) and label not in labels:
+                raise ParameterError(f"no check in suite {self.suite!r} reads --{label} points")
 
     def suites(self) -> tuple[str, ...]:
         return SUITES if self.suite == "all" else (self.suite,)
@@ -121,9 +126,11 @@ class _Collector:
 # point, ``engine()`` its one engine (built on the first call, so a failed
 # build fails each check that asks for it with the same notes) and ``d`` the
 # degree cutoff.  A family's table lists its checks as (id, check) rows.
+# A check on a library record returns ``_verdict(record, notes)``: the record
+# decides its own ``pass``, which the report shows only as the status tag.
 
 def _verdict(rec: dict, notes: str = ""):
-    return rec["pass"], rec, notes
+    return rec.pop("pass"), rec, notes
 
 
 def _hilbert(num, den, of=None):
@@ -134,14 +141,6 @@ def _hilbert(num, den, of=None):
         want = series(num, den, d)
         return dims == want, {"dims": dims, "expected": want}, ""
     return check
-
-
-def _s3_overlap(p, alg, d):
-    rec = s3_degree3_overlap(p)
-    ok = (rec["sum_dim"] == 17 and rec["meet_dim"] == 1
-          and rec["meet_is_relation_combo"] and rec["invariant_dim"] == 1
-          and rec["invariant_is_meet"])
-    return ok, rec, ""
 
 
 def _mod_central_cubic(q: Quotient):
@@ -159,7 +158,7 @@ def _s3_walk(p, alg, d):
 
 S3 = (
     ("s3-hilbert", _hilbert((1,), (1, 1, 1))),
-    ("s3-relation-overlap", _s3_overlap),
+    ("s3-relation-overlap", lambda p, alg, d: _verdict(s3_degree3_overlap(p))),
     ("s3-center-cubic", lambda p, alg, d: _verdict(verify_c3_description(p, alg()))),
     ("s3-central-quotient-hilbert", _hilbert((1, 0, 0, -1), (1, 1, 1), _mod_central_cubic)),
     ("s3-point-walk", _s3_walk),
@@ -170,7 +169,7 @@ S3 = (
 def _s2_determinant(p, alg, d):
     rec = s2_point_determinant(p)
     rec.pop("determinant")
-    return rec["matrix_matches_reference"] and rec["proportional"], rec, ""
+    return _verdict(rec)
 
 
 def _s2_quartic(p, alg, d):
@@ -259,7 +258,8 @@ def _cubics():
 def _twist():
     table = twist_equivalence_table()
     eq = sum(1 for v in table.values() if v)
-    return True, {"pairs": len(table), "equivalent": eq}, "table cross-checked against the congruence rule"
+    return (len(table) == 256 and eq == 64, {"pairs": len(table), "equivalent": eq},
+            "table cross-checked against the congruence rule")
 
 
 REPS = (

@@ -173,11 +173,12 @@ def s2_point_determinant(p: AbcParams) -> dict:
     if not det:
         raise ParameterError("identically zero determinant")
     ratio = proportional(det, s2_reference_curve(p))
+    matches = m == ref
     return {
-        "matrix_matches_reference": m == ref,
+        "matrix_matches_reference": matches,
         "determinant": det,
         "ratio_to_reference": ratio,
-        "proportional": ratio is not None and bool(ratio),
+        "pass": matches and ratio is not None,
     }
 
 
@@ -357,12 +358,6 @@ def tau_order(p: AbcParams) -> int | None:
     return None
 
 
-def tau_order_flag(p: AbcParams) -> str:
-    """order1/2/3 for those orders of the translation point [a:b:c], else generic."""
-    n = tau_order(p)
-    return f"order{n}" if n in (1, 2, 3) else "generic"
-
-
 MULTIPLES = 10  # multiples of [a:b:c] that the group-law record walks
 
 
@@ -458,6 +453,7 @@ def s3_degree3_overlap(p: AbcParams) -> dict:
     combo = fe(p.a) * f1 + fe(p.b) * f2 + fe(p.c) * f3
     combo_in_meet = meet.dim == 1 and meet.contains(combo)
     inv = invariant_subspace(TensorPowerRep(h3_gen_rep(), 3), total)
+    invariant_is_meet = inv.rows == meet.rows
     return {
         "rv_dim": rv.dim,
         "vr_dim": vr.dim,
@@ -465,7 +461,9 @@ def s3_degree3_overlap(p: AbcParams) -> dict:
         "meet_dim": meet.dim,
         "meet_is_relation_combo": combo_in_meet,
         "invariant_dim": inv.dim,
-        "invariant_is_meet": inv.rows == meet.rows,
+        "invariant_is_meet": invariant_is_meet,
+        "pass": (total.dim == 17 and meet.dim == 1 and combo_in_meet
+                 and inv.dim == 1 and invariant_is_meet),
     }
 
 
@@ -484,11 +482,12 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     """
     if not is_smooth_hesse(p):
         raise SingularCurveError(f"{p} fails the smoothness criterion")
-    flag = tau_order_flag(p)
-    if flag in ("order1", "order3"):
-        raise ParameterError(f"translation point has {flag}: not in the verified regime")
+    order = tau_order(p)
+    if order in (1, 3):
+        raise ParameterError(f"translation point has order {order}: not in the verified regime")
     cents = q.centralizer_slice(3)
-    record: dict = {"tau_flag": flag, "centralizer_dim": cents.dim}
+    record: dict = {"tau_order": "infinite" if order is None else order,
+                    "centralizer_dim": cents.dim}
     if cents.dim != 1:
         record["pass"] = False
         record["reason"] = "centralizer dimension is not 1"
@@ -500,8 +499,7 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3))
     ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio
-    record["central"] = bool(ratio)
-    record["pass"] = record["central"]
+    record["pass"] = ratio is not None
     return record
 
 

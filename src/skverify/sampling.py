@@ -17,7 +17,7 @@ from .errors import ParameterError, SamplingExhaustedError
 from .families import (AbcParams, AlphaTriple, alpha_from_abc, s2_central_quartic,
                        is_smooth_hesse)
 from .field import fe, root_of_unity
-from .pointscheme import tau_order_flag
+from .pointscheme import tau_order
 
 log = logging.getLogger(__name__)
 
@@ -68,10 +68,10 @@ class RejectionEvent(NamedTuple):
 def s3_reject_reason(p: AbcParams) -> str | None:
     if not is_smooth_hesse(p):
         return "curve is singular"
-    flag = tau_order_flag(p)
-    if flag == "order1":
+    order = tau_order(p)
+    if order == 1:
         return "translation point is the origin"
-    if flag == "order3":
+    if order == 3:
         return "translation point is an inflection"
     return None
 

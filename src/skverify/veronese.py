@@ -292,9 +292,8 @@ def extract_c4(vm: VeroneseMap) -> dict:
     return {
         "omega1_maps_to_zero": not img1,
         "mu": mu,
-        "mu_nonzero": mu is not None and bool(mu),
         "quartic_invariant": invariant,
-        "pass": (not img1) and mu is not None and bool(mu) and invariant,
+        "pass": not img1 and mu is not None and invariant,
     }
 
 

@@ -35,6 +35,28 @@ def test_json_report_schema(capsys):
     assert report["summary"]["total"] == len(report["checks"])
 
 
+def test_verdict_is_only_the_status_tag(capsys):
+    # a record's pass becomes the status; the report never repeats it as data
+    assert main(["verify", "all", "--samples", "1", "--seed", "7", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["id"] for c in checks if "pass" in c["data"]] == []
+
+
+def test_twist_table_with_a_missing_entry_fails(capsys, monkeypatch):
+    real = cli.twist_equivalence_table
+
+    def short():
+        table = real()
+        table.pop(next(iter(table)))
+        return table
+
+    monkeypatch.setattr(cli, "twist_equivalence_table", short)
+    assert main(["verify", "reps", "--format", "json"]) == 1
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["reps-twist-table"]["status"] == "fail"
+    assert checks["reps-twist-table"]["data"]["pairs"] == 255
+
+
 def test_stringify_renders_records_through_str():
     # the parameter records are NamedTuples; they must not become JSON arrays
     records = [AbcParams.of(1, 2, 3), AlphaTriple.complete(2, 3),
@@ -276,6 +298,14 @@ def test_output_file_ignores_a_stale_temp_file(tmp_path, capsys):
     mask = os.umask(0)
     os.umask(mask)
     assert out.stat().st_mode & 0o777 == 0o666 & ~mask
+
+
+@pytest.mark.parametrize("args", [["s4", "--abc", "1,2,3"], ["s3", "--alpha", "2,3"],
+                                  ["reps", "--alpha", "2,3"]], ids=("s4-abc", "s3-alpha", "reps-alpha"))
+def test_explicit_point_no_suite_reads_exits_two(capsys, args):
+    # an explicit point the run would ignore is refused, not echoed and skipped
+    assert main(["verify", *args]) == 2
+    assert "reads --" in capsys.readouterr().err
 
 
 def test_alpha_with_undefined_third_value_exits_two(capsys):

@@ -235,6 +235,7 @@ def test_degree3_overlap_shape():
         assert rec["invariant_dim"] == 1
         assert rec["invariant_is_meet"]
         assert rec["rv_dim"] == 9 and rec["vr_dim"] == 9
+        assert rec["pass"]
 
 
 def test_wrong_invariant_basis_or_action_is_caught(monkeypatch):
@@ -247,8 +248,9 @@ def test_wrong_invariant_basis_or_action_is_caught(monkeypatch):
     rec = s3_degree3_overlap(p)
     assert rec["meet_is_relation_combo"] is False
     assert rec["invariant_is_meet"]
+    assert rec["pass"] is False
     rec = verify_c3_description(p, Quotient(build_s3(p)))
-    assert rec["central"] is False
+    assert rec["ratio"] is None
     assert rec["pass"] is False
     monkeypatch.undo()
     # the cycle alone, without diag(1, w, w^2), fixes more than the meet
@@ -259,6 +261,7 @@ def test_wrong_invariant_basis_or_action_is_caught(monkeypatch):
     rec = s3_degree3_overlap(p)
     assert rec["invariant_is_meet"] is False
     assert rec["invariant_dim"] == 5
+    assert rec["pass"] is False
 
 
 def test_invariant_cubic_basis_is_three_dimensional():
@@ -272,8 +275,9 @@ def test_center_cubic_certificate():
         rec = verify_c3_description(p, Quotient(build_s3(p)))
         assert rec["pass"]
         assert rec["centralizer_dim"] == 1
-        assert rec["central"]
+        assert rec["ratio"] is not None
         assert rec["coefficient_triple"] is not None
+        assert rec["tau_order"] == "infinite"
 
 
 def test_quartic_centralizer_record():
@@ -311,8 +315,8 @@ def test_point_determinant_matches_reference_curve():
     for p in CURVES:
         rec = s2_point_determinant(p)
         assert rec["matrix_matches_reference"]
-        assert rec["proportional"]
         assert rec["ratio_to_reference"] is not None
+        assert rec["pass"]
 
 
 def test_point_determinant_catches_a_wrong_reference_curve(monkeypatch):
@@ -326,8 +330,9 @@ def test_point_determinant_catches_a_wrong_reference_curve(monkeypatch):
 
     monkeypatch.setattr(pointscheme, "s2_reference_curve", flipped)
     rec = s2_point_determinant(AbcParams.of(1, 2, 3))
-    assert rec["proportional"] is False
+    assert rec["matrix_matches_reference"]
     assert rec["ratio_to_reference"] is None
+    assert rec["pass"] is False
 
 
 def _negate_entry(monkeypatch, name, i, j):
@@ -343,7 +348,10 @@ def _negate_entry(monkeypatch, name, i, j):
 
 def test_point_determinant_catches_a_wrong_reference_matrix(monkeypatch, capsys):
     _negate_entry(monkeypatch, "s2_reference_matrix", 0, 1)
-    assert s2_point_determinant(AbcParams.of(1, 2, 3))["matrix_matches_reference"] is False
+    rec = s2_point_determinant(AbcParams.of(1, 2, 3))
+    assert rec["matrix_matches_reference"] is False
+    assert rec["ratio_to_reference"] is not None
+    assert rec["pass"] is False
     assert main(["verify", "s2", "--abc", "1,2,3", "--format", "json"]) == 1
     checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     check = checks["s2-point-determinant"]

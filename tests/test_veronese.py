@@ -180,6 +180,18 @@ def test_squared_action_check_catches_a_wrong_basis_or_sign(monkeypatch, breaks,
     assert rec["pass"] is False
 
 
+def test_quotient_map_catches_a_quadric_outside_the_ideal():
+    # v00^2 maps to (x^2 + y^2)^2: invariant like the extra quadric, but not
+    # zero in the 2-generator algebra
+    vm = build_veronese(AbcParams.of(1, 2, 3))
+    v00 = NcPoly.gens(4)[0]
+    rec = verify_quotient_map(vm._replace(kernel_rows=(*vm.kernel_rows[:6],
+                                                        (v00 * v00).to_row(2))))
+    assert rec["relations_in_ideal"] == (True,) * 6 + (False,)
+    assert rec["element_characters"] == verify_quotient_map(vm)["element_characters"]
+    assert [k for k, v in rec.items() if v is False] == ["pass"]
+
+
 def E(i, j):
     """Row key of the word v_i v_j, generators in order v00, v10, v01, v11."""
     return 4 * i + j
@@ -288,7 +300,7 @@ def test_quartic_image_extraction():
         rec = extract_c4(build_veronese(p))
         assert rec["pass"]
         assert rec["omega1_maps_to_zero"]
-        assert rec["mu_nonzero"]
+        assert rec["mu"] is not None
         assert rec["quartic_invariant"]
     # normalization-dependent regression pin at the reference point
     assert extract_c4(build_veronese(AbcParams.of(1, 2, 3)))["mu"] == fe(1)
@@ -323,17 +335,17 @@ def _quartic_plus_relation(monkeypatch):
     # omega2 maps to mu times the quartic, not to zero
     (_omega1_is_omega2, "omega1_maps_to_zero"),
     # omega2 is then omega1 again, whose image vanishes: no ratio to the quartic
-    (_first_translate_is_identity, "mu_nonzero"),
+    (_first_translate_is_identity, "mu"),
     # same residue, so mu is unchanged, but the sign action moves r * x
     (_quartic_plus_relation, "quartic_invariant"),
 ], ids=("omega1-is-omega2", "identity-translate", "quartic-plus-relation"))
 def test_quartic_image_catches_each_broken_part(monkeypatch, breaks, field):
     breaks(monkeypatch)
     rec = extract_c4(build_veronese(AbcParams.of(1, 2, 3)))
-    assert rec[field] is False
+    holds = {"omega1_maps_to_zero": rec["omega1_maps_to_zero"], "mu": rec["mu"] is not None,
+             "quartic_invariant": rec["quartic_invariant"]}
+    assert [k for k, ok in holds.items() if not ok] == [field]
     assert rec["pass"] is False
-    assert [k for k in ("omega1_maps_to_zero", "mu_nonzero", "quartic_invariant")
-            if not rec[k]] == [field]
 
 
 def test_quartic_is_central():
