@@ -27,10 +27,9 @@ print("all seven kernel elements land in the target relation ideal:",
 print("sign characters of the kernel basis:", rec["element_characters"])
 print("images transform with matching signs:", rec["image_equivariance"])
 print()
-cp = vm.central_pair
 names = ("v00", "v10", "v01", "v11")
-print("first central quadric: ", cp.omega1.text(names))
-print("second central quadric:", cp.omega2.text(names))
+print("first central quadric: ", vm.extra.text(names))
+print("second central quadric:", vm.omega2.text(names))
 rec = verify_central_pair(vm)
 print("both central, independent, spanning the centralizer:",
       rec["pass"], "(dim", str(rec["centralizer_dim"]) + ")")

@@ -204,14 +204,13 @@ S4_MINORS = (("s4-minors", _s4_minors),)
 
 
 def _quotient_hilbert(p, vm, d):
-    cp = vm().central_pair
-    pres = build_s4(cp.sextuple)
-    both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(d)
+    pres = build_s4(vm().sextuple)
+    both = Quotient(pres.adjoin([vm().extra, vm().omega2])).hilbert_dims(d)
     want = series((1, 2, 1), (1, 1), d)
     # s4 degree k is s2 degree 2k, so k stops at half the s2 ceiling
     k = min(d, next(row[-1] for row in FAMILIES if row[0] == "s2") // 2)
     evens = vm().algebra.hilbert_dims(2 * k)[0::2]
-    single = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(k)
+    single = Quotient(pres.adjoin([vm().extra])).hilbert_dims(k)
     ok = both == want and single == evens
     return ok, {"mod_pair": both, "expected": want,
                 "mod_first": single, "target_even_dims": evens}, ""
@@ -297,6 +296,9 @@ FAMILIES = (
 
 def run_suite(config: RunConfig) -> dict:
     config.validate()
+    # points are normalised, so a repeated explicit point runs and echoes once
+    config = config._replace(abc=tuple(dict.fromkeys(config.abc)),
+                             alpha=tuple(dict.fromkeys(config.alpha)))
     suites = config.suites()
     t0 = time.perf_counter()
     col = _Collector()

@@ -17,9 +17,11 @@ closed-form extra relation
 
     (a+c) v00^2 + (c-a) v10^2 + (a+b) v01^2 + (b-a) v11^2
 
-must span the kernel.  The signs the checks compare are read from the group
-actions: the eigenvalues of the order-8 generators on each image, and those
-of the squared order-64 generators on the sum/difference basis.
+must span the kernel.  That extra relation is omega1, and its translate under
+an order-4 symmetry is omega2: the central pair, derived once per point.  The
+signs the checks compare are read from the group actions: the eigenvalues of
+the order-8 generators on each image, and those of the squared order-64
+generators on the sum/difference basis.
 """
 
 from __future__ import annotations
@@ -43,36 +45,19 @@ def quadratic_images() -> list[NcPoly]:
 
 
 class VeroneseMap(NamedTuple):
-    """Derived data of the quotient map at one parameter point.
-
-    A NamedTuple, so it keeps no cache: ``central_pair`` is a plain property,
-    derived again on each read.
-    """
+    """Derived data of the quotient map at one parameter point; ``extra`` is omega1."""
 
     params: AbcParams
     images: tuple[NcPoly, ...]
     sextuple: SextupleParams
-    extra: NcPoly            # the central quadric spanning the rest of the kernel
+    extra: NcPoly            # omega1: the central quadric spanning the rest of the kernel
+    omega2: NcPoly           # the second central quadric, omega1's first square translate
     kernel_rows: tuple[linalg.Row, ...]   # the six relations, then the extra quadric
     algebra: Quotient        # the 2-generator algebra the map was derived in
 
     def apply(self, poly: NcPoly) -> NcPoly:
         """Image of a polynomial in the 4 symbols inside the 2-generator algebra."""
         return substitute(poly, list(self.images))
-
-    @property
-    def central_pair(self) -> "CentralPair":
-        """omega1 is the extra kernel quadric; omega2 its symmetry translate.
-
-        Both are supported on generator squares, so the translate is computed
-        with the in-field squared scalars from _square_translates.  The pair is
-        derived on every access, so a failure is raised on every access.
-        """
-        t1, _ = _square_translates(self.sextuple)
-        omega2 = _squares(t1(_square_coeffs(self.extra)))
-        if not omega2:
-            raise VerificationError("translate of the extra quadric vanished")
-        return CentralPair(omega1=self.extra, omega2=omega2, sextuple=self.sextuple)
 
 
 def _squares(coeffs) -> NcPoly:
@@ -85,14 +70,15 @@ def _squares(coeffs) -> NcPoly:
 
 
 def build_veronese(p: AbcParams) -> VeroneseMap:
-    """Derive the sextuple and the extra central relation.
+    """Derive the sextuple and the central pair.
 
     The coefficient of relation (s, t, u, v) in families.S4_PAIRS is the last
     unknown of one solve, sum_i x_i k_i + c {v_u, v_v} = [v_s, v_t] over the
     kernel basis k_i; it is unique because {v_u, v_v} never lies in the
     kernel.  The six relations at the derived sextuple and the extra quadric
     must span the kernel, and are kept as ``kernel_rows``: a wrong coefficient
-    puts its relation outside the kernel, and this check catches it.
+    puts its relation outside the kernel, and this check catches it.  omega2
+    is the first translate from _square_translates, which needs all six nonzero.
     """
     if p.a == 0 or p.b == p.c or p.b == -p.c:
         raise ParameterError("quotient construction needs a != 0 and b != +-c")
@@ -113,12 +99,14 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
         coeffs.append(sol[-1])
     sextuple = SextupleParams.of(*coeffs)
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
-    extra = _squares((a + c, c - a, a + b, b - a))
+    squares = (a + c, c - a, a + b, b - a)
+    extra = _squares(squares)
     kernel_rows = tuple(r.to_row(2) for r in (*s4_relation_polys(sextuple), extra))
     if span_rows(4, 2, kernel_rows).rows != span_rows(4, 2, kernel).rows:
         raise VerificationError("six relations plus the extra quadric do not span the kernel")
+    t1, _ = _square_translates(sextuple)
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple, extra=extra,
-                       kernel_rows=kernel_rows, algebra=q)
+                       omega2=_squares(t1(squares)), kernel_rows=kernel_rows, algebra=q)
 
 
 def closed_form_sextuple(p: AbcParams) -> SextupleParams:
@@ -200,14 +188,6 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
     return record
 
 
-class CentralPair(NamedTuple):
-    """The two degree-2 central elements of the derived 4-generator algebra."""
-
-    omega1: NcPoly
-    omega2: NcPoly
-    sextuple: SextupleParams
-
-
 def _square_coeffs(poly: NcPoly) -> list[FieldElem]:
     """Coefficients on v00^2, v10^2, v01^2, v11^2; anything else is an error."""
     out = [ZERO, ZERO, ZERO, ZERO]
@@ -227,34 +207,29 @@ def _square_translates(s: SextupleParams):
     matrix sends the coefficient vector of sum n_ij v_ij^2 to that of its
     translate; the first moves (i,j) to (i,j+1), the second to (i+1,j).
     """
-    if not (s.a10 and s.b10 and s.a11 and s.b11):
-        raise ParameterError("square translate needs nonzero pair-10 and pair-11 coefficients")
+    if not all(s):
+        raise ParameterError("square translates need all six coefficients nonzero")
     r2 = -s.b10 / s.a10
     q2 = s.b11 / s.a11
     p2 = q2 * r2
+    v2 = s.b01 / s.a01
 
     def t1(n):
         return [n[2] * p2, n[3] * r2, n[0], n[1] * q2]
 
-    t2 = None
-    if s.a01 and s.b01:
-        u2 = -s.b11 / s.a11
-        v2 = s.b01 / s.a01
-
-        def t2(n):
-            return [n[1] * u2 * v2, n[0], n[3] * v2, n[2] * u2]
+    def t2(n):
+        return [-n[1] * q2 * v2, n[0], n[3] * v2, -n[2] * q2]
 
     return t1, t2
 
 
 def verify_central_pair(vm: VeroneseMap) -> dict:
     """Centrality and independence of the pair inside the derived algebra."""
-    cp = vm.central_pair
-    q = Quotient(build_s4(cp.sextuple))
+    q = Quotient(build_s4(vm.sextuple))
     cs = q.centralizer_slice(2)
     nf = q.normal_form
-    r1 = nf(cp.omega1)
-    r2 = nf(cp.omega2)
+    r1 = nf(vm.extra)
+    r2 = nf(vm.omega2)
     central1, central2 = (bool(r) and cs.contains(r) for r in (r1, r2))
     pair_span = span_rows(4, 2, [r1.to_row(2), r2.to_row(2)])
     independent = pair_span.dim == 2
@@ -265,13 +240,12 @@ def verify_central_pair(vm: VeroneseMap) -> dict:
         "centralizer_dim": cs.dim,
         "centralizer_is_pair_span": cs.rows == pair_span.rows,
     }
-    _, t2 = _square_translates(cp.sextuple)
-    if t2 is not None:
-        alt = _squares(t2(_square_coeffs(cp.omega1)))
-        record["second_translate_in_span"] = pair_span.contains(nf(alt))
+    _, t2 = _square_translates(vm.sextuple)
+    alt = _squares(t2(_square_coeffs(vm.extra)))
+    record["second_translate_in_span"] = pair_span.contains(nf(alt))
     record["pass"] = (central1 and central2 and independent
                       and record["centralizer_is_pair_span"]
-                      and record.get("second_translate_in_span", True))
+                      and record["second_translate_in_span"])
     return record
 
 
@@ -282,10 +256,9 @@ def extract_c4(vm: VeroneseMap) -> dict:
     mu, which is reported, not pinned: its value depends on the chosen
     normalizations of both sides.
     """
-    cp = vm.central_pair
     nf = vm.algebra.normal_form
-    img1 = nf(vm.apply(cp.omega1))
-    img2 = nf(vm.apply(cp.omega2))
+    img1 = nf(vm.apply(vm.extra))
+    img2 = nf(vm.apply(vm.omega2))
     c4 = _closed_quartic(vm.params)
     mu = proportional(img2, nf(c4)) if img2 else None
     invariant = _invariant(c4)

@@ -114,9 +114,9 @@ def test_criterion_06_central_pair_and_quotient_series():
         ok &= rec["omega1_central"] and rec["omega2_central"]
         ok &= rec["independent_mod_relations"]
         ok &= rec["pass"]
-        cp = build_veronese(p).central_pair
-        pres = build_s4(cp.sextuple)
-        dims = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(5)
+        vm = build_veronese(p)
+        pres = build_s4(vm.sextuple)
+        dims = Quotient(pres.adjoin([vm.extra, vm.omega2])).hilbert_dims(5)
         ok &= dims == (1, 4, 8, 12, 16, 20)
     verdict(6, "two central quadrics and the quotient growth", ok)
 

@@ -91,6 +91,18 @@ def test_explicit_parameters_skip_sampling(capsys):
     assert all(c["status"] == "pass" for c in report["checks"])
 
 
+def test_repeated_explicit_point_runs_once(capsys):
+    # [2:4:6] is [1:2:3]: each distinct point runs, counts, is timed and is
+    # echoed once, in the order first given
+    assert main(["verify", "s2", "--abc", "1,1,8", "--abc", "1,2,3", "--abc", "2,4,6",
+                 "--abc", "1,1,8", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["abc"] == ["[1:1:8]", "[1:2:3]"]
+    assert report["summary"]["total"] == 6
+    keys = [f"{c['id']} [{c['params']}]" for c in report["checks"]]
+    assert sorted(report["timing"]["checks"]) == sorted(set(keys)) == sorted(keys)
+
+
 def test_sampled_run_echoes_draws(capsys):
     assert main(["verify", "s3", "--samples", "1", "--seed", "7",
                  "--format", "json"]) == 0

@@ -101,6 +101,19 @@ def test_pair_extraction_matches_closed_form(b, c):
         s4_relation_polys(closed_form_sextuple(p)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)),
+       st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+def test_every_accepted_point_has_a_central_pair(b, c):
+    # the nondegenerate alpha2 = a01 b01 and alpha3 = a11 b11 keep all six
+    # coefficients nonzero, so both translates exist, and omega2 = 0 would need a = 0
+    p = AbcParams.of(1, b, c)
+    assume(s2_reject_reason(p) is None)
+    vm = build_veronese(p)
+    assert all(vm.sextuple)
+    assert vm.omega2
+
+
 @pytest.mark.parametrize("wrong", [lambda a, b: (b, a), lambda a, b: (-a, -b)],
                          ids=("swapped", "negated"))
 @pytest.mark.parametrize("abc", [(1, 2, 3), (1, 3, 5)], ids=("1,2,3", "1,3,5"))
@@ -273,9 +286,10 @@ def test_central_pair_fails_on_a_wrong_second_translate(monkeypatch, abc):
 
 def test_central_pair_fails_on_a_non_central_square():
     vm = build_veronese(AbcParams.of(1, 2, 3))
-    v00 = NcPoly.gens(4)[0]
-    # its translate v01^2 is not central either, and neither spans the centralizer
-    rec = verify_central_pair(vm._replace(extra=v00 * v00))
+    v00, _, v01, _ = NcPoly.gens(4)
+    # v01^2, the translate of v00^2, is not central either, and neither spans
+    # the centralizer
+    rec = verify_central_pair(vm._replace(extra=v00 * v00, omega2=v01 * v01))
     assert rec["omega1_central"] is False
     assert rec["omega2_central"] is False
     assert rec["centralizer_is_pair_span"] is False
@@ -283,16 +297,17 @@ def test_central_pair_fails_on_a_non_central_square():
 
 
 def test_central_pair_fails_when_omega2_is_omega1(monkeypatch):
-    _first_translate_is_identity(monkeypatch)
-    rec = verify_central_pair(build_veronese(AbcParams.of(1, 2, 3)))
+    rec = verify_central_pair(_first_translate_is_identity(monkeypatch, AbcParams.of(1, 2, 3)))
     assert rec["independent_mod_relations"] is False
     assert rec["pass"] is False
 
 
 def test_central_pair_needs_all_six_coefficients():
-    # 2a = b - c makes one pair coefficient vanish and the translate undefined
-    with pytest.raises(ParameterError):
-        build_veronese(AbcParams.of(2, 1, 5)).central_pair
+    # 2a = b - c (a11 = 0) and 2a = c - b (a01 = 0) each make one pair
+    # coefficient vanish and a translate of the extra quadric undefined
+    for abc in ((2, 1, 5), (1, 3, -1)):
+        with pytest.raises(ParameterError, match="all six coefficients"):
+            build_veronese(AbcParams.of(*abc))
 
 
 def test_quartic_image_extraction():
@@ -306,22 +321,24 @@ def test_quartic_image_extraction():
     assert extract_c4(build_veronese(AbcParams.of(1, 2, 3)))["mu"] == fe(1)
 
 
-def _omega1_is_omega2(monkeypatch):
-    pair = veronese.CentralPair
-    monkeypatch.setattr(veronese, "CentralPair",
-                        lambda omega1, omega2, sextuple: pair(omega2, omega2, sextuple))
+# each breaker returns the quotient map at p with one part broken
+
+def _omega1_is_omega2(monkeypatch, p):
+    vm = build_veronese(p)
+    return vm._replace(extra=vm.omega2)
 
 
-def _first_translate_is_identity(monkeypatch):
+def _first_translate_is_identity(monkeypatch, p):
     translates = veronese._square_translates
 
     def identity_t1(s):
         return lambda n: n, translates(s)[1]
 
     monkeypatch.setattr(veronese, "_square_translates", identity_t1)
+    return build_veronese(p)
 
 
-def _quartic_plus_relation(monkeypatch):
+def _quartic_plus_relation(monkeypatch, p):
     closed = veronese._closed_quartic
 
     def shifted(p):
@@ -329,6 +346,7 @@ def _quartic_plus_relation(monkeypatch):
         return closed(p) + build_s2(p).relation_polys()[0] * x
 
     monkeypatch.setattr(veronese, "_closed_quartic", shifted)
+    return build_veronese(p)
 
 
 @pytest.mark.parametrize("breaks, field", [
@@ -340,8 +358,7 @@ def _quartic_plus_relation(monkeypatch):
     (_quartic_plus_relation, "quartic_invariant"),
 ], ids=("omega1-is-omega2", "identity-translate", "quartic-plus-relation"))
 def test_quartic_image_catches_each_broken_part(monkeypatch, breaks, field):
-    breaks(monkeypatch)
-    rec = extract_c4(build_veronese(AbcParams.of(1, 2, 3)))
+    rec = extract_c4(breaks(monkeypatch, AbcParams.of(1, 2, 3)))
     holds = {"omega1_maps_to_zero": rec["omega1_maps_to_zero"], "mu": rec["mu"] is not None,
              "quartic_invariant": rec["quartic_invariant"]}
     assert [k for k, ok in holds.items() if not ok] == [field]
@@ -370,10 +387,10 @@ def test_quartic_degenerates_to_commutator_square():
 
 def test_quotient_hilbert_matches_even_slice():
     for p in POINTS:
-        cp = build_veronese(p).central_pair
-        pres = build_s4(cp.sextuple)
-        both = Quotient(pres.adjoin([cp.omega1, cp.omega2])).hilbert_dims(5)
+        vm = build_veronese(p)
+        pres = build_s4(vm.sextuple)
+        both = Quotient(pres.adjoin([vm.extra, vm.omega2])).hilbert_dims(5)
         assert both == (1, 4, 8, 12, 16, 20)
-        first = Quotient(pres.adjoin([cp.omega1])).hilbert_dims(3)
+        first = Quotient(pres.adjoin([vm.extra])).hilbert_dims(3)
         evens = Quotient(build_s2(p)).hilbert_dims(6)[0::2]
         assert first == evens
