@@ -204,7 +204,7 @@ S4_MINORS = (("s4-minors", _s4_minors),)
 
 
 def _quotient_hilbert(p, vm, d):
-    pres = build_s4(vm().sextuple)
+    pres = vm().s4.p
     both = Quotient(pres.adjoin([vm().extra, vm().omega2])).hilbert_dims(d)
     want = series((1, 2, 1), (1, 1), d)
     # s4 degree k is s2 degree 2k, so k stops at half the s2 ceiling

@@ -3,15 +3,17 @@
 A row is a dict mapping column index to a nonzero FieldElem.  Elimination
 runs fraction-free on integer rows (IntRows): one int per entry when every
 entry is rational, a 4-tuple of integer numerators otherwise.  Forward
-elimination cross-multiplies and strips integer content after every step, so
-coefficient growth stays additive rather than multiplicative.  Each echelon
-row keeps its own pivot entry, scaled to a positive rational integer (a
-cyclotomic row is multiplied by the norm cofactor of its pivot), so
-eliminating with it multiplies the other row by an int.  Back-substitution
-then reduces each row by the rows of larger pivot, in one pass per row.  rref
-divides each row by its pivot: the reduced row echelon form, which is
-canonical, so any generating set of the same subspace yields byte-identical
-output.
+elimination takes the rows shortest first (a sparse row meets fewer pivots
+and makes a sparser pivot row) and cross-multiplies; a row's integer content
+is stripped once, when it becomes a pivot row, so a row that reduces to zero
+costs no gcd.  Each echelon row keeps its own pivot entry, scaled to a
+positive rational integer (a cyclotomic row is multiplied by the norm
+cofactor of its pivot), so eliminating with it multiplies the other row by an
+int.  The pivot set and the back-substituted basis do not depend on the order
+the rows come in.  Back-substitution then reduces each row by the rows of
+larger pivot, in one pass per row.  rref divides each row by its pivot: the
+reduced row echelon form, which is canonical, so any generating set of the
+same subspace yields byte-identical output.
 
 Callers that keep their own state in integer rows, such as the graded engine,
 use IntRows directly: a vector is an integer row over one positive int
@@ -177,10 +179,11 @@ class IntRows(NamedTuple):
 
     def forward(self, rows) -> dict[int, dict]:
         """Forward echelon rows of the span of integer rows, by pivot: each
-        row's lowest column is its pivot, and it may meet the other pivots."""
-        elim, strip = self.elim, self._strip
+        row's lowest column is its pivot, and it may meet the other pivots.
+        Rows are taken shortest first; content is stripped from pivot rows only."""
+        elim = self.elim
         forward: dict[int, dict] = {}
-        for row in rows:
+        for row in sorted(rows, key=len):
             while row:
                 c = min(row)
                 b = forward.get(c)
@@ -191,7 +194,7 @@ class IntRows(NamedTuple):
                         g = -g
                     forward[c] = self.divide(row, g) if g != 1 else row
                     break
-                row = strip(elim(row, b, c))
+                row = elim(row, b, c)
         return forward
 
     def back_substitute(self, forward) -> dict[int, dict]:

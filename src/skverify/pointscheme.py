@@ -504,23 +504,44 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
 
 
 # -- minors of the 6x4 matrix of the 4-generator family --------------------
+# The minors and the quartic multiples of the quadrics are integer rows of one
+# linalg.IntRows kind, keyed by monomial: the exponents of v00, v10, v01, v11
+# as base-5 digits, so the product of monomials of total degree at most 4 is
+# the sum of their keys.
 
-def _maximal_minors(m: list[list[MultiPoly]]) -> list[MultiPoly]:
-    """The k x k minors of an r x k matrix, one per row set in combinations
-    order.  Laplace expansion along the first row, with one memo over
-    (rows, cols), so the minors share their smaller sub-minors."""
-    shape = m[0][0]
+def _monomial(exponents: tuple) -> int:
+    return sum(e * 5 ** j for j, e in enumerate(exponents))
+
+
+def _integer_matrix(m: list[list[MultiPoly]], ints: linalg.IntRows) -> list[list[dict]]:
+    """Each row of a matrix of polynomials times the least positive int that
+    makes it integral, with integer polynomial entries keyed by monomial.
+    Scaling a row by a nonzero constant scales each maximal minor by it."""
+    out = []
+    for row in m:
+        flat, _ = ints.lift({(j, _monomial(k)): c for j, e in enumerate(row)
+                             for k, c in e.terms.items()})
+        entries = [{} for _ in row]
+        for (j, k), v in flat.items():
+            entries[j][k] = v
+        out.append(entries)
+    return out
+
+
+def _integer_minors(m: list[list[dict]], ints: linalg.IntRows) -> list[dict]:
+    """The k x k minors of an r x k matrix of integer polynomials, one per row
+    set in combinations order.  Laplace expansion along the first row, with
+    one memo over (rows, cols), so the minors share their smaller sub-minors."""
 
     @cache
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
         if len(rows) == 1:
             return m[rows[0]][cols[0]]
-        total = MultiPoly.zero(shape.nvars)
+        total: dict = {}
         for j, c in enumerate(cols):
-            e = m[rows[0]][c]
-            if e:
-                term = e * det(rows[1:], cols[:j] + cols[j + 1:])
-                total = total + term if j % 2 == 0 else total - term
+            sub = det(rows[1:], cols[:j] + cols[j + 1:])
+            for k, e in m[rows[0]][c].items():
+                ints.axpy(total, e, -1 if j % 2 else 1, {k + w: v for w, v in sub.items()})
         return total
 
     cols = tuple(range(len(m[0])))
@@ -539,10 +560,6 @@ def s4_reference_matrix(l10, l01, l11) -> list[list[MultiPoly]]:
         [-v11, -l11 * v01, -l11 * v10, v00],
         [-l11 * v11, -v01, v10, -l11 * v00],
     ]
-
-
-def _poly_row(mp: MultiPoly, index: dict) -> linalg.Row:
-    return {index[key]: c for key, c in mp.terms.items()}
 
 
 def quadric_pair(l10, l01, l11) -> tuple[MultiPoly, MultiPoly, FieldElem]:
@@ -569,13 +586,16 @@ def _quadrics(lam) -> tuple[MultiPoly, MultiPoly]:
     return q1, q2
 
 
-def _quartic_membership(minors, q1, q2) -> list[bool]:
-    v = [MultiPoly.var(4, j) for j in range(4)]
-    products = [q * v[i] * v[j] for q in (q1, q2) for i in range(4) for j in range(i, 4)]
-    keys = {k for mp in minors + products for k in mp.terms}
-    index = {k: i for i, k in enumerate(sorted(keys))}
-    pivots, rows = linalg.rref([_poly_row(pr, index) for pr in products])
-    return [not linalg.reduce_mod(_poly_row(m, index), pivots, rows) for m in minors]
+def _membership(minors, quadrics, ints: linalg.IntRows) -> list[bool]:
+    """Whether each integer minor lies in the span of the quartic multiples
+    of the quadrics."""
+    shifts = [5 ** i + 5 ** j for i in range(4) for j in range(i, 4)]
+    products = []
+    for q in quadrics:
+        row, _ = ints.lift({_monomial(k): c for k, c in q.terms.items()})
+        products.extend({k + s: v for k, v in row.items()} for s in shifts)
+    basis = ints.echelon(products)
+    return [not ints.reduce(minor, 1, basis)[0] for minor in minors]
 
 
 def s4_minor_membership(l10, l01, l11) -> dict:
@@ -588,9 +608,12 @@ def s4_minor_membership(l10, l01, l11) -> dict:
     assembled = coefficient_matrix(s4_relation_polys(sx))
     reference = s4_reference_matrix(l10, l01, l11)
     q1, q2, lam = quadric_pair(l10, l01, l11)
-    minors = _maximal_minors(assembled)
-    members = _quartic_membership(minors, q1, q2)
-    escaped = _quartic_membership(minors, *_quadrics(lam + fe(1))).count(False)
+    perturbed = _quadrics(lam + fe(1))
+    ints = linalg.int_rows([e.terms for row in assembled for e in row]
+                           + [q.terms for q in (q1, q2, *perturbed)])
+    minors = _integer_minors(_integer_matrix(assembled, ints), ints)
+    members = _membership(minors, (q1, q2), ints)
+    escaped = _membership(minors, perturbed, ints).count(False)
     return {
         "sextuple": sx,
         "alpha": sx.alpha(),

@@ -54,6 +54,7 @@ class VeroneseMap(NamedTuple):
     omega2: NcPoly           # the second central quadric, omega1's first square translate
     kernel_rows: tuple[linalg.Row, ...]   # the six relations, then the extra quadric
     algebra: Quotient        # the 2-generator algebra the map was derived in
+    s4: Quotient             # the 4-generator algebra at the sextuple, the map's source
 
     def apply(self, poly: NcPoly) -> NcPoly:
         """Image of a polynomial in the 4 symbols inside the 2-generator algebra."""
@@ -70,7 +71,8 @@ def _squares(coeffs) -> NcPoly:
 
 
 def build_veronese(p: AbcParams) -> VeroneseMap:
-    """Derive the sextuple and the central pair.
+    """Derive the sextuple and the central pair; the engine of the
+    4-generator algebra at the sextuple is built here, once, for every check.
 
     The coefficient of relation (s, t, u, v) in families.S4_PAIRS is the last
     unknown of one solve, sum_i x_i k_i + c {v_u, v_v} = [v_s, v_t] over the
@@ -106,7 +108,8 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
         raise VerificationError("six relations plus the extra quadric do not span the kernel")
     t1, _ = _square_translates(sextuple)
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple, extra=extra,
-                       omega2=_squares(t1(squares)), kernel_rows=kernel_rows, algebra=q)
+                       omega2=_squares(t1(squares)), kernel_rows=kernel_rows, algebra=q,
+                       s4=Quotient(build_s4(sextuple)))
 
 
 def closed_form_sextuple(p: AbcParams) -> SextupleParams:
@@ -225,9 +228,8 @@ def _square_translates(s: SextupleParams):
 
 def verify_central_pair(vm: VeroneseMap) -> dict:
     """Centrality and independence of the pair inside the derived algebra."""
-    q = Quotient(build_s4(vm.sextuple))
-    cs = q.centralizer_slice(2)
-    nf = q.normal_form
+    cs = vm.s4.centralizer_slice(2)
+    nf = vm.s4.normal_form
     r1 = nf(vm.extra)
     r2 = nf(vm.omega2)
     central1, central2 = (bool(r) and cs.contains(r) for r in (r1, r2))

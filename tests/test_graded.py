@@ -108,6 +108,16 @@ def test_polynomial_growth_above_the_old_ceilings():
     assert Quotient(s4).hilbert_dims(6) == (1, 4, 10, 20, 35, 56, 84)
 
 
+def test_depth_past_the_command_line_ceilings():
+    # deeper than any FAMILIES ceiling, and still tenths of a second each
+    t = AlphaTriple.complete(Fraction(4, 5), Fraction(-3, 2))
+    s4 = Quotient(build_s4(SextupleParams.from_alpha(t)))
+    assert s4.hilbert_dims(8) == series((1,), (1, 1, 1, 1), 8)
+    # tau of infinite order: the centre is k[g], g the central cubic
+    s3 = Quotient(build_s3(S3_POINTS[1]))
+    assert [s3.centralizer_slice(k).dim for k in range(1, 10)] == [0, 0, 1] * 3
+
+
 def test_three_generator_family_matches_polynomial_growth():
     for p in S3_POINTS:
         dims = Quotient(build_s3(p)).hilbert_dims(6)

@@ -7,12 +7,14 @@ The oracle builds J_m inside V^{tensor m} by the recurrence
 and reduces modulo the canonical RREF of J_m.  Its residues, Hilbert
 dimensions and centralizer bases must equal the engine's exactly, on random
 rational and cyclotomic parameters and through the degrees the command line
-uses.
+uses.  The engine's elimination order is checked against the order it
+replaced: rows in the order generated, content stripped after every step.
 """
 
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -159,3 +161,45 @@ def test_engine_matches_slices_on_cyclotomic_s4(a1, a2, data):
     pres = build_s4(SextupleParams.from_alpha(AlphaTriple.complete(a1, a2)))
     elems = [data.draw(elements(4, k)) for k in (2, 3)]
     assert_engine_matches(pres, 4, (1, 2), elems)
+
+
+def generation_order_forward(self, rows):
+    """IntRows.forward as it was: rows in the order given, content stripped
+    after every elimination step."""
+    forward = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            b = forward.get(c)
+            if b is None:
+                row = self.rationalize(row, c)
+                g = self.content(row)
+                if linalg._head(row[c]) < 0:
+                    g = -g
+                forward[c] = self.divide(row, g) if g != 1 else row
+                break
+            row = self._strip(self.elim(row, b, c))
+    return forward
+
+
+ORDER_CASES = [
+    (build_s3(AbcParams.of(1, Fraction(-1, 3), -2)), 6, (3, 6)),
+    (build_s2(AbcParams.of(1, Fraction(3, 4), Fraction(-3, 5))), 6, (4,)),
+    (build_s4(SextupleParams.from_alpha(AlphaTriple.complete(Fraction(4, 5), Fraction(-3, 2)))),
+     5, (2, 4)),
+    (build_s4(SextupleParams.from_alpha(AlphaTriple.complete(FieldElem((1, 1, 0, 0)), fe(2)))),
+     4, (2,)),
+]
+
+
+@pytest.mark.parametrize("pres, top, degrees", ORDER_CASES, ids=("s3", "s2", "s4", "s4-cyclotomic"))
+def test_engine_does_not_depend_on_the_elimination_order(monkeypatch, pres, top, degrees):
+    engine = Quotient(pres)
+    want = ([engine.standard(m) for m in range(top + 1)],
+            [engine.centralizer_slice(k) for k in degrees],
+            [engine.normal_row({w: ONE}, top) for w in range(pres.ngens ** top)])
+    monkeypatch.setattr(linalg.IntRows, "forward", generation_order_forward)
+    oracle = Quotient(pres)
+    assert ([oracle.standard(m) for m in range(top + 1)],
+            [oracle.centralizer_slice(k) for k in degrees],
+            [oracle.normal_row({w: ONE}, top) for w in range(pres.ngens ** top)]) == want

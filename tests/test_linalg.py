@@ -303,6 +303,21 @@ def test_int_rows_reduce_matches_reduce_mod(m, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(matrices(max_rows=8), st.data())
+def test_echelon_does_not_depend_on_row_order(m, data):
+    """forward takes rows shortest first, so only rows of one length keep the
+    order they came in; the basis is the same for every order, in either
+    kind (a rational matrix lifts to cyclotomic rows too)."""
+    rows, _ = m
+    for k in dict.fromkeys((linalg.int_rows(rows), linalg.CYCLOTOMIC)):
+        lifted = [k.lift(r)[0] for r in rows]
+        want = k.back_substitute(k.forward(lifted))
+        shuffled = data.draw(st.permutations(lifted))
+        assert k.back_substitute(k.forward(shuffled)) == want
+        assert k.back_substitute(k.forward(iter(shuffled))) == want
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_column_kernel_property(data):
     """Sparse columns keyed by (generator, word) tuples, as a centralizer's are."""

@@ -2,21 +2,24 @@
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import lcm, prod
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skverify import pointscheme, veronese
+from skverify import linalg, pointscheme, sampling, veronese
 from skverify.cli import main
 from skverify.errors import OffCurveError
 from skverify.families import (AbcParams, SextupleParams, build_s2, build_s3,
                                is_smooth_hesse, s4_relation_polys)
 from skverify.field import fe, root_of_unity
 from skverify.freealg import MultiPoly, NcPoly, span
-from skverify.pointscheme import (ProjPoint, _maximal_minors, coefficient_matrix,
+from skverify.pointscheme import (ProjPoint, _integer_matrix, _integer_minors, _monomial,
+                                  coefficient_matrix,
                                   group_law_record, hesse_add,
                                   hesse_neg, hesse_origin, hesse_tangent_third,
                                   hesse_third, invariant_cubic_basis,
@@ -388,12 +391,87 @@ def cofactor_det(m):
     return total
 
 
+def scaled(poly, scale):
+    """A FieldElem polynomial times an int, keyed by monomial as the integer minors are."""
+    return {_monomial(k): c * scale for k, c in poly.terms.items()}
+
+
+def integer_minors(m):
+    """The package's integer minors as FieldElem rows, and the product of
+    the row scales of each: a row's scale is the lcm of its denominators."""
+    ints = linalg.int_rows([e.terms for row in m for e in row])
+    scales = [lcm(*(c.den for e in row for c in e.terms.values())) for row in m]
+    products = [prod(scales[r] for r in rows) for rows in combinations(range(len(m)), 4)]
+    return [ints.lower(r, 1) for r in _integer_minors(_integer_matrix(m, ints), ints)], products
+
+
 @pytest.mark.parametrize("lam", SQRT_TRIPLES)
 def test_memoized_minors_match_cofactor_expansion(lam):
     m = coefficient_matrix(s4_relation_polys(SextupleParams.from_sqrt(*lam)))
     quads = list(combinations(range(6), 4))
-    assert _maximal_minors(m) == [cofactor_det([m[r] for r in quad]) for quad in quads]
+    minors, products = integer_minors(m)
+    assert minors == [scaled(cofactor_det([m[r] for r in quad]), f)
+                      for quad, f in zip(quads, products)]
     assert len(quads) == 15
+
+
+# -- the FieldElem minors and membership, kept as the oracle ----------------
+
+def maximal_minors(m):
+    """The k x k minors of an r x k matrix of FieldElem polynomials, one per
+    row set in combinations order, by memoized Laplace expansion."""
+    shape = m[0][0]
+
+    @cache
+    def det(rows, cols):
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        total = MultiPoly.zero(shape.nvars)
+        for j, c in enumerate(cols):
+            e = m[rows[0]][c]
+            if e:
+                term = e * det(rows[1:], cols[:j] + cols[j + 1:])
+                total = total + term if j % 2 == 0 else total - term
+        return total
+
+    cols = tuple(range(len(m[0])))
+    return [det(rows, cols) for rows in combinations(range(len(m)), len(cols))]
+
+
+def quartic_membership(minors, q1, q2):
+    """Membership of each minor in the quartic multiples of q1 and q2, by
+    FieldElem RREF and reduce_mod over a dense monomial index."""
+    v = [MultiPoly.var(4, j) for j in range(4)]
+    products = [q * v[i] * v[j] for q in (q1, q2) for i in range(4) for j in range(i, 4)]
+    keys = {k for mp in minors + products for k in mp.terms}
+    index = {k: i for i, k in enumerate(sorted(keys))}
+
+    def row(mp):
+        return {index[k]: c for k, c in mp.terms.items()}
+
+    pivots, rows = linalg.rref([row(pr) for pr in products])
+    return [not linalg.reduce_mod(row(mp), pivots, rows) for mp in minors]
+
+
+SQRT_SAMPLES = sorted({t for seed in range(1, 8)
+                       for t in sampling.sample_parameters("sqrt", 8, seed)}, key=str)
+
+
+def test_sqrt_samples_include_cyclotomic_points():
+    assert any(not v.is_rational() for t in SQRT_SAMPLES for v in t)
+
+
+@pytest.mark.parametrize("triple", SQRT_SAMPLES, ids=str)
+def test_integer_minors_match_the_field_oracle(triple):
+    m = coefficient_matrix(s4_relation_polys(SextupleParams.from_sqrt(*triple)))
+    oracle = maximal_minors(m)
+    minors, products = integer_minors(m)
+    assert minors == [scaled(mp, f) for mp, f in zip(oracle, products)]
+    q1, q2, lam = pointscheme.quadric_pair(*triple)
+    rec = s4_minor_membership(*triple)
+    assert rec["memberships"] == quartic_membership(oracle, q1, q2)
+    perturbed = pointscheme._quadrics(lam + fe(1))
+    assert rec["perturbed_failures"] == quartic_membership(oracle, *perturbed).count(False)
 
 
 def test_minor_membership_for_three_families():

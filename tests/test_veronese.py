@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from skverify import linalg, veronese
+from skverify import cli, linalg, veronese
 from skverify.errors import ParameterError, VerificationError
 from skverify.families import (AbcParams, SextupleParams, alpha_from_abc, build_s2,
                                build_s4, s2_central_quartic, s2_relation_polys,
@@ -266,6 +266,23 @@ def test_central_pair_certificate():
         assert rec["centralizer_dim"] == 2
         assert rec["centralizer_is_pair_span"]
         assert rec["second_translate_in_span"]
+
+
+def test_quotient_checks_share_one_s4_engine(monkeypatch, capsys):
+    # build_veronese builds the engine at the sextuple; the central pair and
+    # the quotient Hilbert check both read it and build no other
+    built = []
+
+    def counted(s):
+        built.append(s)
+        return build_s4(s)
+
+    monkeypatch.setattr(veronese, "build_s4", counted)
+    monkeypatch.setattr(cli, "build_s4", counted)
+    assert cli.main(["verify", "quotient", "--abc", "1,2,3", "--max-degree", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    (sextuple,) = built
+    assert sextuple == closed_form_sextuple(AbcParams.of(1, 2, 3))
 
 
 @pytest.mark.parametrize("abc", [(1, 2, 3), (1, 1, 8)], ids=("1,2,3", "1,1,8"))
