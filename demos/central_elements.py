@@ -17,7 +17,8 @@ print("parameters", p)
 q = Quotient(build_s3(p))
 rec = verify_c3_description(p, q)
 print("degree-3 centralizer dimension:", rec["centralizer_dim"])
-print("coefficients in the invariant cubic basis:", rec["coefficient_triple"])
+print("coefficients in the invariant cubic basis:",
+      "(" + ", ".join(str(c) for c in rec["coefficient_triple"]) + ")")
 print("  (that triple is the third intersection of the tangent line")
 print("   at the translation point with its curve)")
 print("tangent combination is central, ratio", rec["ratio"], "to the slice basis:", rec["pass"])

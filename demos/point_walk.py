@@ -11,18 +11,18 @@ from fractions import Fraction
 
 from skverify.families import AbcParams
 from skverify.field import fe
-from skverify.pointscheme import (ProjPoint, group_law_record, hesse_origin,
+from skverify.pointscheme import (ORIGIN, group_law_record, point, point_text,
                                   s2_point_determinant, s3_next_point,
                                   s4_minor_membership)
 
 p = AbcParams.of(1, 2, 3)
-tau = ProjPoint.of(p.a, p.b, p.c)
-print("curve parameters", p, "-> translation point", tau)
+tau = point(*p)  # points are primitive integer triples: here (1, 2, 3)
+print("curve parameters", p, "-> translation point", point_text(tau))
 
-pt = hesse_origin()
+pt = ORIGIN
 print("walk from the origin (each step adds tau):")
 for k in range(5):
-    print(f"  step {k}: {pt}")
+    print(f"  step {k}: {point_text(pt)}")
     pt = s3_next_point(p, pt)
 
 rec = group_law_record(p)

@@ -26,10 +26,9 @@ from .field import ONE, ZERO
 from .graded import Quotient, series
 from .heisenberg import (TensorPowerRep, antisymmetric_character, decompose, h3_gen_rep,
                          h4_gen_rep, irrep_table, twist_equivalence_table)
-from .pointscheme import (ProjPoint, group_law_record, hesse_add, hesse_origin,
-                          invariant_cubics, s2_point_determinant,
-                          s3_degree3_overlap, s3_next_point, s4_minor_membership,
-                          verify_c3_description)
+from .pointscheme import (ORIGIN, group_law_record, hesse_add, invariant_cubics, point,
+                          point_text, s2_point_determinant, s3_degree3_overlap,
+                          s3_next_point, s4_minor_membership, verify_c3_description)
 
 SUITES = ("s3", "s2", "s4", "quotient", "reps")
 
@@ -148,12 +147,13 @@ def _mod_central_cubic(q: Quotient):
 
 
 def _s3_walk(p, alg, d):
-    tau = ProjPoint.of(p.a, p.b, p.c)
-    start = s3_next_point(p, hesse_origin())
+    tau = point(*p)
+    start = s3_next_point(p, ORIGIN)
     one = s3_next_point(p, tau)
     two = s3_next_point(p, one)
     ok = start == tau and one == hesse_add(p, tau, tau) and two == hesse_add(p, one, tau)
-    return ok, {"from_origin": start, "first": one, "second": two}, ""
+    walk = {"from_origin": start, "first": one, "second": two}
+    return ok, {k: point_text(v) for k, v in walk.items()}, ""
 
 
 S3 = (

@@ -8,9 +8,12 @@ the classical 3x3 matrix whose determinant cuts out a Hesse cubic, and the
 kernel walk is translation by tau = [a:b:c] under the chord-tangent group
 law with origin [1:-1:0].
 
-The group law is the closed Hessian formula on primitive integer triples
-(gcd 1, first nonzero entry positive), so equal points have equal triples.
-[1:-1:0] is the standard Hessian neutral element and negation swaps X and Y.
+Every point is a primitive integer triple (gcd 1, first nonzero entry
+positive), so equal points have equal triples: ``point`` makes one from
+rational coordinates and ``point_text`` prints it as the report does, with
+its first nonzero coordinate scaled to 1.  The group law is the closed
+Hessian formula on these triples.  ORIGIN = [1:-1:0] is the standard Hessian
+neutral element and negation swaps X and Y.
 The sum is the addition formula of Joye and Quisquater (CHES 2001),
 
     X3 = Y1^2 X2 Z2 - Y2^2 X1 Z1,  Y3 = X1^2 Y2 Z2 - X2^2 Y1 Z1,
@@ -51,45 +54,10 @@ from .errors import OffCurveError, ParameterError, RankError, ShapeError, Singul
 from . import linalg
 from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
                        s2_relation_polys, s3_relation_polys, s4_relation_polys)
-from .field import ZERO, FieldElem, fe, root_of_unity
+from .field import FieldElem, fe, root_of_unity
 from .freealg import MultiPoly, NcPoly, proportional, span, sum_and_intersect
 from .graded import Quotient
 from .heisenberg import TensorPowerRep, h3_gen_rep, invariant_subspace
-
-
-class ProjPoint:
-    """Projective point with exact coordinates, first nonzero scaled to 1."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords) -> None:
-        cs = tuple(fe(c) for c in coords)
-        lead = next((c for c in cs if c), None)
-        if lead is None:
-            raise ParameterError("all projective coordinates are zero")
-        inv = lead.inverse()
-        self.coords = tuple(inv * c for c in cs)
-
-    @staticmethod
-    def of(*coords) -> "ProjPoint":
-        return ProjPoint(coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
 
 
 # -- multilinear coefficient matrices --------------------------------------
@@ -118,27 +86,21 @@ def coefficient_matrix(rels: list[NcPoly]) -> list[list[MultiPoly]]:
     return out
 
 
-def s3_point_matrix(p: AbcParams, pt: ProjPoint) -> list[list[FieldElem]]:
-    """The 3x3 matrix of linear forms evaluated at a point."""
-    entries = coefficient_matrix(s3_relation_polys(p))
-    return [[e.evaluate(pt) for e in row] for row in entries]
-
-
-def s3_next_point(p: AbcParams, pt: ProjPoint) -> ProjPoint:
-    """Unique kernel direction of the point matrix at ``pt``.
+def s3_next_point(p: AbcParams, pt: tuple) -> tuple[int, int, int]:
+    """Unique kernel direction of the 3x3 matrix of linear forms at ``pt``.
 
     Rank 3 means no successor (the point is off the scheme); rank < 2 means
     the successor is not unique.  Both raise RankError.
     """
-    m = s3_point_matrix(p, pt)
-    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+    rows = [{j: v for j, e in enumerate(row) if (v := e.evaluate(pt))}
+            for row in coefficient_matrix(s3_relation_polys(p))]
     kernel = linalg.nullspace(rows, 3)
     if len(kernel) == 0:
         raise RankError("matrix is invertible: no successor point")
     if len(kernel) > 1:
         raise RankError("kernel dimension > 1: successor not unique")
     v = kernel[0]
-    return ProjPoint.of(*(v.get(j, ZERO) for j in range(3)))
+    return point(*(v.get(j, 0) for j in range(3)))
 
 
 def s2_reference_matrix(p: AbcParams) -> list[list[MultiPoly]]:
@@ -184,16 +146,41 @@ def s2_point_determinant(p: AbcParams) -> dict:
 
 # -- the Hesse cubic and its group law -------------------------------------
 
-_ORIGIN = (1, -1, 0)
+ORIGIN = (1, -1, 0)
 
 
-def hesse_origin() -> ProjPoint:
-    return ProjPoint(_ORIGIN)
+def point(x, y, z) -> tuple[int, int, int]:
+    """The primitive integer triple of the rational point [x:y:z]: gcd 1, first
+    nonzero entry positive.  Coordinates may be ints, Fractions or rational
+    FieldElems."""
+    fr = [_rational(c) for c in (x, y, z)]
+    if not any(fr):
+        raise ParameterError("all projective coordinates are zero")
+    den = lcm(*(f.denominator for f in fr))
+    return _primitive(tuple(f.numerator * (den // f.denominator) for f in fr))
 
 
-def on_hesse(p: AbcParams, pt: ProjPoint) -> bool:
+def _rational(c) -> Fraction:
+    if isinstance(c, FieldElem):
+        if not c.is_rational():
+            raise ParameterError(f"coordinate {c} is not rational")
+        return c.rational()
+    return Fraction(c)
+
+
+def point_text(v) -> str:
+    """``[1:-1/3:-2]``: the point with its first nonzero coordinate scaled to 1."""
+    return "[" + ":".join(str(c) for c in _lead_one(v)) + "]"
+
+
+def _lead_one(v) -> tuple[Fraction, ...]:
+    lead = next(c for c in v if c)
+    return tuple(Fraction(c, lead) for c in v)
+
+
+def on_hesse(p: AbcParams, pt: tuple) -> bool:
     """Whether ``pt`` lies on the member of the pencil at ``p``, smooth or not."""
-    return _on_cubic(_cubic(p), tuple(pt))
+    return _on_cubic(_cubic(p), pt)
 
 
 def _primitive(v: tuple) -> tuple[int, int, int]:
@@ -204,23 +191,9 @@ def _primitive(v: tuple) -> tuple[int, int, int]:
     return (v[0] // g, v[1] // g, v[2] // g)
 
 
-def _integer_triple(coords) -> tuple[int, int, int]:
-    """Primitive integer form of a rational projective triple."""
-    fr = [Fraction(c) for c in coords]
-    den = lcm(*(f.denominator for f in fr))
-    return _primitive(tuple(f.numerator * (den // f.denominator) for f in fr))
-
-
-def _coords(pt: ProjPoint) -> tuple:
-    """Primitive integer triple of a rational point; the field coordinates otherwise."""
-    if all(c.is_rational() for c in pt):
-        return _integer_triple(c.rational() for c in pt)
-    return tuple(pt)
-
-
 def _cubic(p: AbcParams) -> tuple[int, int]:
     """(ABC, A^3 + B^3 + C^3) for the primitive integer form (A, B, C) of [a:b:c]."""
-    a, b, c = _integer_triple(p)
+    a, b, c = point(*p)
     return a * b * c, a ** 3 + b ** 3 + c ** 3
 
 
@@ -239,7 +212,7 @@ def _on_cubic(cubic: tuple[int, int], v) -> bool:
 
 def _require_on(cubic: tuple[int, int], v, p: AbcParams):
     if not _on_cubic(cubic, v):
-        raise OffCurveError(f"{ProjPoint(v)} is not on the curve at {p}")
+        raise OffCurveError(f"{point_text(v)} is not on the curve at {p}")
     return v
 
 
@@ -318,41 +291,36 @@ def _third(cubic: tuple[int, int], u, v) -> tuple:
     return tuple(g2 * a - g1 * b for a, b in zip(u, v))
 
 
-def hesse_third(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
+def hesse_third(p: AbcParams, pt1: tuple, pt2: tuple) -> tuple[int, int, int]:
     """Third intersection of the curve with the line (or tangent) through the points."""
     cubic = _smooth_cubic(p)
-    return ProjPoint(_third(cubic, _require_on(cubic, _coords(pt1), p),
-                            _require_on(cubic, _coords(pt2), p)))
+    u, v = (_require_on(cubic, point(*q), p) for q in (pt1, pt2))
+    return _primitive(_third(cubic, u, v))
 
 
-def hesse_neg(p: AbcParams, pt: ProjPoint) -> ProjPoint:
-    x, y, z = _require_on(_smooth_cubic(p), _coords(pt), p)
-    return ProjPoint((y, x, z))
-
-
-def hesse_add(p: AbcParams, pt1: ProjPoint, pt2: ProjPoint) -> ProjPoint:
+def hesse_add(p: AbcParams, pt1: tuple, pt2: tuple) -> tuple[int, int, int]:
+    """pt1 + pt2 in the group law with origin ORIGIN."""
     cubic = _smooth_cubic(p)
-    return ProjPoint(_sum(_require_on(cubic, _coords(pt1), p),
-                          _require_on(cubic, _coords(pt2), p)))
-
-
-def hesse_tangent_third(p: AbcParams, pt: ProjPoint) -> ProjPoint:
-    """Third intersection of the tangent at ``pt``; equals -2*pt in the group."""
-    return hesse_third(p, pt, pt)
+    u, v = (_require_on(cubic, point(*q), p) for q in (pt1, pt2))
+    return _add(u, v)
 
 
 def tau_order(p: AbcParams) -> int | None:
-    """Order of tau = [a:b:c] on its curve; None for infinite order.
+    """Order of tau = [a:b:c] on its curve; None for infinite order."""
+    if not is_smooth_hesse(p):
+        raise ParameterError("tau order needs a smooth curve")
+    return _order(point(*p))
+
+
+def _order(tau: tuple) -> int | None:
+    """Order of the point tau of a smooth curve.
 
     The curve, its origin and tau are defined over Q, so by Mazur's theorem a
     torsion tau has order at most 12: no n <= 12 with n*tau = O means none.
     """
-    if not is_smooth_hesse(p):
-        raise ParameterError("tau order needs a smooth curve")
-    tau = _integer_triple(p)
     q = tau
     for n in range(1, 13):
-        if q == _ORIGIN:
+        if q == ORIGIN:
             return n
         q = _add(q, tau)
     return None
@@ -389,9 +357,9 @@ def group_law_record(p: AbcParams) -> dict:
         return _primitive(_third(cubic, on(u), on(v)))
 
     def chord(i, j):
-        return third(third(pts[i], pts[j]), _ORIGIN)
+        return third(third(pts[i], pts[j]), ORIGIN)
 
-    tau = _integer_triple(p)
+    tau = point(*p)
     pts = [tau]
     while len(pts) < count:
         pts.append(add(pts[-1], tau))
@@ -399,12 +367,12 @@ def group_law_record(p: AbcParams) -> dict:
     for i in range(count):
         for j in range(i, count):
             sums[(i, j)] = add(pts[i], pts[j])
-    order = tau_order(p)
+    order = _order(tau)
     record = {
         "count": count,
         "tau_order": "infinite" if order is None else order,
-        "identity": all(add(q, _ORIGIN) == q for q in pts),
-        "inverses": all(add(q, _neg(q)) == _ORIGIN for q in pts),
+        "identity": all(add(q, ORIGIN) == q for q in pts),
+        "inverses": all(add(q, _neg(q)) == ORIGIN for q in pts),
         "commutative": all(sums[(i, j)] == add(pts[j], pts[i])
                            for i in range(count) for j in range(i + 1, count)),
         "multiple_consistency": all(sums[(i, j)] == pts[i + j + 1]
@@ -475,14 +443,16 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     invariant cubics meets the degree-3 ideal slice in the line through
     a*f1 + b*f2 + c*f3, so the coefficient triple is a point of P^2 modulo
     that line.  The check is therefore proportionality of canonical residues:
-    the combination with coefficients -2*tau (the tangent-third of [a:b:c])
-    must reduce to a nonzero multiple of the central element's residue.  The
+    the combination with coefficients -2*tau (the tangent-third of [a:b:c],
+    scaled to a first nonzero coordinate 1, which fixes ``ratio``) must
+    reduce to a nonzero multiple of the central element's residue.  The
     centralizer slice is one-dimensional here and spanned by that residue,
     so a nonzero ratio is what makes the combination central.
     """
-    if not is_smooth_hesse(p):
-        raise SingularCurveError(f"{p} fails the smoothness criterion")
-    order = tau_order(p)
+    tau = point(*p)
+    # the one smoothness check: hesse_third raises SingularCurveError
+    tangent = _lead_one(hesse_third(p, tau, tau))
+    order = _order(tau)
     if order in (1, 3):
         raise ParameterError(f"translation point has order {order}: not in the verified regime")
     cents = q.centralizer_slice(3)
@@ -494,8 +464,7 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
         return record
     c3 = cents.basis()[0]
     nf = q.normal_form
-    tangent = hesse_tangent_third(p, ProjPoint.of(p.a, p.b, p.c))
-    record["coefficient_triple"] = tuple(tangent)
+    record["coefficient_triple"] = tangent
     combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3))
     ratio = proportional(nf(combo), nf(c3))
     record["ratio"] = ratio

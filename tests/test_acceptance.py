@@ -11,9 +11,8 @@ from skverify.graded import Quotient
 from skverify.heisenberg import (TensorPowerRep, antisymmetric_character, decompose,
                                  h3_gen_rep, h4_gen_rep, invariant_subspace,
                                  irrep_table, twist_equivalence_table)
-from skverify.pointscheme import (ProjPoint, group_law_record, hesse_add,
-                                  hesse_origin, hesse_tangent_third,
-                                  invariant_cubic_basis, s2_point_determinant,
+from skverify.pointscheme import (ORIGIN, group_law_record, hesse_add, hesse_third,
+                                  invariant_cubic_basis, point, s2_point_determinant,
                                   s3_degree3_overlap, s3_next_point,
                                   s4_minor_membership, verify_c3_description)
 from skverify.sampling import sample_parameters
@@ -87,9 +86,8 @@ def test_criterion_04_central_cubic():
         ok &= rec["centralizer_dim"] == 1
         ok &= rec["ratio"] is not None
         ok &= rec["pass"]
-        tau = ProjPoint.of(p.a, p.b, p.c)
-        want = hesse_tangent_third(p, tau)
-        ok &= ProjPoint.of(*rec["coefficient_triple"]) == want
+        tau = point(*p)
+        ok &= point(*rec["coefficient_triple"]) == hesse_third(p, tau, tau)
     verdict(4, "degree-3 center described by the tangent construction", ok)
 
 
@@ -143,8 +141,8 @@ def test_criterion_07_quotient_map():
 def test_criterion_08_point_matrices():
     ok = True
     for p in ABC3:
-        tau = ProjPoint.of(p.a, p.b, p.c)
-        ok &= s3_next_point(p, hesse_origin()) == tau
+        tau = point(*p)
+        ok &= s3_next_point(p, ORIGIN) == tau
         two = hesse_add(p, tau, tau)
         ok &= s3_next_point(p, tau) == two
         ok &= s3_next_point(p, two) == hesse_add(p, two, tau)

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 import sympy
@@ -13,19 +13,17 @@ from hypothesis import strategies as st
 
 from skverify import linalg, pointscheme, sampling, veronese
 from skverify.cli import main
-from skverify.errors import OffCurveError
+from skverify.errors import OffCurveError, ParameterError, RankError
 from skverify.families import (AbcParams, SextupleParams, build_s2, build_s3,
-                               is_smooth_hesse, s4_relation_polys)
+                               is_smooth_hesse, s3_relation_polys, s4_relation_polys)
 from skverify.field import fe, root_of_unity
 from skverify.freealg import MultiPoly, NcPoly, span
-from skverify.pointscheme import (ProjPoint, _integer_matrix, _integer_minors, _monomial,
-                                  coefficient_matrix,
-                                  group_law_record, hesse_add,
-                                  hesse_neg, hesse_origin, hesse_tangent_third,
-                                  hesse_third, invariant_cubic_basis,
-                                  on_hesse, s2_point_determinant,
-                                  s3_degree3_overlap, s3_next_point,
-                                  s3_point_matrix, s4_minor_membership,
+from skverify.pointscheme import (ORIGIN, _integer_matrix, _integer_minors, _monomial,
+                                  _neg, _sum, _third, coefficient_matrix,
+                                  group_law_record, hesse_add, hesse_third,
+                                  invariant_cubic_basis, on_hesse, point, point_text,
+                                  s2_point_determinant, s3_degree3_overlap,
+                                  s3_next_point, s4_minor_membership,
                                   tau_order, verify_c3_description)
 from skverify.graded import Quotient
 from skverify.heisenberg import GroupRep, HeisenbergGroup
@@ -37,19 +35,24 @@ CURVES = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),
 TORSION = {AbcParams.of(1, 1, -12): 2, AbcParams.of(1, -12, -12): 6,
            AbcParams.of(1, 1, 2): 2}
 # the two inflections other than the origin that every curve of the pencil shares
-FLEXES = [ProjPoint.of(1, 0, -1), ProjPoint.of(0, 1, -1)]
+FLEXES = [(1, 0, -1), (0, 1, -1)]
 
 
 def chord_add(p, u, v):
     """The chord construction's sum: third(third(u, v), O)."""
-    return hesse_third(p, hesse_third(p, u, v), hesse_origin())
+    return hesse_third(p, hesse_third(p, u, v), ORIGIN)
+
+
+def same_point(u, v):
+    """Whether two nonzero triples are one projective point: every 2x2 minor vanishes."""
+    return all(u[i] * v[j] == u[j] * v[i] for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
 def chord_order(p):
-    tau = ProjPoint.of(p.a, p.b, p.c)
+    tau = point(*p)
     q = tau
     for n in range(1, 13):
-        if q == hesse_origin():
+        if q == ORIGIN:
             return n
         q = chord_add(p, q, tau)
     return None
@@ -57,25 +60,25 @@ def chord_order(p):
 
 def test_origin_and_translation_point_lie_on_curve():
     for p in CURVES:
-        assert on_hesse(p, hesse_origin())
-        assert on_hesse(p, ProjPoint.of(p.a, p.b, p.c))
+        assert on_hesse(p, ORIGIN)
+        assert on_hesse(p, point(*p))
 
 
 def test_on_hesse_answers_on_singular_members():
     # abc = 0, and (a^3 + b^3 + c^3)^3 = 27 (abc)^3
     for p in (AbcParams.of(0, 1, 1), AbcParams.of(1, 1, 1)):
         assert not is_smooth_hesse(p)
-        assert on_hesse(p, hesse_origin())
-        assert not on_hesse(p, ProjPoint.of(1, 2, 3))
+        assert on_hesse(p, ORIGIN)
+        assert not on_hesse(p, (1, 2, 3))
 
 
 def test_chord_tangent_closure():
     for p in CURVES:
-        tau = ProjPoint.of(p.a, p.b, p.c)
+        tau = point(*p)
         two = hesse_add(p, tau, tau)
         assert on_hesse(p, two)
         assert on_hesse(p, hesse_add(p, two, tau))
-        assert on_hesse(p, hesse_neg(p, tau))
+        assert on_hesse(p, _neg(tau))
 
 
 def test_group_law_axioms_on_ten_multiples():
@@ -153,14 +156,44 @@ def test_tau_order_matches_chord_oracle():
 def check_against_chord(p, steps):
     """Closed law against the chord construction along the multiples of tau,
     on doublings, inverses and translations by the two shared flexes."""
-    tau = ProjPoint.of(p.a, p.b, p.c)
+    tau = point(*p)
     q = tau
     for _ in range(steps):
-        neg = hesse_neg(p, q)
-        assert neg == hesse_third(p, q, hesse_origin())
+        neg = _neg(q)
+        assert neg == hesse_third(p, q, ORIGIN)
         for other in [tau, q, neg] + FLEXES:
             assert hesse_add(p, q, other) == chord_add(p, q, other)
         q = hesse_add(p, q, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.fractions(max_denominator=30)] * 3),
+       st.fractions(max_denominator=30).filter(bool))
+def test_point_is_the_primitive_triple_of_any_scaling(coords, scale):
+    assume(any(coords))
+    v = point(*coords)
+    assert gcd(*v) == 1 and next(x for x in v if x) > 0
+    assert same_point(v, coords)
+    assert point(*(scale * c for c in coords)) == v
+    den = lcm(*(c.denominator for c in coords))
+    assert point(*(int(c * den) for c in coords)) == v
+    assert point(*(fe(c) for c in coords)) == v
+
+
+@pytest.mark.parametrize("coords", [
+    (0, 0, 0),
+    (fe(0), Fraction(0), 0),
+    (1, root_of_unity(3), 0),
+], ids=("zero", "zero-mixed", "irrational"))
+def test_point_rejects_zero_and_irrational_coordinates(coords):
+    with pytest.raises(ParameterError):
+        point(*coords)
+
+
+def test_point_text_scales_the_first_nonzero_coordinate_to_one():
+    assert point_text(point(1, Fraction(-1, 3), -2)) == "[1:-1/3:-2]"
+    assert point_text((3, -1, -6)) == "[1:-1/3:-2]"
+    assert point_text((0, -2, 4)) == "[0:1:-2]"
 
 
 @st.composite
@@ -185,43 +218,66 @@ def test_closed_law_matches_chord_on_torsion_walks():
 
 
 def test_closed_law_on_cyclotomic_points():
-    # u - v = [1:-w:0] is where the first formula vanishes off the diagonal
-    flex = ProjPoint.of(1, -root_of_unity(3), 0)
+    # [1:-w:0] is not rational, so _sum and _third run on field-element
+    # triples; shifted - tau = flex is where the first formula vanishes off
+    # the diagonal
+    flex = (fe(1), -root_of_unity(3), fe(0))
+    neg_flex = (flex[1], flex[0], flex[2])
     for p in CURVES:
-        tau = ProjPoint.of(p.a, p.b, p.c)
-        shifted = chord_add(p, flex, tau)
-        for u, v in ((flex, tau), (flex, flex), (tau, hesse_neg(p, flex)),
-                     (shifted, tau)):
+        cubic = pointscheme._cubic(p)
+        tau = point(*p)
+
+        def chord(u, v):
+            return _third(cubic, _third(cubic, u, v), ORIGIN)
+
+        shifted = chord(flex, tau)
+        assert same_point(chord(shifted, _neg(tau)), flex)
+        for u, v in ((flex, tau), (flex, flex), (tau, neg_flex), (shifted, tau)):
             assert on_hesse(p, u) and on_hesse(p, v)
-            assert hesse_add(p, u, v) == chord_add(p, u, v)
+            assert same_point(_sum(u, v), chord(u, v))
 
 
 def test_tangent_third_is_negated_double():
     for p in CURVES:
-        tau = ProjPoint.of(p.a, p.b, p.c)
-        want = hesse_neg(p, hesse_add(p, tau, tau))
-        assert hesse_tangent_third(p, tau) == want
+        tau = point(*p)
+        assert hesse_third(p, tau, tau) == _neg(hesse_add(p, tau, tau))
 
 
 def test_add_rejects_points_off_curve():
+    # the message prints the point as the report's walk fields do
     p = AbcParams.of(1, 2, 3)
-    with pytest.raises(OffCurveError):
-        hesse_add(p, ProjPoint.of(1, 1, 1), hesse_origin())
+    for pt, text in (((1, 1, 1), "[1:1:1]"), ((2, 2, 2), "[1:1:1]"),
+                     ((1, Fraction(1, 3), 2), "[1:1/3:2]")):
+        with pytest.raises(OffCurveError) as err:
+            hesse_add(p, pt, ORIGIN)
+        assert str(err.value) == f"{text} is not on the curve at [1:2:3]"
 
 
 def test_next_point_walk_matches_translation():
     for p in CURVES:
-        tau = ProjPoint.of(p.a, p.b, p.c)
-        assert s3_next_point(p, hesse_origin()) == tau
+        tau = point(*p)
+        assert s3_next_point(p, ORIGIN) == tau
         two = hesse_add(p, tau, tau)
         assert s3_next_point(p, tau) == two
         assert s3_next_point(p, s3_next_point(p, two)) == hesse_add(
             p, two, two)
 
 
+@pytest.mark.parametrize("p, pt, message", [
+    (AbcParams.of(1, Fraction(-1, 3), -2), (1, 2, 3), "no successor"),
+    (AbcParams.of(1, 1, 1), (1, 1, 1), "successor not unique"),
+], ids=("off-curve", "singular-point"))
+def test_next_point_raises_on_a_rank_drop(p, pt, message):
+    # [1:2:3] is off the curve at [1:-1/3:-2], so the matrix there has rank 3;
+    # [1:1:1] is a singular point of the member at [1:1:1], where it has rank 1
+    with pytest.raises(RankError, match=message):
+        s3_next_point(p, pt)
+
+
 def test_point_matrix_drops_rank_on_curve():
     p = AbcParams.of(1, 2, 3)
-    m = s3_point_matrix(p, hesse_origin())
+    m = [[e.evaluate(ORIGIN) for e in row]
+         for row in coefficient_matrix(s3_relation_polys(p))]
     assert len(m) == 3 and len(m[0]) == 3
     det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
