@@ -100,8 +100,9 @@ class _Collector:
     def run(self, cid: str, params: str, fn) -> None:
         t0 = time.perf_counter()
         try:
-            ok, data, notes = fn()
-            status = "pass" if ok else "fail"
+            data = fn()
+            status = "pass" if data.pop("pass") else "fail"
+            notes = NOTES.get(cid, "")
         except SkverifyError as exc:
             status, data, notes = "fail", {}, f"{type(exc).__name__}: {exc}"
         except Exception as exc:
@@ -121,15 +122,19 @@ class _Collector:
 
 
 # -- checks -----------------------------------------------------------------
-# A point check is ``check(p, engine, d) -> (ok, data, notes)``: ``p`` is the
-# point, ``engine()`` its one engine (built on the first call, so a failed
-# build fails each check that asks for it with the same notes) and ``d`` the
-# degree cutoff.  A family's table lists its checks as (id, check) rows.
-# A check on a library record returns ``_verdict(record, notes)``: the record
-# decides its own ``pass``, which the report shows only as the status tag.
+# A check returns its record: a dict whose own ``pass`` the report shows only
+# as the status tag, its other keys in order as data.  A point check is
+# ``check(p, engine, d)``: ``p`` is the point, ``engine()`` its one engine
+# (built on the first call, so a failed build fails each check that asks for
+# it with the same notes) and ``d`` the degree cutoff.  A family's table lists
+# its checks as (id, check) rows; fixed notes are in NOTES, keyed by check id.
 
-def _verdict(rec: dict, notes: str = ""):
-    return rec.pop("pass"), rec, notes
+NOTES = {
+    "s2-central-quartic": "centralizer dimension recorded, not asserted",
+    "s4-minors": "perturbed scale must break at least one minor",
+    "quotient-c4-image": "mu recorded, not asserted",
+    "reps-twist-table": "table cross-checked against the congruence rule",
+}
 
 
 def _hilbert(num, den, of=None):
@@ -138,7 +143,7 @@ def _hilbert(num, den, of=None):
     def check(p, alg, d):
         dims = (alg() if of is None else Quotient(of(alg()))).hilbert_dims(d)
         want = series(num, den, d)
-        return dims == want, {"dims": dims, "expected": want}, ""
+        return {"dims": dims, "expected": want, "pass": dims == want}
     return check
 
 
@@ -153,46 +158,41 @@ def _s3_walk(p, alg, d):
     two = s3_next_point(p, one)
     ok = start == tau and one == hesse_add(p, tau, tau) and two == hesse_add(p, one, tau)
     walk = {"from_origin": start, "first": one, "second": two}
-    return ok, {k: point_text(v) for k, v in walk.items()}, ""
+    return {**{k: point_text(v) for k, v in walk.items()}, "pass": ok}
 
 
 S3 = (
     ("s3-hilbert", _hilbert((1,), (1, 1, 1))),
-    ("s3-relation-overlap", lambda p, alg, d: _verdict(s3_degree3_overlap(p))),
-    ("s3-center-cubic", lambda p, alg, d: _verdict(verify_c3_description(p, alg()))),
+    ("s3-relation-overlap", lambda p, alg, d: s3_degree3_overlap(p)),
+    ("s3-center-cubic", lambda p, alg, d: verify_c3_description(p, alg())),
     ("s3-central-quotient-hilbert", _hilbert((1, 0, 0, -1), (1, 1, 1), _mod_central_cubic)),
     ("s3-point-walk", _s3_walk),
-    ("s3-group-law", lambda p, alg, d: _verdict(group_law_record(p))),
+    ("s3-group-law", lambda p, alg, d: group_law_record(p)),
 )
 
 
 def _s2_determinant(p, alg, d):
     rec = s2_point_determinant(p)
     rec.pop("determinant")
-    return _verdict(rec)
-
-
-def _s2_quartic(p, alg, d):
-    rec = veronese.verify_c4_central(p, alg())
-    return _verdict(rec, "centralizer dimension recorded, not asserted")
+    return rec
 
 
 S2 = (
     ("s2-hilbert", _hilbert((1,), (1, 1, 2))),
     ("s2-point-determinant", _s2_determinant),
-    ("s2-central-quartic", _s2_quartic),
+    ("s2-central-quartic", lambda p, alg, d: veronese.verify_c4_central(p, alg())),
 )
 
 
 def _s4_centralizer(t, alg, d):
     dim = alg().centralizer_slice(2).dim
-    return dim == 2, {"centralizer_dim": dim}, ""
+    return {"centralizer_dim": dim, "pass": dim == 2}
 
 
 def _s4_minors(t, _, d):
     rec = s4_minor_membership(*t)
     rec.pop("memberships")
-    return _verdict(rec, "perturbed scale must break at least one minor")
+    return rec
 
 
 S4 = (
@@ -211,20 +211,15 @@ def _quotient_hilbert(p, vm, d):
     k = min(d, next(row[-1] for row in FAMILIES if row[0] == "s2") // 2)
     evens = vm().algebra.hilbert_dims(2 * k)[0::2]
     single = Quotient(pres.adjoin([vm().extra])).hilbert_dims(k)
-    ok = both == want and single == evens
-    return ok, {"mod_pair": both, "expected": want,
-                "mod_first": single, "target_even_dims": evens}, ""
-
-
-def _quotient_c4_image(p, vm, d):
-    return _verdict(veronese.extract_c4(vm()), "mu recorded, not asserted")
+    return {"mod_pair": both, "expected": want, "mod_first": single,
+            "target_even_dims": evens, "pass": both == want and single == evens}
 
 
 QUOTIENT = (
-    ("quotient-map", lambda p, vm, d: _verdict(veronese.verify_quotient_map(vm()))),
-    ("quotient-central-pair", lambda p, vm, d: _verdict(veronese.verify_central_pair(vm()))),
+    ("quotient-map", lambda p, vm, d: veronese.verify_quotient_map(vm())),
+    ("quotient-central-pair", lambda p, vm, d: veronese.verify_central_pair(vm())),
     ("quotient-hilbert", _quotient_hilbert),
-    ("quotient-c4-image", _quotient_c4_image),
+    ("quotient-c4-image", lambda p, vm, d: veronese.extract_c4(vm())),
 )
 
 
@@ -234,31 +229,30 @@ def _irreps(n, count, sqsum):
     ortho = all(chars[i].inner(chars[j]) == (ONE if i == j else ZERO)
                 for i in range(len(chars)) for j in range(i, len(chars)))
     s = sum(r.dim ** 2 for r in table)
-    ok = len(table) == count and s == sqsum and ortho
-    return ok, {"irreps": len(table), "squared_dim_sum": s, "orthonormal_characters": ortho}, ""
+    return {"irreps": len(table), "squared_dim_sum": s, "orthonormal_characters": ortho,
+            "pass": len(table) == count and s == sqsum and ortho}
 
 
 def _tensor_square(rep, want):
     d = decompose(TensorPowerRep(rep(), 2).character())
-    return d == want, {"decomposition": d}, ""
+    return {"decomposition": d, "pass": d == want}
 
 
 def _wedge4():
     d = decompose(antisymmetric_character(h4_gen_rep()))
     want = {"H4:V_{0,1}": 1, "H4:V_{1,0}": 1, "H4:V_{1,1}": 1}
-    return d == want, {"decomposition": d}, ""
+    return {"decomposition": d, "pass": d == want}
 
 
 def _cubics():
     dim, match = invariant_cubics()
-    return dim == 3 and match, {"invariant_dim": dim, "basis_match": match}, ""
+    return {"invariant_dim": dim, "basis_match": match, "pass": dim == 3 and match}
 
 
 def _twist():
     table = twist_equivalence_table()
     eq = sum(1 for v in table.values() if v)
-    return (len(table) == 256 and eq == 64, {"pairs": len(table), "equivalent": eq},
-            "table cross-checked against the congruence rule")
+    return {"pairs": len(table), "equivalent": eq, "pass": len(table) == 256 and eq == 64}
 
 
 REPS = (
@@ -275,20 +269,17 @@ REPS = (
 
 
 # One row per point table: suite, checks, the report's label for a point, the
-# sampling kind that draws points when none are given, reject(p) (why a point
-# is degenerate, or None), build(p) (the engine its checks share) and the
-# highest degree they compute.  reject and build look their functions up when
-# called, so a patched or traced one is what runs; s4-minors has neither.
+# sampling kind that draws points when none are given and whose predicate
+# (sampling.reject_reason) judges each explicit point, build(p) (the engine
+# its checks share) and the highest degree they compute.  build looks its
+# function up when called, so a patched or traced one is what runs; s4-minors
+# has no engine and no ceiling.
 FAMILIES = (
-    ("s3", S3, "abc", "s3", lambda p: sampling.s3_reject_reason(p),
-     lambda p: Quotient(build_s3(p)), 6),
-    ("s2", S2, "abc", "s2", lambda p: sampling.s2_reject_reason(p),
-     lambda p: Quotient(build_s2(p)), 6),
-    ("s4", S4, "alpha", "s4", lambda t: sampling.alpha_reject_reason(t),
-     lambda t: Quotient(build_s4(SextupleParams.from_alpha(t))), 5),
-    ("s4", S4_MINORS, "lambda", "sqrt", None, None, None),
-    ("quotient", QUOTIENT, "abc", "s2", lambda p: sampling.s2_reject_reason(p),
-     lambda p: veronese.build_veronese(p), 5),
+    ("s3", S3, "abc", "s3", lambda p: Quotient(build_s3(p)), 6),
+    ("s2", S2, "abc", "s2", lambda p: Quotient(build_s2(p)), 6),
+    ("s4", S4, "alpha", "s4", lambda t: Quotient(build_s4(SextupleParams.from_alpha(t))), 5),
+    ("s4", S4_MINORS, "lambda", "sqrt", None, None),
+    ("quotient", QUOTIENT, "abc", "s2", lambda p: veronese.build_veronese(p), 5),
 )
 
 
@@ -304,6 +295,10 @@ def run_suite(config: RunConfig) -> dict:
     col = _Collector()
     sampling_echo: dict = {}
 
+    # a sampled point was judged when it was drawn; an explicit one is judged
+    # here, once per kind, however many rows read it
+    judged = cache(sampling.reject_reason)
+
     @cache
     def sampled(kind: str):
         vals, events = sampling.sample_with_log(kind, config.samples, config.seed)
@@ -317,13 +312,14 @@ def run_suite(config: RunConfig) -> dict:
         for cid, check in REPS:
             col.run(cid, "", check)
     given = {"abc": config.abc, "alpha": config.alpha}
-    for suite, checks, label, kind, reject, build, ceiling in FAMILIES:
+    for suite, checks, label, kind, build, ceiling in FAMILIES:
         if suite not in suites:
             continue
         degree = config.cutoff(ceiling) if ceiling else None
-        for p in given.get(label) or sampled(kind):
+        explicit = given.get(label)
+        for p in explicit or sampled(kind):
             params = f"{label}={p}"
-            reason = reject(p) if reject else None
+            reason = judged(kind, p) if explicit else None
             if reason is not None:
                 for cid, _ in checks:
                     col.skip(cid, params, reason)
@@ -454,7 +450,7 @@ def main(argv=None) -> int:
         print(f"skverify: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # outside any check (a reject predicate, sampling, rendering): no
+        # outside any check (judging a point, sampling, rendering): no
         # report can be trusted, so none is written
         traceback.print_exc(file=sys.stderr)
         print(f"skverify: internal error: {type(exc).__name__}: {exc} (in {_layer(exc)})",

@@ -305,18 +305,13 @@ def hesse_add(p: AbcParams, pt1: tuple, pt2: tuple) -> tuple[int, int, int]:
     return _add(u, v)
 
 
-def tau_order(p: AbcParams) -> int | None:
-    """Order of tau = [a:b:c] on its curve; None for infinite order."""
-    if not is_smooth_hesse(p):
-        raise ParameterError("tau order needs a smooth curve")
-    return _order(point(*p))
-
-
-def _order(tau: tuple) -> int | None:
-    """Order of the point tau of a smooth curve.
+def order_of(tau: tuple) -> int | None:
+    """Order of the point tau of a smooth curve; None for infinite order.
 
     The curve, its origin and tau are defined over Q, so by Mazur's theorem a
     torsion tau has order at most 12: no n <= 12 with n*tau = O means none.
+    The caller checks smoothness first: on a singular member the answer means
+    nothing, and order_of(point(0, 1, 1)) reads 6.
     """
     q = tau
     for n in range(1, 13):
@@ -336,7 +331,8 @@ def group_law_record(p: AbcParams) -> dict:
     commutativity and associativity the walk itself is cross-checked:
     pts[i] + pts[j] must land on pts[i+j+1].  The chord construction
     recomputes the walk steps pts[k] + tau and the pair sums independently
-    (chord_agrees); tau_order is the exact order of tau, or "infinite".
+    (chord_agrees).  tau_order, the exact order of tau or "infinite", is read
+    off the walk and the pair sums 11*tau, 12*tau: all Mazur allows (order_of).
     Everything runs on primitive integer triples, and each triple an
     operation takes is checked to lie on the curve once: tau or a multiple
     off the curve raises OffCurveError rather than reaching the record.
@@ -367,10 +363,11 @@ def group_law_record(p: AbcParams) -> dict:
     for i in range(count):
         for j in range(i, count):
             sums[(i, j)] = add(pts[i], pts[j])
-    order = _order(tau)
+    multiples = pts + [sums[(0, count - 1)], sums[(1, count - 1)]]
+    order = next((n for n, q in enumerate(multiples, 1) if q == ORIGIN), "infinite")
     record = {
         "count": count,
-        "tau_order": "infinite" if order is None else order,
+        "tau_order": order,
         "identity": all(add(q, ORIGIN) == q for q in pts),
         "inverses": all(add(q, _neg(q)) == ORIGIN for q in pts),
         "commutative": all(sums[(i, j)] == add(pts[j], pts[i])
@@ -452,7 +449,7 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     tau = point(*p)
     # the one smoothness check: hesse_third raises SingularCurveError
     tangent = _lead_one(hesse_third(p, tau, tau))
-    order = _order(tau)
+    order = order_of(tau)
     if order in (1, 3):
         raise ParameterError(f"translation point has order {order}: not in the verified regime")
     cents = q.centralizer_slice(3)

@@ -4,7 +4,9 @@ The generator is a fixed, documented 64-bit algorithm rather than the
 stdlib Mersenne twister so that a report's sample list can be reproduced
 from (kind, seed) alone by any implementation.  Each sampling kind draws
 from its own stream, so adding a suite to a run never shifts the samples
-of another.
+of another.  ``reject_reason(kind, p)`` alone says which predicate judges
+which kind of point: the sampler judges each drawn candidate through it once
+and the report driver each explicit point, so no sample is judged twice.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .errors import ParameterError, SamplingExhaustedError
 from .families import (AbcParams, AlphaTriple, alpha_from_abc, s2_central_quartic,
                        is_smooth_hesse)
 from .field import fe, root_of_unity
-from .pointscheme import tau_order
+from .pointscheme import order_of, point
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +70,7 @@ class RejectionEvent(NamedTuple):
 def s3_reject_reason(p: AbcParams) -> str | None:
     if not is_smooth_hesse(p):
         return "curve is singular"
-    order = tau_order(p)
+    order = order_of(point(*p))
     if order == 1:
         return "translation point is the origin"
     if order == 3:
@@ -94,9 +96,11 @@ def alpha_reject_reason(t: AlphaTriple) -> str | None:
     return None
 
 
-def _draw_abc(rng: SplitMix64, reject):
-    p = AbcParams.of(1, nonzero_rational(rng), nonzero_rational(rng))
-    return p, reject(p)
+def reject_reason(kind: str, p) -> str | None:
+    """Why ``p`` is degenerate as a point of sampling kind ``kind``, or None."""
+    # looked up when called, so a patched or traced predicate is what runs
+    judge = {"s3": s3_reject_reason, "s2": s2_reject_reason, "s4": alpha_reject_reason}
+    return judge[kind](p) if kind in judge else None
 
 
 def _draw_s4(rng: SplitMix64):
@@ -104,8 +108,7 @@ def _draw_s4(rng: SplitMix64):
     a2 = fe(nonzero_rational(rng))
     if not 1 + a1 * a2:
         return (a1, a2), "alpha1*alpha2 = -1 leaves alpha3 undefined"
-    t = AlphaTriple.complete(a1, a2)
-    return t, alpha_reject_reason(t)
+    return AlphaTriple.complete(a1, a2), None
 
 
 # square-root-locus triples with in-field entries, one family per residue
@@ -143,14 +146,14 @@ def sample_with_log(kind: str, count: int, seed: int):
             raise SamplingExhaustedError(
                 f"{kind}: {draws} draws yielded {len(out)} of {count} samples")
         draws += 1
-        if kind == "s3":
-            cand, reason = _draw_abc(rng, s3_reject_reason)
-        elif kind == "s2":
-            cand, reason = _draw_abc(rng, s2_reject_reason)
+        if kind in ("s3", "s2"):
+            cand, reason = AbcParams.of(1, nonzero_rational(rng), nonzero_rational(rng)), None
         elif kind == "s4":
             cand, reason = _draw_s4(rng)
         else:
             cand, reason = _draw_sqrt(rng, len(out))
+        # the draw rejects what is no parameter set; the kind's predicate the rest
+        reason = reason or reject_reason(kind, cand)
         if reason is None:
             out.append(cand)
         else:

@@ -294,7 +294,40 @@ def test_internal_error_outside_a_check_exits_three(capsys, monkeypatch):
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert captured.err.rstrip().endswith(
-        "skverify: internal error: KeyError: 'boom' (in skverify.cli)")
+        "skverify: internal error: KeyError: 'boom' (in skverify.sampling)")
+
+
+def counted(monkeypatch):
+    """Wrap the three sampling predicates; return their call counts by kind."""
+    calls = {"s3": 0, "s2": 0, "s4": 0}
+    for kind, name in (("s3", "s3_reject_reason"), ("s2", "s2_reject_reason"),
+                       ("s4", "alpha_reject_reason")):
+        def wrapper(p, kind=kind, real=getattr(cli.sampling, name)):
+            calls[kind] += 1
+            return real(p)
+        monkeypatch.setattr(cli.sampling, name, wrapper)
+    return calls
+
+
+def test_a_drawn_point_is_judged_once(monkeypatch):
+    calls = counted(monkeypatch)
+    echo = run_suite(RunConfig(suite="all", samples=3, seed=7))["sampling"]
+    assert calls == {kind: len(echo[kind]["accepted"]) + len(echo[kind]["rejected"])
+                     for kind in calls}
+
+
+def test_an_explicit_point_is_judged_once_per_run(monkeypatch):
+    # the s2 and quotient rows read the same points, and judge them once
+    calls = counted(monkeypatch)
+    run_suite(RunConfig(suite="all", abc=(AbcParams.of(1, 2, 3), AbcParams.of(1, 1, 8)),
+                        samples=1, seed=7))
+    assert calls["s3"] == 2 and calls["s2"] == 2
+
+
+def test_notes_belong_to_existing_checks():
+    ids = {cid for table in (cli.S3, cli.S2, cli.S4, cli.S4_MINORS, cli.QUOTIENT, cli.REPS)
+           for cid, _ in table}
+    assert set(cli.NOTES) <= ids
 
 
 def test_output_file_ignores_a_stale_temp_file(tmp_path, capsys):

@@ -14,7 +14,7 @@ from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
                                s4_relation_polys)
 from skverify.field import fe, root_of_unity
 from skverify.freealg import NcPoly, span
-from skverify.pointscheme import tau_order
+from skverify.pointscheme import order_of, point
 
 
 def test_projective_normalization():
@@ -142,12 +142,10 @@ def test_presentation_builders_agree_with_relation_lists():
 
 
 def test_translation_point_order_flags():
-    assert tau_order(AbcParams.of(1, 2, 3)) is None
+    assert order_of(point(1, 2, 3)) is None
     # equal first two coordinates force a self-inverse point
-    assert tau_order(AbcParams.of(1, 1, 2)) == 2
-    assert tau_order(AbcParams.of(1, -12, -12)) == 6
-    with pytest.raises(ParameterError):
-        tau_order(AbcParams.of(1, 1, 1))
+    assert order_of(point(1, 1, 2)) == 2
+    assert order_of(point(1, -12, -12)) == 6
 
 
 def test_central_quartic_coefficients():

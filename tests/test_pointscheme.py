@@ -24,7 +24,7 @@ from skverify.pointscheme import (ORIGIN, _integer_matrix, _integer_minors, _mon
                                   invariant_cubic_basis, on_hesse, point, point_text,
                                   s2_point_determinant, s3_degree3_overlap,
                                   s3_next_point, s4_minor_membership,
-                                  tau_order, verify_c3_description)
+                                  order_of, verify_c3_description)
 from skverify.graded import Quotient
 from skverify.heisenberg import GroupRep, HeisenbergGroup
 from skverify.veronese import verify_c4_central
@@ -149,8 +149,17 @@ def test_group_law_axiom_catches_a_broken_sum(monkeypatch, breaks, field):
 
 def test_tau_order_matches_chord_oracle():
     for p, order in list(TORSION.items()) + [(p, None) for p in CURVES]:
-        assert tau_order(p) == order
+        assert order_of(point(*p)) == order
         assert chord_order(p) == order
+
+
+def test_group_law_record_reads_the_order_off_its_walk(monkeypatch):
+    def unused(tau):
+        raise AssertionError("order_of called")
+
+    monkeypatch.setattr(pointscheme, "order_of", unused)
+    for p, order in (((1, 1, 2), 2), ((1, -12, -12), 6), ((1, 2, 3), "infinite")):
+        assert group_law_record(AbcParams.of(*p))["tau_order"] == order
 
 
 def check_against_chord(p, steps):

@@ -66,6 +66,12 @@ def test_accepted_samples_satisfy_their_own_filters():
         SextupleParams.from_sqrt(*lam)  # constructor revalidates the locus
 
 
+def test_s3_filter_checks_smoothness_before_the_order():
+    # order_of means nothing on a singular member: at [0:1:1] it reads 6
+    assert s3_reject_reason(AbcParams.of(1, 1, 1)) == "curve is singular"
+    assert s3_reject_reason(AbcParams.of(0, 1, 1)) == "curve is singular"
+
+
 def test_s2_alpha_poles_are_caught_by_the_earlier_guards():
     # alpha_from_abc raises only at a = 0 or b = +-c; a = 0 makes the curve
     # singular and b = +-c has its own guard, so neither reaches it
