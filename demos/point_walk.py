@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from skverify.families import AbcParams
 from skverify.field import fe
-from skverify.pointscheme import (ORIGIN, group_law_record, point, point_text,
-                                  s2_point_determinant, s3_next_point,
+from skverify.pointscheme import (ORIGIN, X0, X1, Y0, Y1, group_law_record, point,
+                                  point_text, s2_point_determinant, s3_next_point,
                                   s4_minor_membership)
 
 p = AbcParams.of(1, 2, 3)
@@ -35,7 +35,7 @@ print("two-generator family: 2x2 matrix of bilinear forms")
 print("  determinant over the reference biquadratic, ratio:", rec["ratio_to_reference"])
 rec0 = s2_point_determinant(AbcParams.of(0, 2, 3))
 print("  at a = 0 it is a multiple of x0 y0 x1 y1, a product of lines:",
-      list(rec0["determinant"].terms) == [(1, 1, 1, 1)])
+      list(rec0["determinant"]) == [X0 + Y0 + X1 + Y1])
 
 print()
 lam = (fe(1), fe(Fraction(-7, 4)), fe(1))

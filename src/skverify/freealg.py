@@ -1,13 +1,10 @@
 """Free-algebra calculus: words, noncommutative polynomials, subspaces.
 
-NcPoly and MultiPoly share one term-dict body: a size and a dict from keys to
-nonzero FieldElems, with one checking constructor, one unchecked ``_of`` for
-results already clean, and one copy of the ring arithmetic.  The two differ in
-their keys.  An NcPoly lives in the free algebra on ``ngens`` generators and
-is keyed by Words.  A MultiPoly is commutative in ``nvars`` variables and is
-keyed by flat exponent tuples; these are the entries of the point-scheme
-coefficient matrices, their determinants and minors, and the quadrics those
-minors are checked against.
+An NcPoly lives in the free algebra on ``ngens`` generators: a dict from
+Words to nonzero FieldElems, with one checking constructor and one unchecked
+``_of`` for results already clean.  The commutative polynomials of the point
+schemes are not kept here: pointscheme holds them as linalg rows keyed by
+monomial.
 
 A Word is a tuple of 0-based generator indices; a homogeneous degree-d
 component of the free algebra on n generators is identified with the span of
@@ -19,7 +16,6 @@ two subspaces are equal exactly when their representations coincide.
 
 from __future__ import annotations
 
-from operator import add
 from typing import NamedTuple
 
 from . import linalg
@@ -48,48 +44,46 @@ def word_text(word: Word, names) -> str:
     return "*".join(names[a] for a in word) if word else "1"
 
 
-class _Terms:
-    """A dict from keys to nonzero FieldElems, over one size.
+class NcPoly:
+    """Polynomial in the free algebra on ``ngens`` generators: a dict from
+    Words to nonzero FieldElems.  The product concatenates words."""
 
-    A subclass says how a key is checked (``_check_key``) and how two keys
-    multiply (``_join``); the ring arithmetic here is shared.
-    """
+    __slots__ = ("ngens", "terms")
 
-    __slots__ = ("size", "terms")
-
-    def __init__(self, size: int, terms=None) -> None:
+    def __init__(self, ngens: int, terms=None) -> None:
         clean = {}
-        for key, c in (terms or {}).items():
+        for word, c in (terms or {}).items():
             c = fe(c)
             if not c:
                 continue
-            key = tuple(key)
-            self._check_key(key, size)
-            clean[key] = c
-        self.size, self.terms = size, clean
+            word = tuple(word)
+            if any(a < 0 or a >= ngens for a in word):
+                raise ShapeError(f"word {word} has letters outside 0..{ngens - 1}")
+            clean[word] = c
+        self.ngens, self.terms = ngens, clean
 
-    @classmethod
-    def _of(cls, size: int, terms: dict):
-        """An instance from terms already clean: keys the constructor would
+    @staticmethod
+    def _of(ngens: int, terms: dict) -> "NcPoly":
+        """An NcPoly from terms already clean: words the constructor would
         accept, nonzero FieldElem coefficients."""
-        out = object.__new__(cls)
-        out.size, out.terms = size, terms
+        out = object.__new__(NcPoly)
+        out.ngens, out.terms = ngens, terms
         return out
 
-    @classmethod
-    def zero(cls, size: int):
-        return cls._of(size, {})
+    @staticmethod
+    def zero(ngens: int) -> "NcPoly":
+        return NcPoly._of(ngens, {})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def _check(self, other) -> None:
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if self.size != other.size:
-            raise ShapeError(f"{type(self).__name__} sizes differ: {self.size}, {other.size}")
+        if type(other) is not NcPoly:
+            raise TypeError(f"cannot combine NcPoly with {type(other).__name__}")
+        if self.ngens != other.ngens:
+            raise ShapeError(f"NcPoly generator counts differ: {self.ngens}, {other.ngens}")
 
-    def __add__(self, other):
+    def __add__(self, other) -> "NcPoly":
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -98,61 +92,42 @@ class _Terms:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return self._of(self.size, out)
+        return NcPoly._of(self.ngens, out)
 
-    def __sub__(self, other):
+    def __sub__(self, other) -> "NcPoly":
         return self + (-other)
 
-    def __neg__(self):
-        return self._of(self.size, {k: -c for k, c in self.terms.items()})
+    def __neg__(self) -> "NcPoly":
+        return NcPoly._of(self.ngens, {k: -c for k, c in self.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, _Terms):
+    def __mul__(self, other) -> "NcPoly":
+        if not isinstance(other, NcPoly):
             x = fe(other)
             if not x:
-                return self.zero(self.size)
-            return self._of(self.size, {k: c * x for k, c in self.terms.items()})
+                return NcPoly.zero(self.ngens)
+            return NcPoly._of(self.ngens, {k: c * x for k, c in self.terms.items()})
         self._check(other)
-        join = self._join
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = join(k1, k2)
+                k = k1 + k2
                 s = out.get(k, ZERO) + c1 * c2
                 if s:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return self._of(self.size, out)
+        return NcPoly._of(self.ngens, out)
 
-    def __rmul__(self, other):
+    def __rmul__(self, other) -> "NcPoly":
         return self * other
 
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
+        if type(other) is not NcPoly:
             return NotImplemented
-        return self.size == other.size and self.terms == other.terms
+        return self.ngens == other.ngens and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.size, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-
-class NcPoly(_Terms):
-    """Polynomial in the free algebra on ``ngens`` generators, keyed by Words;
-    the product concatenates words."""
-
-    __slots__ = ()
-
-    _join = staticmethod(add)
-
-    @staticmethod
-    def _check_key(word: Word, ngens: int) -> None:
-        if any(a < 0 or a >= ngens for a in word):
-            raise ShapeError(f"word {word} has letters outside 0..{ngens - 1}")
-
-    @property
-    def ngens(self) -> int:
-        return self.size
+        return hash((self.ngens, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     # -- constructors ------------------------------------------------------
 
@@ -182,7 +157,7 @@ class NcPoly(_Terms):
         return len(lens) <= 1
 
     def __pow__(self, n: int) -> "NcPoly":
-        out = NcPoly.one(self.size)
+        out = NcPoly.one(self.ngens)
         for _ in range(n):
             out = out * self
         return out
@@ -194,7 +169,7 @@ class NcPoly(_Terms):
         for w, c in self.terms.items():
             if len(w) != degree:
                 raise ShapeError(f"word {w} not of degree {degree}")
-            row[word_index(w, self.size)] = c
+            row[word_index(w, self.ngens)] = c
         return row
 
     @staticmethod
@@ -212,7 +187,7 @@ class NcPoly(_Terms):
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return self.text([f"x{i}" for i in range(self.size)])
+        return self.text([f"x{i}" for i in range(self.ngens)])
 
 
 def comm(p: NcPoly, q: NcPoly) -> NcPoly:
@@ -292,52 +267,6 @@ def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     return total, meet
 
 
-class MultiPoly(_Terms):
-    """Commutative polynomial in ``nvars`` variables.
-
-    Each term is keyed by one flat exponent tuple of length ``nvars``, and the
-    product adds exponents.  A matrix entry of coefficient_matrix is
-    (k-1)-linear in k-1 tensor factors of n coordinates each; there x_a of
-    factor b is variable b*n + a.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _join(k1: tuple, k2: tuple) -> tuple:
-        return tuple(map(add, k1, k2))
-
-    @staticmethod
-    def _check_key(key: tuple, nvars: int) -> None:
-        if len(key) != nvars:
-            raise ShapeError(f"bad exponent key {key}")
-
-    @property
-    def nvars(self) -> int:
-        return self.size
-
-    @staticmethod
-    def var(nvars: int, j: int) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(int(i == j) for i in range(nvars)): ONE})
-
-    def evaluate(self, point) -> FieldElem:
-        """Evaluate at one coordinate tuple of length ``nvars``."""
-        pt = tuple(fe(c) for c in point)
-        if len(pt) != self.size:
-            raise ShapeError("evaluation point does not match shape")
-        total = ZERO
-        for key, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, key):
-                if e:
-                    v = v * x ** e
-            total = total + v
-        return total
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.size}, {self.terms!r})"
-
-
 def substitute(p: NcPoly, images: list[NcPoly]) -> NcPoly:
     """Algebra map sending generator i to images[i]."""
     if len(images) != p.ngens:
@@ -352,18 +281,13 @@ def substitute(p: NcPoly, images: list[NcPoly]) -> NcPoly:
     return out
 
 
-def proportional(p, q):
-    """Ratio r with p == r*q, or None.  Zero against zero gives 1."""
+def proportional(p: dict, q: dict):
+    """Ratio r with p == r*q, for two term maps (keys to nonzero
+    coefficients), or None.  Zero against zero gives 1."""
     if not p and not q:
         return ONE
-    if not p or not q:
+    if not p or not q or p.keys() != q.keys():
         return None
-    if p.terms.keys() != q.terms.keys():
-        return None
-    items = iter(sorted(q.terms))
-    k0 = next(items)
-    r = p.terms[k0] / q.terms[k0]
-    for k in items:
-        if p.terms[k] != r * q.terms[k]:
-            return None
-    return r
+    k0 = next(iter(q))
+    r = p[k0] / q[k0]
+    return r if all(p[k] == r * c for k, c in q.items()) else None

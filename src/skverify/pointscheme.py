@@ -48,21 +48,32 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import OffCurveError, ParameterError, RankError, ShapeError, SingularCurveError
 from . import linalg
 from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
                        s2_relation_polys, s3_relation_polys, s4_relation_polys)
-from .field import FieldElem, fe, root_of_unity
-from .freealg import MultiPoly, NcPoly, proportional, span, sum_and_intersect
+from .field import ZERO, FieldElem, fe, root_of_unity
+from .freealg import NcPoly, proportional, span, sum_and_intersect
 from .graded import Quotient
 from .heisenberg import TensorPowerRep, h3_gen_rep, invariant_subspace
 
 
 # -- multilinear coefficient matrices --------------------------------------
+# Every commutative polynomial here is a linalg.Row keyed by monomial: the
+# matrix entries, the s2 determinant and reference curve, the s4 minors and
+# the quadrics.  Variable x_a of tensor factor b is number b*n + a, and a
+# monomial's key is sum e_v BASE^v, its exponents read as base-BASE digits.
+# So the product of two monomials is the sum of their keys whenever every
+# exponent stays <= 4: true of all built here, the 2x2 s2 determinant, the
+# 4x4 s4 minors and the quartic multiples of the quadrics.
+BASE = 5
+X0, Y0, X1, Y1 = (BASE ** v for v in range(4))      # x, y of the two s2 factors
+V00, V10, V01, V11 = (BASE ** v for v in range(4))  # the s4 coordinates
 
-def coefficient_matrix(rels: list[NcPoly]) -> list[list[MultiPoly]]:
+
+def coefficient_matrix(rels: list[NcPoly]) -> list[list[linalg.Row]]:
     """Rows: relations (all of one degree k) in their given order; columns:
     last letters.  The word w1..w(k-1) j of relation r becomes the monomial
     x_{w1} ... x_{w(k-1)} of entry (r, j), with x_a of factor b variable b*n + a.
@@ -73,27 +84,69 @@ def coefficient_matrix(rels: list[NcPoly]) -> list[list[MultiPoly]]:
     degrees = {len(w) for r in rels for w in r.terms}
     if len(degrees) != 1 or 0 in degrees:
         raise ShapeError("coefficient_matrix needs relations of one degree >= 1")
-    nvars = (degrees.pop() - 1) * n
     out = []
     for r in rels:
         row = [{} for _ in range(n)]
         for w, c in r.terms.items():
-            key = [0] * nvars
-            for b, a in enumerate(w[:-1]):
-                key[b * n + a] = 1
-            row[w[-1]][tuple(key)] = c
-        out.append([MultiPoly._of(nvars, terms) for terms in row])
+            row[w[-1]][sum(BASE ** (b * n + a) for b, a in enumerate(w[:-1]))] = c
+        out.append(row)
     return out
+
+
+def _nonzero(terms: dict) -> linalg.Row:
+    """A closed-form row without its zero coefficients."""
+    return {k: c for k, c in terms.items() if c}
+
+
+def _integer_matrix(m: list[list[linalg.Row]],
+                    ints: linalg.IntRows) -> tuple[list[list[dict]], list[int]]:
+    """Each row of a matrix of polynomials times its scale, the least positive
+    int that makes it integral, and the scales.  Scaling a row by a nonzero
+    constant scales each maximal minor by it."""
+    out, scales = [], []
+    for row in m:
+        flat, den = ints.lift({(j, k): c for j, e in enumerate(row) for k, c in e.items()})
+        entries = [{} for _ in row]
+        for (j, k), v in flat.items():
+            entries[j][k] = v
+        out.append(entries)
+        scales.append(den)
+    return out, scales
+
+
+def _integer_minors(m: list[list[dict]], ints: linalg.IntRows) -> list[dict]:
+    """The k x k minors of an r x k matrix of integer polynomials, one per row
+    set in combinations order.  Laplace expansion along the first row, with
+    one memo over (rows, cols), so the minors share their smaller sub-minors."""
+
+    @cache
+    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        total: dict = {}
+        for j, c in enumerate(cols):
+            sub = det(rows[1:], cols[:j] + cols[j + 1:])
+            for k, e in m[rows[0]][c].items():
+                ints.axpy(total, e, -1 if j % 2 else 1, {k + w: v for w, v in sub.items()})
+        return total
+
+    cols = tuple(range(len(m[0])))
+    return [det(rows, cols) for rows in combinations(range(len(m)), len(cols))]
 
 
 def s3_next_point(p: AbcParams, pt: tuple) -> tuple[int, int, int]:
     """Unique kernel direction of the 3x3 matrix of linear forms at ``pt``.
 
+    Entry (r, j) is the sum of c * pt[a] over the words (a, j) of relation r.
     Rank 3 means no successor (the point is off the scheme); rank < 2 means
     the successor is not unique.  Both raise RankError.
     """
-    rows = [{j: v for j, e in enumerate(row) if (v := e.evaluate(pt))}
-            for row in coefficient_matrix(s3_relation_polys(p))]
+    rows = []
+    for rel in s3_relation_polys(p):
+        row: linalg.Row = {}
+        for (a, j), c in rel.terms.items():
+            row[j] = row.get(j, ZERO) + c * pt[a]
+        rows.append(_nonzero(row))
     kernel = linalg.nullspace(rows, 3)
     if len(kernel) == 0:
         raise RankError("matrix is invertible: no successor point")
@@ -103,39 +156,40 @@ def s3_next_point(p: AbcParams, pt: tuple) -> tuple[int, int, int]:
     return point(*(v.get(j, 0) for j in range(3)))
 
 
-def s2_reference_matrix(p: AbcParams) -> list[list[MultiPoly]]:
+def s2_reference_matrix(p: AbcParams) -> list[list[linalg.Row]]:
     """Closed-form comparison target for the 2x2 matrix."""
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
-    x0, y0, x1, y1 = (MultiPoly.var(4, j) for j in range(4))
-    return [[a * (y0 * y1) + c * (x0 * x1), a * (x0 * y1) + b * (y0 * x1)],
-            [a * (y0 * x1) + b * (x0 * y1), a * (x0 * x1) + c * (y0 * y1)]]
+    return [[_nonzero({Y0 + Y1: a, X0 + X1: c}), _nonzero({X0 + Y1: a, Y0 + X1: b})],
+            [_nonzero({Y0 + X1: a, X0 + Y1: b}), _nonzero({X0 + X1: a, Y0 + Y1: c})]]
 
 
-def s2_reference_curve(p: AbcParams) -> MultiPoly:
+def s2_reference_curve(p: AbcParams) -> linalg.Row:
     """The (2,2)-form the determinant is checked against:
 
     (b^2-c^2) x0 y0 x1 y1 - ac (x0^2 x1^2 + y0^2 y1^2) + ab (x0^2 y1^2 + y0^2 x1^2).
     """
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
-    x0, y0, x1, y1 = (MultiPoly.var(4, j) for j in range(4))
-    return ((b * b - c * c) * (x0 * y0 * x1 * y1)
-            - a * c * (x0 * x0 * x1 * x1 + y0 * y0 * y1 * y1)
-            + a * b * (x0 * x0 * y1 * y1 + y0 * y0 * x1 * x1))
+    return _nonzero({X0 + Y0 + X1 + Y1: b * b - c * c,
+                     2 * (X0 + X1): -a * c, 2 * (Y0 + Y1): -a * c,
+                     2 * (X0 + Y1): a * b, 2 * (Y0 + X1): a * b})
 
 
 def s2_point_determinant(p: AbcParams) -> dict:
     """Determinant of the 2x2 matrix, compared to the reference (2,2)-form.
 
-    At a = 0 the determinant degenerates to a multiple of x0 y0 x1 y1, a
-    product of coordinate lines.
+    The determinant is the integer minor of the row-scaled matrix, divided by
+    the product of the row scales.  At a = 0 it degenerates to a multiple of
+    x0 y0 x1 y1, a product of coordinate lines.
     """
     m = coefficient_matrix(s2_relation_polys(p))  # the 2x2 matrix of bilinear forms
-    ref = s2_reference_matrix(p)
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    ints = linalg.int_rows([e for row in m for e in row])
+    rows, scales = _integer_matrix(m, ints)
+    (det,) = _integer_minors(rows, ints)
     if not det:
         raise ParameterError("identically zero determinant")
+    det = ints.lower(det, prod(scales))
     ratio = proportional(det, s2_reference_curve(p))
-    matches = m == ref
+    matches = m == s2_reference_matrix(p)
     return {
         "matrix_matches_reference": matches,
         "determinant": det,
@@ -436,6 +490,10 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     """Certify the degree-3 central element of ``q``, the 3-generator algebra
     at ``p``, against the invariant cubics.
 
+    ``p`` must be a point the s3 predicate (``sampling.s3_reject_reason``)
+    accepts: a smooth member whose tau has order neither 1 nor 3.  The order
+    is not checked again here; ``s3-group-law`` records it.
+
     The central element is only defined modulo the ideal, and the span of the
     invariant cubics meets the degree-3 ideal slice in the line through
     a*f1 + b*f2 + c*f3, so the coefficient triple is a point of P^2 modulo
@@ -449,12 +507,8 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     tau = point(*p)
     # the one smoothness check: hesse_third raises SingularCurveError
     tangent = _lead_one(hesse_third(p, tau, tau))
-    order = order_of(tau)
-    if order in (1, 3):
-        raise ParameterError(f"translation point has order {order}: not in the verified regime")
     cents = q.centralizer_slice(3)
-    record: dict = {"tau_order": "infinite" if order is None else order,
-                    "centralizer_dim": cents.dim}
+    record: dict = {"centralizer_dim": cents.dim}
     if cents.dim != 1:
         record["pass"] = False
         record["reason"] = "centralizer dimension is not 1"
@@ -463,72 +517,30 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     nf = q.normal_form
     record["coefficient_triple"] = tangent
     combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3))
-    ratio = proportional(nf(combo), nf(c3))
+    ratio = proportional(nf(combo).terms, nf(c3).terms)
     record["ratio"] = ratio
     record["pass"] = ratio is not None
     return record
 
 
 # -- minors of the 6x4 matrix of the 4-generator family --------------------
-# The minors and the quartic multiples of the quadrics are integer rows of one
-# linalg.IntRows kind, keyed by monomial: the exponents of v00, v10, v01, v11
-# as base-5 digits, so the product of monomials of total degree at most 4 is
-# the sum of their keys.
 
-def _monomial(exponents: tuple) -> int:
-    return sum(e * 5 ** j for j, e in enumerate(exponents))
-
-
-def _integer_matrix(m: list[list[MultiPoly]], ints: linalg.IntRows) -> list[list[dict]]:
-    """Each row of a matrix of polynomials times the least positive int that
-    makes it integral, with integer polynomial entries keyed by monomial.
-    Scaling a row by a nonzero constant scales each maximal minor by it."""
-    out = []
-    for row in m:
-        flat, _ = ints.lift({(j, _monomial(k)): c for j, e in enumerate(row)
-                             for k, c in e.terms.items()})
-        entries = [{} for _ in row]
-        for (j, k), v in flat.items():
-            entries[j][k] = v
-        out.append(entries)
-    return out
-
-
-def _integer_minors(m: list[list[dict]], ints: linalg.IntRows) -> list[dict]:
-    """The k x k minors of an r x k matrix of integer polynomials, one per row
-    set in combinations order.  Laplace expansion along the first row, with
-    one memo over (rows, cols), so the minors share their smaller sub-minors."""
-
-    @cache
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
-        if len(rows) == 1:
-            return m[rows[0]][cols[0]]
-        total: dict = {}
-        for j, c in enumerate(cols):
-            sub = det(rows[1:], cols[:j] + cols[j + 1:])
-            for k, e in m[rows[0]][c].items():
-                ints.axpy(total, e, -1 if j % 2 else 1, {k + w: v for w, v in sub.items()})
-        return total
-
-    cols = tuple(range(len(m[0])))
-    return [det(rows, cols) for rows in combinations(range(len(m)), len(cols))]
-
-
-def s4_reference_matrix(l10, l01, l11) -> list[list[MultiPoly]]:
+def s4_reference_matrix(l10, l01, l11) -> list[list[linalg.Row]]:
     """Closed-form 6x4 matrix for the square-root parameter slice."""
     l10, l01, l11 = fe(l10), fe(l01), fe(l11)
-    v00, v10, v01, v11 = (MultiPoly.var(4, j) for j in range(4))
-    return [
-        [-v10, v00, -l10 * v11, -l10 * v01],
-        [l10 * v10, l10 * v00, -v11, v01],
-        [-v01, -l01 * v11, v00, -l01 * v10],
-        [l01 * v01, v11, l01 * v00, -v10],
-        [-v11, -l11 * v01, -l11 * v10, v00],
-        [-l11 * v11, -v01, v10, -l11 * v00],
+    one = fe(1)
+    terms = [
+        [(V10, -one), (V00, one), (V11, -l10), (V01, -l10)],
+        [(V10, l10), (V00, l10), (V11, -one), (V01, one)],
+        [(V01, -one), (V11, -l01), (V00, one), (V10, -l01)],
+        [(V01, l01), (V11, one), (V00, l01), (V10, -one)],
+        [(V11, -one), (V01, -l11), (V10, -l11), (V00, one)],
+        [(V11, -l11), (V01, -one), (V10, one), (V00, -l11)],
     ]
+    return [[_nonzero({k: c}) for k, c in row] for row in terms]
 
 
-def quadric_pair(l10, l01, l11) -> tuple[MultiPoly, MultiPoly, FieldElem]:
+def quadric_pair(l10, l01, l11) -> tuple[linalg.Row, linalg.Row, FieldElem]:
     """The two quadrics cutting the point scheme, and their modulus lambda.
 
     lambda = l10 (l01 l11 + 1) / (l01 - l11); values in {0, +-1, +-i} make the
@@ -545,20 +557,20 @@ def quadric_pair(l10, l01, l11) -> tuple[MultiPoly, MultiPoly, FieldElem]:
     return (*_quadrics(lam), lam)
 
 
-def _quadrics(lam) -> tuple[MultiPoly, MultiPoly]:
-    v00, v10, v01, v11 = (MultiPoly.var(4, j) for j in range(4))
-    q1 = v00 * v00 + v10 * v10 - lam * (v01 * v01 - v11 * v11)
-    q2 = v01 * v01 + v11 * v11 - lam * (v00 * v00 - v10 * v10)
-    return q1, q2
+def _quadrics(lam) -> tuple[linalg.Row, linalg.Row]:
+    """v00^2 + v10^2 - lam (v01^2 - v11^2) and v01^2 + v11^2 - lam (v00^2 - v10^2)."""
+    one = fe(1)
+    return (_nonzero({2 * V00: one, 2 * V10: one, 2 * V01: -lam, 2 * V11: lam}),
+            _nonzero({2 * V01: one, 2 * V11: one, 2 * V00: -lam, 2 * V10: lam}))
 
 
 def _membership(minors, quadrics, ints: linalg.IntRows) -> list[bool]:
     """Whether each integer minor lies in the span of the quartic multiples
     of the quadrics."""
-    shifts = [5 ** i + 5 ** j for i in range(4) for j in range(i, 4)]
+    shifts = [BASE ** i + BASE ** j for i in range(4) for j in range(i, 4)]
     products = []
     for q in quadrics:
-        row, _ = ints.lift({_monomial(k): c for k, c in q.terms.items()})
+        row, _ = ints.lift(q)
         products.extend({k + s: v for k, v in row.items()} for s in shifts)
     basis = ints.echelon(products)
     return [not ints.reduce(minor, 1, basis)[0] for minor in minors]
@@ -575,9 +587,8 @@ def s4_minor_membership(l10, l01, l11) -> dict:
     reference = s4_reference_matrix(l10, l01, l11)
     q1, q2, lam = quadric_pair(l10, l01, l11)
     perturbed = _quadrics(lam + fe(1))
-    ints = linalg.int_rows([e.terms for row in assembled for e in row]
-                           + [q.terms for q in (q1, q2, *perturbed)])
-    minors = _integer_minors(_integer_matrix(assembled, ints), ints)
+    ints = linalg.int_rows([e for row in assembled for e in row] + [q1, q2, *perturbed])
+    minors = _integer_minors(_integer_matrix(assembled, ints)[0], ints)
     members = _membership(minors, (q1, q2), ints)
     escaped = _membership(minors, perturbed, ints).count(False)
     return {

@@ -262,7 +262,7 @@ def extract_c4(vm: VeroneseMap) -> dict:
     img1 = nf(vm.apply(vm.extra))
     img2 = nf(vm.apply(vm.omega2))
     c4 = _closed_quartic(vm.params)
-    mu = proportional(img2, nf(c4)) if img2 else None
+    mu = proportional(img2.terms, nf(c4).terms) if img2 else None
     invariant = _invariant(c4)
     return {
         "omega1_maps_to_zero": not img1,

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from skverify import freealg as fa
 from skverify.errors import ShapeError
 from skverify.field import ONE, ZERO, FieldElem, fe
-from skverify.freealg import (MultiPoly, NcPoly, Subspace, acomm, comm, proportional, span,
+from skverify.freealg import (NcPoly, Subspace, acomm, comm, proportional, span,
                               substitute, sum_and_intersect)
-from skverify.pointscheme import coefficient_matrix
+from skverify.pointscheme import BASE, coefficient_matrix
 
 
 def random_poly(rng, ngens, degree, terms=4):
@@ -135,43 +135,39 @@ def test_commutator_shortcuts():
 def test_proportional_ratios():
     x, y = NcPoly.gens(2)
     z = NcPoly.zero(2)
-    assert proportional(x * y, 2 * (x * y)) == fe(Fraction(1, 2))
-    assert proportional(x * y, x * x) is None
-    assert proportional(z, z) == ONE
-    assert proportional(z, x * y) is None
+    assert proportional((x * y).terms, (2 * (x * y)).terms) == fe(Fraction(1, 2))
+    assert proportional((x * y).terms, (x * x).terms) is None
+    assert proportional(z.terms, z.terms) == ONE
+    assert proportional(z.terms, (x * y).terms) is None
+    # plain rows, as the point-scheme polynomials are kept
+    assert proportional({1: fe(3), 7: fe(-6)}, {1: fe(-1), 7: fe(2)}) == fe(-3)
 
 
 def test_coefficient_matrix_evaluates_like_coefficients():
     x, y = NcPoly.gens(2)
     rel = x * x * y + 2 * (y * x * x)
     (row,) = coefficient_matrix([rel])
-    assert [e.nvars for e in row] == [4, 4]
-    # x_a of tensor factor b is variable 2b + a; the last factor is the column
-    val = sum((e.evaluate((1, 2, 3, 4)) * z for e, z in zip(row, (5, 6))), ZERO)
-    assert val == fe(78)
-    # plugging unit vectors into the first two factors reads off word coefficients
-    unit = [(ONE, ZERO), (ZERO, ONE)]
+    # x_a of tensor factor b is variable 2b + a, and the monomial x_a x_b' is
+    # keyed BASE^a + BASE^(2 + b): the value at unit vectors in the two
+    # factors, read off as the word coefficient with the column as last letter
     for a, b, last in product(range(2), repeat=3):
-        assert row[last].evaluate(unit[a] + unit[b]) == rel.coefficient((a, b, last))
-    assert row[1].evaluate(unit[0] + unit[0]) == ONE
-    assert row[0].evaluate(unit[1] + unit[0]) == fe(2)
+        key = BASE ** a + BASE ** (2 + b)
+        assert row[last].get(key, ZERO) == rel.coefficient((a, b, last))
+    assert row == [{BASE ** 1 + BASE ** 2: fe(2)}, {BASE ** 0 + BASE ** 2: ONE}]
     with pytest.raises(ShapeError):
         coefficient_matrix([x * y, x * x * y])
     with pytest.raises(ShapeError):
         coefficient_matrix([x * y + x])
 
 
-# Shared arithmetic of NcPoly and MultiPoly against plain dict arithmetic.  Two
-# generators with words of length <= 2, or two variables with exponents <= 2,
-# keep the key space small enough that sums and products cancel often.
+# NcPoly arithmetic against plain dict arithmetic.  Two generators with words
+# of length <= 2 keep the key space small enough that sums and products
+# cancel often.
 SIZE = 2
 small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
 scalars = st.one_of(st.integers(-2, 2), small,
                     st.builds(lambda cs: FieldElem(cs), st.tuples(small, small, small, small)))
-KEYS = {NcPoly: st.lists(st.integers(0, SIZE - 1), max_size=2).map(tuple),
-        MultiPoly: st.tuples(*[st.integers(0, 2)] * SIZE)}
-JOIN = {NcPoly: operator.add,
-        MultiPoly: lambda k1, k2: tuple(a + b for a, b in zip(k1, k2))}
+WORDS = st.lists(st.integers(0, SIZE - 1), max_size=2).map(tuple)
 
 
 def oracle(pairs):
@@ -182,25 +178,21 @@ def oracle(pairs):
     return {k: c for k, c in out.items() if c}
 
 
-def assert_clean(r, kind):
+def assert_clean(r):
     """The invariant every arithmetic result keeps: nonzero FieldElem
-    coefficients under keys the public constructor would accept."""
-    assert type(r) is kind
-    assert kind(SIZE, r.terms) == r
+    coefficients under words the public constructor would accept."""
+    assert type(r) is NcPoly
+    assert NcPoly(SIZE, r.terms) == r
     for k, c in r.terms.items():
         assert type(c) is FieldElem and c
-        assert type(k) is tuple and all(type(a) is int and a >= 0 for a in k)
-        if kind is NcPoly:
-            assert all(a < SIZE for a in k)
-        else:
-            assert len(k) == SIZE
+        assert type(k) is tuple and all(type(a) is int and 0 <= a < SIZE for a in k)
 
 
-@pytest.mark.parametrize("kind", [NcPoly, MultiPoly])
+@pytest.mark.parametrize("kind", [NcPoly])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_shared_arithmetic_matches_dict_oracle(kind, data):
-    terms = st.dictionaries(KEYS[kind], scalars, max_size=5)
+    terms = st.dictionaries(WORDS, scalars, max_size=5)
     a, b = data.draw(terms), data.draw(terms)
     s = data.draw(scalars)
     p, q = kind(SIZE, a), kind(SIZE, b)
@@ -212,30 +204,30 @@ def test_shared_arithmetic_matches_dict_oracle(kind, data):
         "cancel": (p - p, {}),
         "scalar": (p * s, oracle((k, fe(c) * fe(s)) for k, c in a.items())),
         "rscalar": (s * p, oracle((k, fe(s) * fe(c)) for k, c in a.items())),
-        "mul": (p * q, oracle((JOIN[kind](k1, k2), fe(c1) * fe(c2))
+        "mul": (p * q, oracle((k1 + k2, fe(c1) * fe(c2))
                               for (k1, c1), (k2, c2) in product(a.items(), b.items()))),
     }
     for name, (got, want) in cases.items():
         assert got.terms == want, name
-        assert_clean(got, kind)
+        assert_clean(got)
     assert (p + q == q + p) and hash(p + q) == hash(q + p)
     assert bool(p) == bool(oracle(a.items()))
     assert kind.zero(SIZE) == p - p and not kind.zero(SIZE)
 
 
 def test_mixed_kinds_do_not_combine():
-    x, v = NcPoly.gen(2, 0), MultiPoly.var(2, 0)
+    # an NcPoly does not combine with a monomial-keyed row, the package's
+    # other polynomial form, nor with an NcPoly on another generator count
+    x, row = NcPoly.gen(2, 0), {BASE: ONE}
     for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises((ShapeError, TypeError)):
-            op(x, v)
-        with pytest.raises((ShapeError, TypeError)):
-            op(v, x)
-    assert x != v and NcPoly.zero(2) != MultiPoly.zero(2)
+        with pytest.raises(TypeError):
+            op(x, row)
+        with pytest.raises(TypeError):
+            op(row, x)
+    assert x != row and NcPoly.zero(2) != {}
     with pytest.raises(ShapeError):
         NcPoly(2, {(2,): 1})
     with pytest.raises(ShapeError):
-        MultiPoly(2, {(1,): 1})
-    with pytest.raises(ShapeError):
         NcPoly.gen(2, 0) + NcPoly.gen(3, 0)
     with pytest.raises(ShapeError):
-        MultiPoly.var(2, 0) * MultiPoly.var(3, 0)
+        NcPoly.gen(2, 0) * NcPoly.gen(3, 0)

@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd, lcm, prod
 
 import pytest
@@ -16,10 +16,10 @@ from skverify.cli import main
 from skverify.errors import OffCurveError, ParameterError, RankError
 from skverify.families import (AbcParams, SextupleParams, build_s2, build_s3,
                                is_smooth_hesse, s3_relation_polys, s4_relation_polys)
-from skverify.field import fe, root_of_unity
-from skverify.freealg import MultiPoly, NcPoly, span
-from skverify.pointscheme import (ORIGIN, _integer_matrix, _integer_minors, _monomial,
-                                  _neg, _sum, _third, coefficient_matrix,
+from skverify.field import ONE, ZERO, fe, root_of_unity
+from skverify.freealg import NcPoly, span
+from skverify.pointscheme import (BASE, ORIGIN, X0, X1, Y0, Y1, _integer_matrix,
+                                  _integer_minors, _neg, _sum, _third, coefficient_matrix,
                                   group_law_record, hesse_add, hesse_third,
                                   invariant_cubic_basis, on_hesse, point, point_text,
                                   s2_point_determinant, s3_degree3_overlap,
@@ -283,9 +283,24 @@ def test_next_point_raises_on_a_rank_drop(p, pt, message):
         s3_next_point(p, pt)
 
 
+def digits(key):
+    """The exponents of a monomial key, variable 0 first."""
+    out = []
+    while key:
+        key, e = divmod(key, BASE)
+        out.append(e)
+    return out
+
+
+def evaluate(row, pt):
+    """A monomial-keyed row at a point, one exponent digit per coordinate."""
+    return sum((c * prod((fe(x) ** e for x, e in zip(pt, digits(k))), start=ONE)
+                for k, c in row.items()), ZERO)
+
+
 def test_point_matrix_drops_rank_on_curve():
     p = AbcParams.of(1, 2, 3)
-    m = [[e.evaluate(ORIGIN) for e in row]
+    m = [[evaluate(e, ORIGIN) for e in row]
          for row in coefficient_matrix(s3_relation_polys(p))]
     assert len(m) == 3 and len(m[0]) == 3
     det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -345,7 +360,18 @@ def test_center_cubic_certificate():
         assert rec["centralizer_dim"] == 1
         assert rec["ratio"] is not None
         assert rec["coefficient_triple"] is not None
-        assert rec["tau_order"] == "infinite"
+
+
+def test_center_cubic_certificate_leaves_the_order_to_the_predicate(monkeypatch):
+    # the s3 predicate has already rejected orders 1 and 3; torsion of other
+    # orders is certified like any other point
+    def unused(tau):
+        raise AssertionError("order_of called")
+
+    monkeypatch.setattr(pointscheme, "order_of", unused)
+    for abc in ((1, 2, 3), (1, 1, 2), (1, -12, -12)):
+        p = AbcParams.of(*abc)
+        assert verify_c3_description(p, Quotient(build_s3(p)))["pass"]
 
 
 def test_quartic_centralizer_record():
@@ -368,15 +394,39 @@ def test_quartic_centralizer_record_fails_on_a_quartic_in_the_ideal(monkeypatch)
     assert rec["pass"] is False
 
 
-def multipoly_to_sympy(mp):
-    syms = sympy.symbols([f"v{j}" for j in range(mp.nvars)])
+S2_SYMBOLS = sympy.symbols("x0 y0 x1 y1")  # variables 0..3 of the s2 matrix entries
+
+
+def row_to_sympy(row, syms=S2_SYMBOLS):
     total = sympy.Integer(0)
-    for key, coeff in mp.terms.items():
+    for key, coeff in row.items():
         term = sympy.Rational(coeff.rational())
-        for s, e in zip(syms, key):
+        for s, e in zip(syms, digits(key)):
             term *= s ** e
         total += term
     return sympy.expand(total)
+
+
+def s2_sympy_matrix(p):
+    """The 2x2 matrix of the s2 relations a(yyx + xyy) + b yxy + c xxx and its
+    swap, split by hand: letter one is factor 0, letter two factor 1, letter
+    three the column."""
+    a, b, c = (sympy.Rational(v.numerator, v.denominator) for v in p)
+    rels = [[(a, "yyx"), (a, "xyy"), (b, "yxy"), (c, "xxx")],
+            [(a, "xxy"), (a, "yxx"), (b, "xyx"), (c, "yyy")]]
+    x0, y0, x1, y1 = S2_SYMBOLS
+    factor = ({"x": x0, "y": y0}, {"x": x1, "y": y1})
+    m = sympy.zeros(2, 2)
+    for r, rel in enumerate(rels):
+        for coeff, w in rel:
+            m[r, "xy".index(w[2])] += coeff * factor[0][w[0]] * factor[1][w[1]]
+    return m
+
+
+@pytest.mark.parametrize("p", CURVES + list(TORSION) + [AbcParams.of(0, 2, 3)], ids=str)
+def test_point_determinant_matches_sympy(p):
+    det = s2_point_determinant(p)["determinant"]
+    assert row_to_sympy(det) == sympy.expand(s2_sympy_matrix(p).det())
 
 
 def test_point_determinant_matches_reference_curve():
@@ -392,9 +442,10 @@ def test_point_determinant_catches_a_wrong_reference_curve(monkeypatch):
 
     def flipped(p):
         # negate the ab (x0^2 y1^2 + y0^2 x1^2) term
-        x0, y0, x1, y1 = (MultiPoly.var(4, j) for j in range(4))
-        ab = fe(p.a) * fe(p.b) * (x0 * x0 * y1 * y1 + y0 * y0 * x1 * x1)
-        return right(p) - ab - ab
+        curve = right(p)
+        for k in (2 * (X0 + Y1), 2 * (Y0 + X1)):
+            curve[k] = -curve[k]
+        return curve
 
     monkeypatch.setattr(pointscheme, "s2_reference_curve", flipped)
     rec = s2_point_determinant(AbcParams.of(1, 2, 3))
@@ -408,7 +459,7 @@ def _negate_entry(monkeypatch, name, i, j):
 
     def flipped(*args):
         m = right(*args)
-        m[i][j] = -m[i][j]
+        m[i][j] = {k: -c for k, c in m[i][j].items()}
         return m
 
     monkeypatch.setattr(pointscheme, name, flipped)
@@ -429,7 +480,7 @@ def test_point_determinant_catches_a_wrong_reference_matrix(monkeypatch, capsys)
 
 def test_point_determinant_splits_when_first_parameter_vanishes():
     rec = s2_point_determinant(AbcParams.of(0, 2, 3))
-    expr = multipoly_to_sympy(rec["determinant"])
+    expr = row_to_sympy(rec["determinant"])
     factors = sympy.factor_list(expr)[1]
     for base, _mult in factors:
         assert sympy.total_degree(base) == 1
@@ -442,32 +493,49 @@ SQRT_TRIPLES = [
 ]
 
 
+def add_rows(p, q, s=1):
+    """p + s*q for monomial-keyed FieldElem rows."""
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out.get(k, ZERO) + s * c
+    return {k: c for k, c in out.items() if c}
+
+
+def mul_rows(p, q):
+    """Product of monomial-keyed FieldElem rows.  Keys add, which needs every
+    exponent sum below BASE: asserted digit by digit."""
+    out = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            assert all(a + b < BASE for a, b in zip_longest(digits(k1), digits(k2), fillvalue=0))
+            out = add_rows(out, {k1 + k2: c1 * c2})
+    return out
+
+
 def cofactor_det(m):
     """Determinant by cofactor expansion along the first row, no memo."""
     if len(m) == 1:
         return m[0][0]
-    shape = next(e for row in m for e in row)
-    total = MultiPoly.zero(shape.nvars)
+    total = {}
     for j, e in enumerate(m[0]):
-        if not e:
-            continue
-        term = e * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
-        total = total + term if j % 2 == 0 else total - term
+        term = mul_rows(e, cofactor_det([row[:j] + row[j + 1:] for row in m[1:]]))
+        total = add_rows(total, term, -1 if j % 2 else 1)
     return total
 
 
-def scaled(poly, scale):
-    """A FieldElem polynomial times an int, keyed by monomial as the integer minors are."""
-    return {_monomial(k): c * scale for k, c in poly.terms.items()}
+def scaled(row, scale):
+    """A FieldElem row times an int."""
+    return {k: c * scale for k, c in row.items()}
 
 
 def integer_minors(m):
     """The package's integer minors as FieldElem rows, and the product of
     the row scales of each: a row's scale is the lcm of its denominators."""
-    ints = linalg.int_rows([e.terms for row in m for e in row])
-    scales = [lcm(*(c.den for e in row for c in e.terms.values())) for row in m]
-    products = [prod(scales[r] for r in rows) for rows in combinations(range(len(m)), 4)]
-    return [ints.lower(r, 1) for r in _integer_minors(_integer_matrix(m, ints), ints)], products
+    ints = linalg.int_rows([e for row in m for e in row])
+    rows, scales = _integer_matrix(m, ints)
+    assert scales == [lcm(*(c.den for e in row for c in e.values())) for row in m]
+    products = [prod(scales[r] for r in quad) for quad in combinations(range(len(m)), 4)]
+    return [ints.lower(r, 1) for r in _integer_minors(rows, ints)], products
 
 
 @pytest.mark.parametrize("lam", SQRT_TRIPLES)
@@ -483,20 +551,17 @@ def test_memoized_minors_match_cofactor_expansion(lam):
 # -- the FieldElem minors and membership, kept as the oracle ----------------
 
 def maximal_minors(m):
-    """The k x k minors of an r x k matrix of FieldElem polynomials, one per
-    row set in combinations order, by memoized Laplace expansion."""
-    shape = m[0][0]
+    """The k x k minors of an r x k matrix of FieldElem rows, one per row set
+    in combinations order, by memoized Laplace expansion."""
 
     @cache
     def det(rows, cols):
         if len(rows) == 1:
             return m[rows[0]][cols[0]]
-        total = MultiPoly.zero(shape.nvars)
+        total = {}
         for j, c in enumerate(cols):
-            e = m[rows[0]][c]
-            if e:
-                term = e * det(rows[1:], cols[:j] + cols[j + 1:])
-                total = total + term if j % 2 == 0 else total - term
+            term = mul_rows(m[rows[0]][c], det(rows[1:], cols[:j] + cols[j + 1:]))
+            total = add_rows(total, term, -1 if j % 2 else 1)
         return total
 
     cols = tuple(range(len(m[0])))
@@ -506,16 +571,17 @@ def maximal_minors(m):
 def quartic_membership(minors, q1, q2):
     """Membership of each minor in the quartic multiples of q1 and q2, by
     FieldElem RREF and reduce_mod over a dense monomial index."""
-    v = [MultiPoly.var(4, j) for j in range(4)]
-    products = [q * v[i] * v[j] for q in (q1, q2) for i in range(4) for j in range(i, 4)]
-    keys = {k for mp in minors + products for k in mp.terms}
+    v = [{BASE ** j: ONE} for j in range(4)]
+    products = [mul_rows(mul_rows(q, v[i]), v[j])
+                for q in (q1, q2) for i in range(4) for j in range(i, 4)]
+    keys = {k for row in minors + products for k in row}
     index = {k: i for i, k in enumerate(sorted(keys))}
 
-    def row(mp):
-        return {index[k]: c for k, c in mp.terms.items()}
+    def dense(row):
+        return {index[k]: c for k, c in row.items()}
 
-    pivots, rows = linalg.rref([row(pr) for pr in products])
-    return [not linalg.reduce_mod(row(mp), pivots, rows) for mp in minors]
+    pivots, rows = linalg.rref([dense(pr) for pr in products])
+    return [not linalg.reduce_mod(dense(mp), pivots, rows) for mp in minors]
 
 
 SQRT_SAMPLES = sorted({t for seed in range(1, 8)
