@@ -1,17 +1,19 @@
-"""Free-algebra calculus: words, noncommutative polynomials, subspaces.
+"""Free-algebra calculus: words, homogeneous polynomials, subspaces.
 
-An NcPoly lives in the free algebra on ``ngens`` generators: a dict from
-Words to nonzero FieldElems, with one checking constructor and one unchecked
-``_of`` for results already clean.  The commutative polynomials of the point
-schemes are not kept here: pointscheme holds them as linalg rows keyed by
-monomial.
+The degree-d component of the free algebra on n generators is identified
+with the span of its n^d words in lexicographic order, so the column index of
+a word is its base-n numeral.  A Word, a tuple of 0-based generator indices,
+comes only from index_to_word, for rendering and for reading letters.
 
-A Word is a tuple of 0-based generator indices; a homogeneous degree-d
-component of the free algebra on n generators is identified with the span of
-all n^d words, ordered degree-lexicographically (within one degree this is
-plain lexicographic order, and the column index of a word is its base-n
-numeral).  Subspace wraps the canonical reduced echelon basis from linalg, so
-two subspaces are equal exactly when their representations coincide.
+An NcPoly is one element of such a component: ``ngens``, ``degree`` and a
+linalg row keyed by word index, the same row a Subspace holds.  It has one
+checking constructor and one unchecked ``_of`` for results already clean.
+Adding two degrees raises ShapeError, so every NcPoly is homogeneous.  The
+commutative polynomials of the point schemes are not kept here: pointscheme
+holds them as linalg rows keyed by monomial.
+
+Subspace wraps the canonical reduced echelon basis from linalg, so two
+subspaces are equal exactly when their representations coincide.
 """
 
 from __future__ import annotations
@@ -20,16 +22,9 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import ShapeError
-from .field import ONE, ZERO, FieldElem, fe
+from .field import ONE, ZERO, fe
 
 Word = tuple[int, ...]
-
-
-def word_index(word: Word, ngens: int) -> int:
-    i = 0
-    for a in word:
-        i = i * ngens + a
-    return i
 
 
 def index_to_word(i: int, ngens: int, degree: int) -> Word:
@@ -45,37 +40,45 @@ def word_text(word: Word, names) -> str:
 
 
 class NcPoly:
-    """Polynomial in the free algebra on ``ngens`` generators: a dict from
-    Words to nonzero FieldElems.  The product concatenates words."""
+    """Homogeneous element of the free algebra on ``ngens`` generators: a
+    degree and a row from word index to nonzero FieldElem.  The product
+    concatenates words, so it multiplies indices i*n^e + j."""
 
-    __slots__ = ("ngens", "terms")
+    __slots__ = ("ngens", "degree", "row")
 
-    def __init__(self, ngens: int, terms=None) -> None:
+    def __init__(self, ngens: int, degree: int, row=None) -> None:
+        size = ngens ** degree
         clean = {}
-        for word, c in (terms or {}).items():
+        for i, c in (row or {}).items():
+            if not 0 <= i < size:
+                raise ShapeError(f"word index {i} outside 0..{size - 1}")
             c = fe(c)
-            if not c:
-                continue
-            word = tuple(word)
-            if any(a < 0 or a >= ngens for a in word):
-                raise ShapeError(f"word {word} has letters outside 0..{ngens - 1}")
-            clean[word] = c
-        self.ngens, self.terms = ngens, clean
+            if c:
+                clean[i] = c
+        self.ngens, self.degree, self.row = ngens, degree, clean
 
     @staticmethod
-    def _of(ngens: int, terms: dict) -> "NcPoly":
-        """An NcPoly from terms already clean: words the constructor would
-        accept, nonzero FieldElem coefficients."""
+    def _of(ngens: int, degree: int, row: linalg.Row) -> "NcPoly":
+        """An NcPoly from a row already clean: indices the constructor would
+        accept, nonzero FieldElem values."""
         out = object.__new__(NcPoly)
-        out.ngens, out.terms = ngens, terms
+        out.ngens, out.degree, out.row = ngens, degree, row
         return out
 
     @staticmethod
-    def zero(ngens: int) -> "NcPoly":
-        return NcPoly._of(ngens, {})
+    def zero(ngens: int, degree: int) -> "NcPoly":
+        return NcPoly._of(ngens, degree, {})
+
+    @staticmethod
+    def one(ngens: int) -> "NcPoly":
+        return NcPoly._of(ngens, 0, {0: ONE})
+
+    @staticmethod
+    def gens(ngens: int) -> list["NcPoly"]:
+        return [NcPoly._of(ngens, 1, {i: ONE}) for i in range(ngens)]
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.row)
 
     def _check(self, other) -> None:
         if type(other) is not NcPoly:
@@ -85,76 +88,44 @@ class NcPoly:
 
     def __add__(self, other) -> "NcPoly":
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        if self.degree != other.degree:
+            raise ShapeError(f"NcPoly degrees differ: {self.degree}, {other.degree}")
+        out = dict(self.row)
+        for k, c in other.row.items():
             s = out.get(k, ZERO) + c
             if s:
                 out[k] = s
             elif k in out:
                 del out[k]
-        return NcPoly._of(self.ngens, out)
+        return NcPoly._of(self.ngens, self.degree, out)
 
     def __sub__(self, other) -> "NcPoly":
         return self + (-other)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly._of(self.ngens, {k: -c for k, c in self.terms.items()})
+        return NcPoly._of(self.ngens, self.degree, {k: -c for k, c in self.row.items()})
 
     def __mul__(self, other) -> "NcPoly":
         if not isinstance(other, NcPoly):
             x = fe(other)
             if not x:
-                return NcPoly.zero(self.ngens)
-            return NcPoly._of(self.ngens, {k: c * x for k, c in self.terms.items()})
+                return NcPoly.zero(self.ngens, self.degree)
+            return NcPoly._of(self.ngens, self.degree, {k: c * x for k, c in self.row.items()})
         self._check(other)
+        shift = self.ngens ** other.degree
         out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
+        for k1, c1 in self.row.items():
+            for k2, c2 in other.row.items():
+                k = k1 * shift + k2
                 s = out.get(k, ZERO) + c1 * c2
                 if s:
                     out[k] = s
                 elif k in out:
                     del out[k]
-        return NcPoly._of(self.ngens, out)
+        return NcPoly._of(self.ngens, self.degree + other.degree, out)
 
     def __rmul__(self, other) -> "NcPoly":
         return self * other
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not NcPoly:
-            return NotImplemented
-        return self.ngens == other.ngens and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.ngens, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def one(ngens: int) -> "NcPoly":
-        return NcPoly._of(ngens, {(): ONE})
-
-    @staticmethod
-    def gen(ngens: int, i: int) -> "NcPoly":
-        return NcPoly(ngens, {(i,): ONE})
-
-    @staticmethod
-    def gens(ngens: int) -> list["NcPoly"]:
-        return [NcPoly.gen(ngens, i) for i in range(ngens)]
-
-    # -- structure ---------------------------------------------------------
-
-    def coefficient(self, word: Word) -> FieldElem:
-        return self.terms.get(tuple(word), ZERO)
-
-    def degree(self):
-        """Top degree, or None for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=None)
-
-    def is_homogeneous(self) -> bool:
-        lens = {len(w) for w in self.terms}
-        return len(lens) <= 1
 
     def __pow__(self, n: int) -> "NcPoly":
         out = NcPoly.one(self.ngens)
@@ -162,29 +133,19 @@ class NcPoly:
             out = out * self
         return out
 
-    # -- row conversion ----------------------------------------------------
+    def __eq__(self, other) -> bool:
+        if type(other) is not NcPoly:
+            return NotImplemented
+        return (self.ngens, self.degree, self.row) == (other.ngens, other.degree, other.row)
 
-    def to_row(self, degree: int) -> linalg.Row:
-        row = {}
-        for w, c in self.terms.items():
-            if len(w) != degree:
-                raise ShapeError(f"word {w} not of degree {degree}")
-            row[word_index(w, self.ngens)] = c
-        return row
-
-    @staticmethod
-    def from_row(ngens: int, degree: int, row: linalg.Row) -> "NcPoly":
-        return NcPoly(ngens, {index_to_word(i, ngens, degree): c for i, c in row.items()})
-
-    # -- rendering ---------------------------------------------------------
+    def __hash__(self) -> int:
+        return hash((self.ngens, self.degree, frozenset(self.row.items())))
 
     def text(self, names) -> str:
-        if not self.terms:
+        if not self.row:
             return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            parts.append(f"({self.terms[w]})*{word_text(w, names)}")
-        return " + ".join(parts)
+        return " + ".join(f"({c})*{word_text(index_to_word(i, self.ngens, self.degree), names)}"
+                          for i, c in sorted(self.row.items()))
 
     def __repr__(self) -> str:
         return self.text([f"x{i}" for i in range(self.ngens)])
@@ -222,17 +183,21 @@ class Subspace(NamedTuple):
     def reduce_row(self, row: linalg.Row) -> linalg.Row:
         return linalg.reduce_mod(row, self.pivots, self.rows)
 
-    def reduce(self, p: NcPoly) -> NcPoly:
-        return NcPoly.from_row(self.ngens, self.degree, self.reduce_row(p.to_row(self.degree)))
-
-    def contains(self, p: NcPoly) -> bool:
-        return not self.reduce_row(p.to_row(self.degree))
-
-    def contains_row(self, row: linalg.Row) -> bool:
+    def contains(self, row: linalg.Row) -> bool:
         return not self.reduce_row(row)
 
+    def meet(self, other: "Subspace") -> "Subspace":
+        """The intersection: the combinations sum x_i a_i of this basis whose
+        residue modulo ``other`` vanishes, x running over a kernel basis."""
+        if (self.ngens, self.degree) != (other.ngens, other.degree):
+            raise ShapeError("subspaces live in different components")
+        kernel = linalg.column_kernel([other.reduce_row(a) for a in self.rows])
+        basis, zero = self.basis(), NcPoly.zero(self.ngens, self.degree)
+        return span_rows(self.ngens, self.degree,
+                         [sum((basis[i] * c for i, c in x.items()), zero).row for x in kernel])
+
     def basis(self) -> tuple[NcPoly, ...]:
-        return tuple(NcPoly.from_row(self.ngens, self.degree, r) for r in self.rows)
+        return tuple(NcPoly._of(self.ngens, self.degree, r) for r in self.rows)
 
     def __repr__(self) -> str:
         return f"Subspace(ngens={self.ngens}, degree={self.degree}, dim={self.dim})"
@@ -244,38 +209,28 @@ def span_rows(ngens: int, degree: int, rows) -> Subspace:
 
 
 def span(polys, ngens=None, degree=None) -> Subspace:
-    """Canonical subspace spanned by homogeneous polynomials of one degree."""
+    """Canonical subspace spanned by polynomials of one degree."""
     polys = [p for p in polys if p]
     if not polys:
         if ngens is None or degree is None:
             raise ShapeError("empty span needs explicit ngens and degree")
         return Subspace.zero(ngens, degree)
-    ngens = polys[0].ngens
-    degs = {p.degree() for p in polys}
-    if len(degs) != 1 or not all(p.is_homogeneous() for p in polys):
-        raise ShapeError("span needs homogeneous polynomials of a single degree")
-    degree = degs.pop()
-    return span_rows(ngens, degree, [p.to_row(degree) for p in polys])
-
-
-def sum_and_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    if (a.ngens, a.degree) != (b.ngens, b.degree):
-        raise ShapeError("subspaces live in different components")
-    total = span_rows(a.ngens, a.degree, a.rows + b.rows)
-    meet_rows = linalg.intersect(a.rows, b.rows, a.ncols)
-    meet = span_rows(a.ngens, a.degree, meet_rows)
-    return total, meet
+    ngens, degree = polys[0].ngens, polys[0].degree
+    if any((p.ngens, p.degree) != (ngens, degree) for p in polys):
+        raise ShapeError("span needs polynomials of a single degree")
+    return span_rows(ngens, degree, [p.row for p in polys])
 
 
 def substitute(p: NcPoly, images: list[NcPoly]) -> NcPoly:
-    """Algebra map sending generator i to images[i]."""
-    if len(images) != p.ngens:
-        raise ShapeError("need one image per generator")
-    ngens_out = images[0].ngens if images else p.ngens
-    out = NcPoly.zero(ngens_out)
-    for w, c in p.terms.items():
-        v = NcPoly.one(ngens_out)
-        for a in w:
+    """Algebra map sending generator i to images[i], all of one degree."""
+    degrees = {g.degree for g in images}
+    if len(images) != p.ngens or len(degrees) != 1:
+        raise ShapeError("need one image per generator, all of one degree")
+    n = images[0].ngens
+    out = NcPoly.zero(n, p.degree * degrees.pop())
+    for i, c in p.row.items():
+        v = NcPoly.one(n)
+        for a in index_to_word(i, p.ngens, p.degree):
             v = v * images[a]
         out = out + v * c
     return out

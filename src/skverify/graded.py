@@ -21,7 +21,8 @@ first time a reduction in degree m needs it (a Hilbert series never reduces
 in its top degree).  Every memoized NF_m(w) is an integer row over one
 positive int denominator.  Because the residue does not depend on the echelon
 basis, S_m and every normal form are those of the canonical RREF; only
-normal_row converts to FieldElem.  Only the engine, a Quotient, memoizes:
+normal_row converts to FieldElem, and an NcPoly p enters it as
+normal_row(p.row, p.degree).  Only the engine, a Quotient, memoizes:
 whoever holds a parameter point builds one per presentation and hands it to
 every check that asks about that algebra, while a presentation with adjoined
 elements is another algebra with its own engine.  Centrality is read from
@@ -58,12 +59,9 @@ class Presentation(NamedTuple):
                 continue
             if p.ngens != ngens:
                 raise ShapeError("relation generator count mismatch")
-            if not p.is_homogeneous():
-                raise ShapeError("relations must be homogeneous")
-            d = p.degree()
-            if d < 2:
+            if p.degree < 2:
                 raise DegreeError("relations must have degree >= 2")
-            by_degree.setdefault(d, []).append(p)
+            by_degree.setdefault(p.degree, []).append(p)
         rels = tuple((d, span(by_degree[d])) for d in sorted(by_degree))
         if not rels:
             raise ParameterError("empty relation set")
@@ -99,7 +97,7 @@ def series(num, den, n: int) -> tuple[int, ...]:
 class Quotient:
     """The quotient algebra of a presentation, in standard-word coordinates.
 
-    Rows are keyed by word index, as in freealg; degrees are built on demand.
+    Rows are keyed by word index, as an NcPoly's are; degrees are built on demand.
     The state is integer rows of one linalg.IntRows kind, rational unless a
     relation has an irrational coefficient; only normal_row gives FieldElems.
     """
@@ -124,7 +122,8 @@ class Quotient:
         return tuple(len(self.standard(m)) for m in range(max_degree + 1))
 
     def normal_row(self, row: linalg.Row, m: int) -> linalg.Row:
-        """Normal form of a degree-m row: its residue modulo J_m."""
+        """Normal form of a degree-m row, such as an NcPoly's: its residue
+        modulo J_m, empty exactly when the row lies in J."""
         self.standard(m)
         if not m:
             return dict(row)
@@ -141,13 +140,6 @@ class Quotient:
         r, d = self._shift(r, m)
         r, d = ints.reduce(r, d, self._basis(m))
         return ints.lower(r, d * den)
-
-    def normal_form(self, poly: NcPoly) -> NcPoly:
-        """Normal form of a homogeneous polynomial; zero iff it lies in J."""
-        if not poly:
-            return poly
-        m = poly.degree()
-        return NcPoly.from_row(poly.ngens, m, self.normal_row(poly.to_row(m), m))
 
     def centralizer_slice(self, k: int) -> Subspace:
         """Canonical representatives of degree-k elements central in the quotient,

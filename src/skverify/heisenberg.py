@@ -331,7 +331,7 @@ def is_subrep(s: Subspace, tp: TensorPowerRep) -> bool:
     """
     if s.ncols != tp.dim:
         raise ShapeError("subspace does not match the representation space")
-    return all(s.contains_row(tp.act_row(g, r))
+    return all(s.contains(tp.act_row(g, r))
                for g in ((1, 0, 0), (0, 1, 0)) for r in s.rows)
 
 
@@ -371,9 +371,8 @@ def invariant_subspace(tp: TensorPowerRep, s: Subspace | None = None) -> Subspac
                     consistent = False
         if consistent:
             fixed.append(x)
-    if s is not None:
-        fixed = linalg.intersect(s.rows, fixed, tp.dim)
-    return span_rows(tp.base.dim, tp.degree, fixed)
+    inv = span_rows(tp.base.dim, tp.degree, fixed)
+    return inv if s is None else inv.meet(s)
 
 
 def twist_equivalence_table() -> dict[tuple[tuple[int, int], tuple[int, int]], bool]:

@@ -317,19 +317,3 @@ def solve_columns(cols: list[Row], target: Row):
         x[p] = prow.get(n, ZERO)
     return x
 
-
-def intersect(rows_a, rows_b, ncols: int) -> list[Row]:
-    """Basis of (span A) cap (span B) via the doubled-column construction."""
-    stacked = []
-    for r in rows_a:
-        d = dict(r)
-        for c, v in r.items():
-            d[c + ncols] = v
-        stacked.append(d)
-    stacked.extend(rows_b)
-    _, prows = rref(stacked)
-    out = []
-    for row in prows:
-        if min(row) >= ncols:
-            out.append({c - ncols: v for c, v in row.items()})
-    return out

@@ -55,7 +55,7 @@ from . import linalg
 from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
                        s2_relation_polys, s3_relation_polys, s4_relation_polys)
 from .field import ZERO, FieldElem, fe, root_of_unity
-from .freealg import NcPoly, proportional, span, sum_and_intersect
+from .freealg import NcPoly, index_to_word, proportional, span, span_rows
 from .graded import Quotient
 from .heisenberg import TensorPowerRep, h3_gen_rep, invariant_subspace
 
@@ -75,20 +75,25 @@ V00, V10, V01, V11 = (BASE ** v for v in range(4))  # the s4 coordinates
 
 def coefficient_matrix(rels: list[NcPoly]) -> list[list[linalg.Row]]:
     """Rows: relations (all of one degree k) in their given order; columns:
-    last letters.  The word w1..w(k-1) j of relation r becomes the monomial
-    x_{w1} ... x_{w(k-1)} of entry (r, j), with x_a of factor b variable b*n + a.
+    last letters.  The word w1..w(k-1) j of relation r, word index i, becomes
+    the monomial x_{w1} ... x_{w(k-1)} of entry (r, j): j is i % n and the
+    prefix w1..w(k-1) is index_to_word(i // n), with x_a of factor b
+    variable b*n + a.
     """
     if not rels:
         raise ShapeError("no relations")
     n = rels[0].ngens
-    degrees = {len(w) for r in rels for w in r.terms}
+    degrees = {r.degree for r in rels}
     if len(degrees) != 1 or 0 in degrees:
         raise ShapeError("coefficient_matrix needs relations of one degree >= 1")
+    (k,) = degrees
     out = []
     for r in rels:
         row = [{} for _ in range(n)]
-        for w, c in r.terms.items():
-            row[w[-1]][sum(BASE ** (b * n + a) for b, a in enumerate(w[:-1]))] = c
+        for i, c in r.row.items():
+            prefix, last = divmod(i, n)
+            word = index_to_word(prefix, n, k - 1)
+            row[last][sum(BASE ** (b * n + a) for b, a in enumerate(word))] = c
         out.append(row)
     return out
 
@@ -144,7 +149,8 @@ def s3_next_point(p: AbcParams, pt: tuple) -> tuple[int, int, int]:
     rows = []
     for rel in s3_relation_polys(p):
         row: linalg.Row = {}
-        for (a, j), c in rel.terms.items():
+        for i, c in rel.row.items():
+            a, j = divmod(i, 3)
             row[j] = row.get(j, ZERO) + c * pt[a]
         rows.append(_nonzero(row))
     kernel = linalg.nullspace(rows, 3)
@@ -467,10 +473,11 @@ def s3_degree3_overlap(p: AbcParams) -> dict:
     gens = NcPoly.gens(3)
     rv = span([r * g for r in rel.basis() for g in gens])
     vr = span([g * r for r in rel.basis() for g in gens])
-    total, meet = sum_and_intersect(rv, vr)
+    total = span_rows(3, 3, rv.rows + vr.rows)
+    meet = rv.meet(vr)
     f1, f2, f3 = invariant_cubic_basis()
     combo = fe(p.a) * f1 + fe(p.b) * f2 + fe(p.c) * f3
-    combo_in_meet = meet.dim == 1 and meet.contains(combo)
+    combo_in_meet = meet.dim == 1 and meet.contains(combo.row)
     inv = invariant_subspace(TensorPowerRep(h3_gen_rep(), 3), total)
     invariant_is_meet = inv.rows == meet.rows
     return {
@@ -513,11 +520,9 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
         record["pass"] = False
         record["reason"] = "centralizer dimension is not 1"
         return record
-    c3 = cents.basis()[0]
-    nf = q.normal_form
     record["coefficient_triple"] = tangent
-    combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3))
-    ratio = proportional(nf(combo).terms, nf(c3).terms)
+    combo = sum((t * f for t, f in zip(tangent, invariant_cubic_basis())), NcPoly.zero(3, 3))
+    ratio = proportional(q.normal_row(combo.row, 3), q.normal_row(cents.rows[0], 3))
     record["ratio"] = ratio
     record["pass"] = ratio is not None
     return record

@@ -64,7 +64,7 @@ class VeroneseMap(NamedTuple):
 def _squares(coeffs) -> NcPoly:
     """sum n_i v_i^2 over the four generators."""
     vgens = NcPoly.gens(4)
-    out = NcPoly.zero(4)
+    out = NcPoly.zero(4, 2)
     for g, coeff in zip(vgens, coeffs):
         out = out + (g * g) * coeff
     return out
@@ -86,7 +86,7 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
         raise ParameterError("quotient construction needs a != 0 and b != +-c")
     images = quadratic_images()
     q = Quotient(build_s2(p))
-    rows = [q.normal_row((images[i] * images[j]).to_row(4), 4)
+    rows = [q.normal_row((images[i] * images[j]).row, 4)
             for i in range(4) for j in range(4)]
     kernel = linalg.column_kernel(rows)
     if len(kernel) != 7:
@@ -94,8 +94,7 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     v = NcPoly.gens(4)
     coeffs = []
     for s, t, u, w in S4_PAIRS:
-        sol = linalg.solve_columns(kernel + [acomm(v[u], v[w]).to_row(2)],
-                                   comm(v[s], v[t]).to_row(2))
+        sol = linalg.solve_columns(kernel + [acomm(v[u], v[w]).row], comm(v[s], v[t]).row)
         if sol is None:
             raise VerificationError(f"no relation [v{s}, v{t}] - c {{v{u}, v{w}}} in the kernel")
         coeffs.append(sol[-1])
@@ -103,7 +102,7 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
     squares = (a + c, c - a, a + b, b - a)
     extra = _squares(squares)
-    kernel_rows = tuple(r.to_row(2) for r in (*s4_relation_polys(sextuple), extra))
+    kernel_rows = tuple(r.row for r in (*s4_relation_polys(sextuple), extra))
     if span_rows(4, 2, kernel_rows).rows != span_rows(4, 2, kernel).rows:
         raise VerificationError("six relations plus the extra quadric do not span the kernel")
     t1, _ = _square_translates(sextuple)
@@ -136,7 +135,7 @@ def _signs(tp: TensorPowerRep, row: linalg.Row, power: int = 1):
 
 def _invariant(quartic: NcPoly) -> bool:
     """Whether e1 and e2 of the order-8 group both fix ``quartic``."""
-    return _signs(TensorPowerRep(h2_gen_rep(), 4), quartic.to_row(4)) == (ONE, ONE)
+    return _signs(TensorPowerRep(h2_gen_rep(), 4), quartic.row) == (ONE, ONE)
 
 
 def _closed_quartic(p: AbcParams) -> NcPoly:
@@ -154,20 +153,19 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
     # squares of the order-64 generators act on the matching sum/difference
     # column by the same two signs: the map intertwines the two actions
     h2 = TensorPowerRep(h2_gen_rep(), 2)
-    image_signs = [_signs(h2, img.to_row(2)) for img in vm.images]
+    image_signs = [_signs(h2, img.row) for img in vm.images]
     equiv_ok = all(image_signs)
     pm, h4 = h4_pm_basis(), TensorPowerRep(h4_gen_rep(), 1)
     diag_ok = len(linalg.rref(pm)[0]) == 4 and all(
         signs is not None and _signs(h4, col, power=2) == signs
         for col, signs in zip(pm, image_signs))
-    nf = vm.algebra.normal_form
-    pushed = [vm.apply(NcPoly.from_row(4, 2, row)) for row in vm.kernel_rows]
-    in_ideal = [not nf(img) for img in pushed]
+    pushed = [vm.apply(NcPoly._of(4, 2, row)) for row in vm.kernel_rows]
+    in_ideal = [not vm.algebra.normal_row(img.row, img.degree) for img in pushed]
     # (i, j) with e1 and e2 scaling the pushforward by (-1)^i and (-1)^j
     h2_quartic = TensorPowerRep(h2_gen_rep(), 4)
     characters = []
     for img in pushed:
-        signs = _signs(h2_quartic, img.to_row(4))
+        signs = _signs(h2_quartic, img.row)
         characters.append(None if signs is None else tuple(0 if x == ONE else 1 for x in signs))
     expected_chars = [(1, 0), (1, 0), (0, 1), (0, 1), (1, 1), (1, 1), (0, 0)]
     alpha = vm.sextuple.alpha()
@@ -194,10 +192,11 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
 def _square_coeffs(poly: NcPoly) -> list[FieldElem]:
     """Coefficients on v00^2, v10^2, v01^2, v11^2; anything else is an error."""
     out = [ZERO, ZERO, ZERO, ZERO]
-    for word, coeff in poly.terms.items():
-        if len(word) != 2 or word[0] != word[1]:
+    for i, coeff in poly.row.items():
+        a, b = divmod(i, 4)
+        if poly.degree != 2 or a != b:
             raise VerificationError("element is not supported on generator squares")
-        out[word[0]] = coeff
+        out[a] = coeff
     return out
 
 
@@ -229,11 +228,11 @@ def _square_translates(s: SextupleParams):
 def verify_central_pair(vm: VeroneseMap) -> dict:
     """Centrality and independence of the pair inside the derived algebra."""
     cs = vm.s4.centralizer_slice(2)
-    nf = vm.s4.normal_form
-    r1 = nf(vm.extra)
-    r2 = nf(vm.omega2)
+    _, t2 = _square_translates(vm.sextuple)
+    alt = _squares(t2(_square_coeffs(vm.extra)))
+    r1, r2, r3 = (vm.s4.normal_row(p.row, p.degree) for p in (vm.extra, vm.omega2, alt))
     central1, central2 = (bool(r) and cs.contains(r) for r in (r1, r2))
-    pair_span = span_rows(4, 2, [r1.to_row(2), r2.to_row(2)])
+    pair_span = span_rows(4, 2, [r1, r2])
     independent = pair_span.dim == 2
     record = {
         "omega1_central": central1,
@@ -242,9 +241,7 @@ def verify_central_pair(vm: VeroneseMap) -> dict:
         "centralizer_dim": cs.dim,
         "centralizer_is_pair_span": cs.rows == pair_span.rows,
     }
-    _, t2 = _square_translates(vm.sextuple)
-    alt = _squares(t2(_square_coeffs(vm.extra)))
-    record["second_translate_in_span"] = pair_span.contains(nf(alt))
+    record["second_translate_in_span"] = pair_span.contains(r3)
     record["pass"] = (central1 and central2 and independent
                       and record["centralizer_is_pair_span"]
                       and record["second_translate_in_span"])
@@ -258,11 +255,9 @@ def extract_c4(vm: VeroneseMap) -> dict:
     mu, which is reported, not pinned: its value depends on the chosen
     normalizations of both sides.
     """
-    nf = vm.algebra.normal_form
-    img1 = nf(vm.apply(vm.extra))
-    img2 = nf(vm.apply(vm.omega2))
+    img1, img2 = (vm.algebra.normal_row(vm.apply(p).row, 4) for p in (vm.extra, vm.omega2))
     c4 = _closed_quartic(vm.params)
-    mu = proportional(img2.terms, nf(c4).terms) if img2 else None
+    mu = proportional(img2, vm.algebra.normal_row(c4.row, c4.degree)) if img2 else None
     invariant = _invariant(c4)
     return {
         "omega1_maps_to_zero": not img1,
@@ -279,7 +274,7 @@ def verify_c4_central(p: AbcParams, q: Quotient) -> dict:
     """
     c4 = _closed_quartic(p)
     cs = q.centralizer_slice(4)
-    resid = q.normal_form(c4)
+    resid = q.normal_row(c4.row, c4.degree)
     rec = {
         "centralizer_dim": cs.dim,
         "quartic_nonzero_mod_ideal": bool(resid),

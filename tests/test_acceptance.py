@@ -73,7 +73,7 @@ def test_criterion_03_representation_suite():
     inv = invariant_subspace(TensorPowerRep(h3_gen_rep(), 3))
     basis = invariant_cubic_basis()
     ok &= inv.dim == 3
-    ok &= all(inv.contains(b) for b in basis)
+    ok &= all(inv.contains(b.row) for b in basis)
     for p in ABC3:
         ok &= s3_degree3_overlap(p)["invariant_dim"] == 1
     verdict(3, "heisenberg representation decompositions", ok)

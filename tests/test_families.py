@@ -13,7 +13,7 @@ from skverify.families import (AbcParams, AlphaTriple, SextupleParams,
                                s2_relation_polys, s3_relation_polys,
                                s4_relation_polys)
 from skverify.field import fe, root_of_unity
-from skverify.freealg import NcPoly, span
+from skverify.freealg import span
 from skverify.pointscheme import order_of, point
 
 
@@ -120,16 +120,16 @@ def test_sqrt_form_sextuples():
 def test_relation_sets_are_homogeneous_and_independent():
     p3 = AbcParams.of(1, 2, 3)
     rels3 = s3_relation_polys(p3)
-    assert len(rels3) == 3 and all(r.degree() == 2 for r in rels3)
+    assert len(rels3) == 3 and all(r.degree == 2 for r in rels3)
     assert span(rels3, 3, 2).dim == 3
 
     rels2 = s2_relation_polys(p3)
-    assert len(rels2) == 2 and all(r.degree() == 3 for r in rels2)
+    assert len(rels2) == 2 and all(r.degree == 3 for r in rels2)
     assert span(rels2, 2, 3).dim == 2
 
     s = SextupleParams.from_alpha(alpha_from_abc(p3))
     rels4 = s4_relation_polys(s)
-    assert len(rels4) == 6 and all(r.degree() == 2 for r in rels4)
+    assert len(rels4) == 6 and all(r.degree == 2 for r in rels4)
     assert span(rels4, 4, 2).dim == 6
 
 
@@ -150,12 +150,11 @@ def test_translation_point_order_flags():
 
 def test_central_quartic_coefficients():
     q = s2_central_quartic(AbcParams.of(1, 2, 3))
-    assert q.degree() == 4 and q.is_homogeneous()
-    x, y = NcPoly.gens(2)
-    # b(a^2-c^2) = -16 on (xy)^2 + (yx)^2
-    assert q.coefficient((0, 1, 0, 1)) == fe(-16)
-    assert q.coefficient((1, 0, 1, 0)) == fe(-16)
+    assert q.degree == 4
+    # b(a^2-c^2) = -16 on (xy)^2 + (yx)^2, words 0101 and 1010 in base 2
+    assert q.row[0b0101] == fe(-16)
+    assert q.row[0b1010] == fe(-16)
     # c(a^2-b^2) = -9 on the fourth powers
-    assert q.coefficient((0, 0, 0, 0)) == fe(-9)
+    assert q.row[0b0000] == q.row[0b1111] == fe(-9)
     # every coefficient vanishes on the equilateral ray
     assert not s2_central_quartic(AbcParams.of(1, 1, 1))

@@ -82,8 +82,7 @@ def assert_engine_matches(pres, top, centralizer_degrees, elements=()):
         for w in range(n ** m):
             assert engine.normal_row({w: ONE}, m) == jm.reduce_row({w: ONE}), (m, w)
     for c in elements:
-        want = oracle.slice(c.degree()).reduce(c)
-        assert engine.normal_form(c) == want
+        assert engine.normal_row(c.row, c.degree) == oracle.slice(c.degree).reduce_row(c.row)
     for k in centralizer_degrees:
         assert engine.centralizer_slice(k) == oracle.centralizer(k)
 
@@ -96,12 +95,20 @@ def abc_points(draw):
     return AbcParams.of(1, draw(small), draw(small))
 
 
+def word_index(word, ngens):
+    """The column of a word: its letters read as a base-``ngens`` numeral."""
+    i = 0
+    for a in word:
+        i = i * ngens + a
+    return i
+
+
 @st.composite
 def elements(draw, ngens, degree):
     words = st.tuples(*[st.integers(0, ngens - 1)] * degree)
     coeffs = st.integers(-3, 3).filter(bool)
     terms = draw(st.dictionaries(words, coeffs, min_size=1, max_size=4))
-    return NcPoly(ngens, terms)
+    return NcPoly(ngens, degree, {word_index(w, ngens): c for w, c in terms.items()})
 
 
 @settings(max_examples=25, deadline=None)

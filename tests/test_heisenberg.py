@@ -14,8 +14,7 @@ from skverify import linalg
 from skverify.errors import NotASubrepError, RepresentationInvalidError
 from skverify.families import AbcParams, build_s3
 from skverify.field import ONE, ZERO, fe, root_of_unity
-from skverify.freealg import (NcPoly, Subspace, index_to_word, span, span_rows,
-                              sum_and_intersect)
+from skverify.freealg import NcPoly, Subspace, index_to_word, span, span_rows
 from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup, TensorPowerRep,
                                  antisymmetric_character, decompose,
                                  h2_gen_rep, h3_gen_rep,
@@ -334,10 +333,8 @@ def joint_kernel(tp, s=None):
             row = {c: v}
             row[r] = row.get(r, ZERO) - ONE
             rows.append({k: w for k, w in row.items() if w})
-    fixed = linalg.nullspace(rows, tp.dim)
-    if s is not None:
-        fixed = linalg.intersect(s.rows, fixed, tp.dim)
-    return span_rows(tp.base.dim, tp.degree, fixed)
+    fixed = span_rows(tp.base.dim, tp.degree, linalg.nullspace(rows, tp.dim))
+    return fixed if s is None else s.meet(fixed)
 
 
 def cyclic_span(tp):
@@ -430,7 +427,7 @@ def relation_overlap(*abc):
     gens = NcPoly.gens(3)
     rv = span([r * g for r in rel.basis() for g in gens])
     vr = span([g * r for r in rel.basis() for g in gens])
-    return sum_and_intersect(rv, vr)[0]
+    return span_rows(3, 3, rv.rows + vr.rows)
 
 
 @pytest.mark.parametrize("rep, stable, dim", [
@@ -450,7 +447,7 @@ def test_invariant_subspace_of_cubics():
     inv = invariant_subspace(tp)
     assert inv.dim == 3
     for b in inv.basis():
-        row = b.to_row(3)
+        row = b.row
         for g in ((1, 0, 0), (0, 1, 0)):
             assert tp.act_row(g, row) == row
 
@@ -462,7 +459,7 @@ def test_invariant_subspace_restricted_to_subrep():
     inv = invariant_subspace(tp, stable)
     assert inv.dim <= stable.dim
     for b in inv.basis():
-        row = b.to_row(2)
+        row = b.row
         for g in ((1, 0, 0), (0, 1, 0)):
             assert tp.act_row(g, row) == row
 

@@ -1,4 +1,4 @@
-"""Sparse exact row reduction: canonical forms, kernels, solving, meets."""
+"""Sparse exact row reduction: canonical forms, kernels, solving."""
 
 import random
 from fractions import Fraction
@@ -145,31 +145,6 @@ def test_solve_columns_on_tuple_keyed_coordinates():
     assert linalg.solve_columns(cols, {(2, 0): ONE}) is None
 
 
-def test_intersect_dimension_formula():
-    rng = random.Random(12)
-    for _ in range(15):
-        ncols = 8
-        rows_a = random_rows(rng, 5, ncols)
-        rows_b = random_rows(rng, 5, ncols)
-        piv_a, red_a = linalg.rref([dict(r) for r in rows_a])
-        piv_b, red_b = linalg.rref([dict(r) for r in rows_b])
-        meet = linalg.intersect(rows_a, rows_b, ncols)
-        for vec in meet:
-            assert not linalg.reduce_mod(dict(vec), piv_a, red_a)
-            assert not linalg.reduce_mod(dict(vec), piv_b, red_b)
-        join_rank = len(linalg.rref(
-            [dict(r) for r in rows_a] + [dict(r) for r in rows_b])[0])
-        assert len(piv_a) + len(piv_b) == join_rank + len(meet)
-
-
-def test_intersect_of_space_with_itself():
-    rng = random.Random(13)
-    rows = random_rows(rng, 4, 6)
-    rank = len(linalg.rref([dict(r) for r in rows])[0])
-    meet = linalg.intersect(rows, [dict(r) for r in rows], 6)
-    assert len(meet) == rank
-
-
 def test_solvers_leave_input_rows_unchanged():
     # callers hand over their own rows uncopied, the same dict in both places too
     rng = random.Random(14)
@@ -178,7 +153,6 @@ def test_solvers_leave_input_rows_unchanged():
         before = [dict(r) for r in rows]
         linalg.rref(rows)
         linalg.nullspace(rows, 8)
-        linalg.intersect(rows[:3], rows[2:], 8)
         assert rows == before
 
 
