@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from skverify import linalg
 from skverify.field import ONE, ZERO, FieldElem, fe
+from skverify.freealg import span_rows
 
 
 def random_rows(rng, nrows, ncols, density=0.4, cyclotomic=False):
@@ -143,6 +144,25 @@ def test_solve_columns_on_tuple_keyed_coordinates():
     cols = [{(0, 2): ONE, (1, 1): -ONE}, {(1, 1): ONE}, {(0, 2): fe(2), (1, 1): -fe(2)}]
     assert linalg.solve_columns(cols, {(0, 2): fe(2)}) == [fe(2), fe(2), ZERO]
     assert linalg.solve_columns(cols, {(2, 0): ONE}) is None
+
+
+def test_intersect_dimension_formula():
+    # the meet of two row spaces, built on the rows' own column kernel, lies in
+    # both and has the dimension the rank of their join leaves over
+    rng = random.Random(12)
+    for _ in range(15):
+        ncols = 8
+        rows_a = random_rows(rng, 5, ncols)
+        rows_b = random_rows(rng, 5, ncols)
+        piv_a, red_a = linalg.rref([dict(r) for r in rows_a])
+        piv_b, red_b = linalg.rref([dict(r) for r in rows_b])
+        meet = span_rows(2, 3, rows_a).meet(span_rows(2, 3, rows_b))
+        for vec in meet.rows:
+            assert not linalg.reduce_mod(dict(vec), piv_a, red_a)
+            assert not linalg.reduce_mod(dict(vec), piv_b, red_b)
+        join_rank = len(linalg.rref(
+            [dict(r) for r in rows_a] + [dict(r) for r in rows_b])[0])
+        assert len(piv_a) + len(piv_b) == join_rank + meet.dim
 
 
 def test_solvers_leave_input_rows_unchanged():
