@@ -1,29 +1,32 @@
-"""Point geometry: walking a cubic by its group law, and rank-drop loci.
+"""Point geometry: walking a cubic by its point module, and rank-drop loci.
 
-Splitting each relation word of a family into its leading letters and its
-last letter gives a matrix of multilinear forms in point coordinates; its
-rank drops exactly on the point locus.  For the
-three-generator family that locus is a smooth plane cubic and the walk
-"next point" is translation in its group law.
+For the three-generator family the point scheme is a smooth plane cubic.  A
+point p of it gives the right point module A/(L_p A), whose degree-2 part
+names the next point: the walk is translation in the cubic's group law.
+For the other families, splitting each relation word into its leading
+letters and its last letter gives a matrix of multilinear forms in point
+coordinates; its rank drops exactly on the point locus.
 """
 
 from fractions import Fraction
 
-from skverify.families import AbcParams
+from skverify.families import AbcParams, build_s3
 from skverify.field import fe
+from skverify.graded import Quotient
 from skverify.pointscheme import (ORIGIN, X0, X1, Y0, Y1, group_law_record, point,
-                                  point_text, s2_point_determinant, s3_next_point,
+                                  point_module_step, point_text, s2_point_determinant,
                                   s4_minor_membership)
 
 p = AbcParams.of(1, 2, 3)
 tau = point(*p)  # points are primitive integer triples: here (1, 2, 3)
 print("curve parameters", p, "-> translation point", point_text(tau))
 
+algebra = Quotient(build_s3(p))
 pt = ORIGIN
 print("walk from the origin (each step adds tau):")
 for k in range(5):
     print(f"  step {k}: {point_text(pt)}")
-    pt = s3_next_point(p, pt)
+    pt = point_module_step(algebra, pt)
 
 rec = group_law_record(p)
 print("group law axioms on ten multiples:",

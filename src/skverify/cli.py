@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 import traceback
+from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from typing import NamedTuple
@@ -27,8 +28,8 @@ from .graded import Quotient, series
 from .heisenberg import (TensorPowerRep, antisymmetric_character, decompose, h3_gen_rep,
                          h4_gen_rep, irrep_table, twist_equivalence_table)
 from .pointscheme import (ORIGIN, group_law_record, hesse_add, invariant_cubics, point,
-                          point_text, s2_point_determinant, s3_degree3_overlap,
-                          s3_next_point, s4_minor_membership, verify_c3_description)
+                          point_module_step, point_text, s2_point_determinant,
+                          s3_degree3_overlap, s4_minor_membership, verify_c3_description)
 
 SUITES = ("s3", "s2", "s4", "quotient", "reps")
 
@@ -147,15 +148,12 @@ def _hilbert(num, den, of=None):
     return check
 
 
-def _mod_central_cubic(q: Quotient):
-    return q.p.adjoin([q.centralizer_slice(3).basis()[0]])
-
-
 def _s3_walk(p, alg, d):
     tau = point(*p)
-    start = s3_next_point(p, ORIGIN)
-    one = s3_next_point(p, tau)
-    two = s3_next_point(p, one)
+    step = partial(point_module_step, alg())
+    start = step(ORIGIN)
+    one = step(tau)
+    two = step(one)
     ok = start == tau and one == hesse_add(p, tau, tau) and two == hesse_add(p, one, tau)
     walk = {"from_origin": start, "first": one, "second": two}
     return {**{k: point_text(v) for k, v in walk.items()}, "pass": ok}
@@ -165,7 +163,8 @@ S3 = (
     ("s3-hilbert", _hilbert((1,), (1, 1, 1))),
     ("s3-relation-overlap", lambda p, alg, d: s3_degree3_overlap(p)),
     ("s3-center-cubic", lambda p, alg, d: verify_c3_description(p, alg())),
-    ("s3-central-quotient-hilbert", _hilbert((1, 0, 0, -1), (1, 1, 1), _mod_central_cubic)),
+    ("s3-central-quotient-hilbert", _hilbert(
+        (1, 0, 0, -1), (1, 1, 1), lambda q: q.p.adjoin([q.centralizer_slice(3).basis()[0]]))),
     ("s3-point-walk", _s3_walk),
     ("s3-group-law", lambda p, alg, d: group_law_record(p)),
 )
@@ -329,10 +328,7 @@ def run_suite(config: RunConfig) -> dict:
                 col.run(cid, params, partial(check, p, engine, degree))
 
     checks = sorted(col.checks, key=lambda c: (c["id"], c["params"]))
-    passed = sum(1 for c in checks if c["status"] == "pass")
-    failed = sum(1 for c in checks if c["status"] == "fail")
-    skipped = sum(1 for c in checks if c["status"] == "skipped-degenerate")
-    errors = sum(1 for c in checks if c["status"] == "error")
+    status = Counter(c["status"] for c in checks)
     return {
         "engine": {"name": "skverify", "version": __version__, "prng": "splitmix64"},
         "config": {
@@ -346,8 +342,8 @@ def run_suite(config: RunConfig) -> dict:
         },
         "sampling": sampling_echo,
         "checks": checks,
-        "summary": {"total": len(checks), "passed": passed,
-                    "failed": failed, "skipped": skipped, "errors": errors},
+        "summary": {"total": len(checks), "passed": status["pass"], "failed": status["fail"],
+                    "skipped": status["skipped-degenerate"], "errors": status["error"]},
         "timing": {"total_seconds": round(time.perf_counter() - t0, 3),
                    "checks": col.timing},
     }
@@ -391,10 +387,17 @@ def _rationals(make, count: int):
         if len(parts) != count:
             raise argparse.ArgumentTypeError(f"expected {count} comma-separated rationals")
         try:
-            return make(*(Fraction(t) for t in parts))
-        except (ValueError, ZeroDivisionError, ParameterError) as exc:
+            return make(*(_fraction(t) for t in parts))
+        except (ValueError, ParameterError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
     return parse
+
+
+def _fraction(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"the denominator of {token!r} is zero") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,7 +43,7 @@ class SingularCurveError(SkverifyError):
 
 
 class RankError(SkverifyError):
-    """Point matrix has unexpected rank (no point, or a non-unique one)."""
+    """A point has no successor on the point scheme, or no unique one."""
 
 
 class VerificationError(SkverifyError):

@@ -1,18 +1,18 @@
-"""Point-scheme matrices, the cubic curve group law, and membership checks.
+"""Point modules, point-scheme matrices, the cubic group law, membership checks.
 
-Splitting each word of the degree-k relations of a family into its first
-k-1 letters and its last letter gives a matrix of (k-1)-linear forms, one
-column per last letter; a point sequence lies on the point scheme iff
-consecutive points sit in its kernels.  For the 3-generator family this is
-the classical 3x3 matrix whose determinant cuts out a Hesse cubic, and the
-kernel walk is translation by tau = [a:b:c] under the chord-tangent group
-law with origin [1:-1:0].
+The s3 walk is read from the right point module A/(L_p A) of a point p, L_p
+the linear forms vanishing at p (Artin, Tate and Van den Bergh 1990): its
+degree 2 names the next point, translation by tau = [a:b:c] under the
+chord-tangent group law of the Hesse cubic with origin [1:-1:0].  The
+multilinear matrices remain for s2 and s4: splitting each degree-k relation
+word into its first k-1 letters and its last gives a matrix of (k-1)-linear
+forms, one column per last letter, whose kernels walk the point scheme.
 
-Every point is a primitive integer triple (gcd 1, first nonzero entry
-positive), so equal points have equal triples: ``point`` makes one from
+Every point is a primitive integer tuple (gcd 1, first nonzero entry
+positive), so equal points have equal tuples: ``point`` makes one from
 rational coordinates and ``point_text`` prints it as the report does, with
 its first nonzero coordinate scaled to 1.  The group law is the closed
-Hessian formula on these triples.  ORIGIN = [1:-1:0] is the standard Hessian
+Hessian formula on integer triples.  ORIGIN = [1:-1:0] is the standard Hessian
 neutral element and negation swaps X and Y.
 The sum is the addition formula of Joye and Quisquater (CHES 2001),
 
@@ -53,8 +53,8 @@ from math import gcd, lcm, prod
 from .errors import OffCurveError, ParameterError, RankError, ShapeError, SingularCurveError
 from . import linalg
 from .families import (AbcParams, SextupleParams, build_s3, is_smooth_hesse,
-                       s2_relation_polys, s3_relation_polys, s4_relation_polys)
-from .field import ZERO, FieldElem, fe, root_of_unity
+                       s2_relation_polys, s4_relation_polys)
+from .field import ONE, FieldElem, fe, root_of_unity
 from .freealg import NcPoly, index_to_word, proportional, span, span_rows
 from .graded import Quotient
 from .heisenberg import TensorPowerRep, h3_gen_rep, invariant_subspace
@@ -139,27 +139,24 @@ def _integer_minors(m: list[list[dict]], ints: linalg.IntRows) -> list[dict]:
     return [det(rows, cols) for rows in combinations(range(len(m)), len(cols))]
 
 
-def s3_next_point(p: AbcParams, pt: tuple) -> tuple[int, int, int]:
-    """Unique kernel direction of the 3x3 matrix of linear forms at ``pt``.
-
-    Entry (r, j) is the sum of c * pt[a] over the words (a, j) of relation r.
-    Rank 3 means no successor (the point is off the scheme); rank < 2 means
-    the successor is not unique.  Both raise RankError.
-    """
-    rows = []
-    for rel in s3_relation_polys(p):
-        row: linalg.Row = {}
-        for i, c in rel.row.items():
-            a, j = divmod(i, 3)
-            row[j] = row.get(j, ZERO) + c * pt[a]
-        rows.append(_nonzero(row))
-    kernel = linalg.nullspace(rows, 3)
-    if len(kernel) == 0:
-        raise RankError("matrix is invertible: no successor point")
-    if len(kernel) > 1:
-        raise RankError("kernel dimension > 1: successor not unique")
-    v = kernel[0]
-    return point(*(v.get(j, 0) for j in range(3)))
+def point_module_step(q: Quotient, pt: tuple) -> tuple[int, ...]:
+    """The next point of the right point module A/(L_pt A) of the engine ``q``:
+    x_a = pt[a] m_1, degree 2 is A_2 modulo span{NF_2(l x_b) : l(pt) = 0}, one
+    standard word when ``pt`` is on the point scheme, and the residues of x_c x_b
+    for a c with pt[c] != 0 are the next point.  Degree 2 is read whatever the
+    run's degree cutoff; no standard word left or several raises RankError."""
+    n = q.p.ngens
+    forms = linalg.nullspace([{a: fe(x) for a, x in enumerate(pt) if x}], n)
+    pivots, rows = linalg.rref(q.normal_row({a * n + b: v for a, v in form.items()}, 2)
+                               for form in forms for b in range(n))
+    free = [w for w in q.standard(2) if w not in pivots]
+    if not free:
+        raise RankError("degree 2 of the module is zero: no successor point")
+    if len(free) > 1:
+        raise RankError("degree 2 of the module has dimension > 1: successor not unique")
+    c = next(a for a, x in enumerate(pt) if x)
+    return point(*(linalg.reduce_mod(q.normal_row({c * n + b: ONE}, 2), pivots, rows)
+                   .get(free[0], 0) for b in range(n)))
 
 
 def s2_reference_matrix(p: AbcParams) -> list[list[linalg.Row]]:
@@ -184,8 +181,13 @@ def s2_point_determinant(p: AbcParams) -> dict:
     """Determinant of the 2x2 matrix, compared to the reference (2,2)-form.
 
     The determinant is the integer minor of the row-scaled matrix, divided by
-    the product of the row scales.  At a = 0 it degenerates to a multiple of
-    x0 y0 x1 y1, a product of coordinate lines.
+    the product of the row scales.  The reference matrix expands to
+
+        (a y0 y1 + c x0 x1)(a x0 x1 + c y0 y1) - (a x0 y1 + b y0 x1)(a y0 x1 + b x0 y1)
+          = (c^2-b^2) x0 y0 x1 y1 + ac (x0^2 x1^2 + y0^2 y1^2) - ab (x0^2 y1^2 + y0^2 x1^2),
+
+    minus the reference curve at every [a:b:c], so the check asserts ratio -1.
+    At a = 0 it is a multiple of x0 y0 x1 y1, a product of coordinate lines.
     """
     m = coefficient_matrix(s2_relation_polys(p))  # the 2x2 matrix of bilinear forms
     ints = linalg.int_rows([e for row in m for e in row])
@@ -200,7 +202,7 @@ def s2_point_determinant(p: AbcParams) -> dict:
         "matrix_matches_reference": matches,
         "determinant": det,
         "ratio_to_reference": ratio,
-        "pass": matches and ratio is not None,
+        "pass": matches and ratio == -1,
     }
 
 
@@ -209,11 +211,11 @@ def s2_point_determinant(p: AbcParams) -> dict:
 ORIGIN = (1, -1, 0)
 
 
-def point(x, y, z) -> tuple[int, int, int]:
-    """The primitive integer triple of the rational point [x:y:z]: gcd 1, first
-    nonzero entry positive.  Coordinates may be ints, Fractions or rational
-    FieldElems."""
-    fr = [_rational(c) for c in (x, y, z)]
+def point(*coords) -> tuple[int, ...]:
+    """The primitive integer tuple of the rational point [x:y:...]: gcd 1,
+    first nonzero entry positive.  Coordinates may be ints, Fractions or
+    rational FieldElems."""
+    fr = [_rational(c) for c in coords]
     if not any(fr):
         raise ParameterError("all projective coordinates are zero")
     den = lcm(*(f.denominator for f in fr))
@@ -243,12 +245,12 @@ def on_hesse(p: AbcParams, pt: tuple) -> bool:
     return _on_cubic(_cubic(p), pt)
 
 
-def _primitive(v: tuple) -> tuple[int, int, int]:
-    """The integer triple scaled to gcd 1 with its first nonzero entry positive."""
+def _primitive(v: tuple) -> tuple[int, ...]:
+    """The integer tuple scaled to gcd 1 with its first nonzero entry positive."""
     g = gcd(*v)
     if next(x for x in v if x) < 0:
         g = -g
-    return (v[0] // g, v[1] // g, v[2] // g)
+    return tuple([x // g for x in v])
 
 
 def _cubic(p: AbcParams) -> tuple[int, int]:
@@ -406,6 +408,7 @@ def group_law_record(p: AbcParams) -> dict:
             on_curve.add(_require_on(cubic, v, p))
         return v
 
+    @cache
     def add(u, v):
         return _add(on(u), on(v))
 
@@ -419,27 +422,22 @@ def group_law_record(p: AbcParams) -> dict:
     pts = [tau]
     while len(pts) < count:
         pts.append(add(pts[-1], tau))
-    sums = {}
-    for i in range(count):
-        for j in range(i, count):
-            sums[(i, j)] = add(pts[i], pts[j])
-    multiples = pts + [sums[(0, count - 1)], sums[(1, count - 1)]]
+    pairs = [(i, j) for i in range(count) for j in range(i, count)]
+    multiples = pts + [add(pts[0], pts[-1]), add(pts[1], pts[-1])]
     order = next((n for n, q in enumerate(multiples, 1) if q == ORIGIN), "infinite")
     record = {
         "count": count,
         "tau_order": order,
         "identity": all(add(q, ORIGIN) == q for q in pts),
         "inverses": all(add(q, _neg(q)) == ORIGIN for q in pts),
-        "commutative": all(sums[(i, j)] == add(pts[j], pts[i])
-                           for i in range(count) for j in range(i + 1, count)),
-        "multiple_consistency": all(sums[(i, j)] == pts[i + j + 1]
-                                    for i in range(count) for j in range(i, count)
-                                    if i + j + 1 < count),
-        "associative": all(
-            add(sums[(i, j)], pts[k]) == add(pts[i], sums[(j, k)])
-            for i in range(count) for j in range(i, count) for k in range(j, count)),
+        "commutative": all(add(pts[i], pts[j]) == add(pts[j], pts[i])
+                           for i, j in pairs if i < j),
+        "multiple_consistency": all(add(pts[i], pts[j]) == pts[i + j + 1]
+                                    for i, j in pairs if i + j + 1 < count),
+        "associative": all(add(add(pts[i], pts[j]), pts[k]) == add(pts[i], add(pts[j], pts[k]))
+                           for i, j in pairs for k in range(j, count)),
         "chord_agrees": (all(chord(k, 0) == pts[k + 1] for k in range(count - 1))
-                         and all(chord(i, j) == s for (i, j), s in sums.items())),
+                         and all(chord(i, j) == add(pts[i], pts[j]) for i, j in pairs)),
     }
     record["pass"] = all(v for k, v in record.items() if k not in ("count", "tau_order"))
     return record

@@ -117,14 +117,7 @@ def _draw_sqrt(rng: SplitMix64, index: int):
     if q == fe(1) or q == fe(-1):
         return (q,), "scale parameter is +-1"
     i = root_of_unity(4)
-    fam = index % 3
-    if fam == 0:
-        triple = (fe(1), q, fe(1))
-    elif fam == 1:
-        triple = (fe(1), q, fe(-1))
-    else:
-        triple = (q, i, -i)
-    return triple, None
+    return ((fe(1), q, fe(1)), (fe(1), q, fe(-1)), (q, i, -i))[index % 3], None
 
 
 def sample_parameters(kind: str, count: int, seed: int):

@@ -12,8 +12,8 @@ from skverify.heisenberg import (TensorPowerRep, antisymmetric_character, decomp
                                  h3_gen_rep, h4_gen_rep, invariant_subspace,
                                  irrep_table, twist_equivalence_table)
 from skverify.pointscheme import (ORIGIN, group_law_record, hesse_add, hesse_third,
-                                  invariant_cubic_basis, point, s2_point_determinant,
-                                  s3_degree3_overlap, s3_next_point,
+                                  invariant_cubic_basis, point, point_module_step,
+                                  s2_point_determinant, s3_degree3_overlap,
                                   s4_minor_membership, verify_c3_description)
 from skverify.sampling import sample_parameters
 from skverify.veronese import (build_veronese, extract_c4,
@@ -142,10 +142,11 @@ def test_criterion_08_point_matrices():
     ok = True
     for p in ABC3:
         tau = point(*p)
-        ok &= s3_next_point(p, ORIGIN) == tau
+        q = Quotient(build_s3(p))
+        ok &= point_module_step(q, ORIGIN) == tau
         two = hesse_add(p, tau, tau)
-        ok &= s3_next_point(p, tau) == two
-        ok &= s3_next_point(p, two) == hesse_add(p, two, tau)
+        ok &= point_module_step(q, tau) == two
+        ok &= point_module_step(q, two) == hesse_add(p, two, tau)
     for p in ABC2:
         rec = s2_point_determinant(p)
         ok &= rec["matrix_matches_reference"]

@@ -150,10 +150,12 @@ def test_s3_build_failure_fails_each_algebra_check(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_s3", broken)
     assert main(["verify", "s3", "--abc", "1,2,3", "--format", "json"]) == 1
     checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    for cid in ("s3-hilbert", "s3-center-cubic", "s3-central-quotient-hilbert"):
+    # the walk reads the right point module, so it needs the engine too
+    for cid in ("s3-hilbert", "s3-center-cubic", "s3-central-quotient-hilbert",
+                "s3-point-walk"):
         assert checks[cid]["status"] == "fail"
         assert checks[cid]["notes"] == "VerificationError: no algebra at [1:2:3]"
-    for cid in ("s3-relation-overlap", "s3-point-walk", "s3-group-law"):
+    for cid in ("s3-relation-overlap", "s3-group-law"):
         assert checks[cid]["status"] == "pass"
 
 
@@ -358,6 +360,18 @@ def test_alpha_with_undefined_third_value_exits_two(capsys):
         main(["verify", "s4", "--alpha", "1,-1"])
     assert ei.value.code == 2
     assert "error: argument --alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, token", [
+    (["s3", "--abc", "1,2/0,3"], "2/0"),
+    (["s4", "--alpha", "1/0,2"], "1/0"),
+], ids=("abc", "alpha"))
+def test_zero_denominator_names_its_token_and_exits_two(capsys, args, token):
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", *args])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {args[1]}: the denominator of '{token}' is zero" in err
 
 
 def test_output_file_is_replaced_atomically(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, zip_longest
 from math import gcd, lcm, prod
 
@@ -21,11 +21,10 @@ from skverify.freealg import NcPoly, span
 from skverify.pointscheme import (BASE, ORIGIN, X0, X1, Y0, Y1, _integer_matrix,
                                   _integer_minors, _neg, _sum, _third, coefficient_matrix,
                                   group_law_record, hesse_add, hesse_third,
-                                  invariant_cubic_basis, on_hesse, point, point_text,
-                                  s2_point_determinant, s3_degree3_overlap,
-                                  s3_next_point, s4_minor_membership,
-                                  order_of, verify_c3_description)
-from skverify.graded import Quotient
+                                  invariant_cubic_basis, on_hesse, point, point_module_step,
+                                  point_text, s2_point_determinant, s3_degree3_overlap,
+                                  s4_minor_membership, order_of, verify_c3_description)
+from skverify.graded import Presentation, Quotient
 from skverify.heisenberg import GroupRep, HeisenbergGroup
 from skverify.veronese import verify_c4_central
 
@@ -262,14 +261,39 @@ def test_add_rejects_points_off_curve():
         assert str(err.value) == f"{text} is not on the curve at [1:2:3]"
 
 
+def s3_next_point(p, pt):
+    """The matrix walk, the oracle for the point module: the unique kernel
+    direction of the 3x3 matrix of linear forms at ``pt``, whose entry (r, j)
+    is the sum of c * pt[a] over the words (a, j) of relation r.  Rank 3 means
+    no successor, rank < 2 a successor that is not unique."""
+    rows = []
+    for rel in s3_relation_polys(p):
+        row = {}
+        for i, c in rel.row.items():
+            a, j = divmod(i, 3)
+            row[j] = row.get(j, ZERO) + c * pt[a]
+        rows.append({j: c for j, c in row.items() if c})
+    kernel = linalg.nullspace(rows, 3)
+    if len(kernel) == 0:
+        raise RankError("matrix is invertible: no successor point")
+    if len(kernel) > 1:
+        raise RankError("kernel dimension > 1: successor not unique")
+    v = kernel[0]
+    return point(*(v.get(j, 0) for j in range(3)))
+
+
+def module_walk(p):
+    return partial(point_module_step, Quotient(build_s3(p)))
+
+
 def test_next_point_walk_matches_translation():
     for p in CURVES:
         tau = point(*p)
-        assert s3_next_point(p, ORIGIN) == tau
         two = hesse_add(p, tau, tau)
-        assert s3_next_point(p, tau) == two
-        assert s3_next_point(p, s3_next_point(p, two)) == hesse_add(
-            p, two, two)
+        for step in (partial(s3_next_point, p), module_walk(p)):
+            assert step(ORIGIN) == tau
+            assert step(tau) == two
+            assert step(step(two)) == hesse_add(p, two, two)
 
 
 @pytest.mark.parametrize("p, pt, message", [
@@ -277,10 +301,55 @@ def test_next_point_walk_matches_translation():
     (AbcParams.of(1, 1, 1), (1, 1, 1), "successor not unique"),
 ], ids=("off-curve", "singular-point"))
 def test_next_point_raises_on_a_rank_drop(p, pt, message):
-    # [1:2:3] is off the curve at [1:-1/3:-2], so the matrix there has rank 3;
-    # [1:1:1] is a singular point of the member at [1:1:1], where it has rank 1
-    with pytest.raises(RankError, match=message):
-        s3_next_point(p, pt)
+    # [1:2:3] is off the curve at [1:-1/3:-2], so the matrix there has rank 3
+    # and the module dies in degree 2; [1:1:1] is a singular point of the
+    # member at [1:1:1], where the matrix has rank 1 and the module's degree 2
+    # has dimension 2
+    for step in (partial(s3_next_point, p), module_walk(p)):
+        with pytest.raises(RankError, match=message):
+            step(pt)
+
+
+@st.composite
+def walk_params(draw):
+    """A point the s3 predicate accepts, or one of the two torsion points whose
+    walks reach the origin."""
+    num = st.integers(-9, 9)
+    den = st.integers(1, 9)
+    p = draw(st.sampled_from([AbcParams.of(1, 1, 2), AbcParams.of(1, -12, -12), None]))
+    if p is None:
+        p = AbcParams.of(1, Fraction(draw(num), draw(den)), Fraction(draw(num), draw(den)))
+        assume(sampling.s3_reject_reason(p) is None)
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk_params())
+def test_point_module_step_matches_the_matrix_walk(p):
+    step = module_walk(p)
+    pt = ORIGIN
+    for _ in range(3):
+        nxt = step(pt)
+        assert nxt == s3_next_point(p, pt)
+        pt = nxt
+    off = next(v for v in ((1, 1, 1), (1, 2, 3), (1, 0, 0), (1, 1, 0)) if not on_hesse(p, v))
+    with pytest.raises(RankError):
+        s3_next_point(p, off)
+    with pytest.raises(RankError):
+        step(off)
+
+
+def test_point_module_step_returns_a_primitive_tuple_for_any_generator_count():
+    x, y = NcPoly.gens(2)
+    # the Jordan plane yx - xy - x^2: sigma[p:q] = [p:q-p], every point a point
+    jordan = Quotient(Presentation.make("xy", [y * x - x * y - x * x]))
+    assert point_module_step(jordan, (2, 3)) == (2, 1)
+    assert point_module_step(jordan, (0, -5)) == (0, 1)
+    # with x^2 as well only [0:1] is left: at [1:1] the module dies in degree 2
+    smaller = Quotient(Presentation.make("xy", [x * y - y * x, x * x]))
+    assert point_module_step(smaller, (0, 1)) == (0, 1)
+    with pytest.raises(RankError, match="no successor"):
+        point_module_step(smaller, (1, 1))
 
 
 def digits(key):
@@ -430,11 +499,22 @@ def test_point_determinant_matches_sympy(p):
 
 
 def test_point_determinant_matches_reference_curve():
-    for p in CURVES:
+    # det = -(reference curve) at every [a:b:c], a = 0 included
+    for p in CURVES + list(TORSION) + [AbcParams.of(0, 2, 3)]:
         rec = s2_point_determinant(p)
         assert rec["matrix_matches_reference"]
-        assert rec["ratio_to_reference"] is not None
+        assert rec["ratio_to_reference"] == -1
         assert rec["pass"]
+
+
+def test_point_determinant_catches_a_doubled_reference_curve(monkeypatch):
+    right = pointscheme.s2_reference_curve
+    monkeypatch.setattr(pointscheme, "s2_reference_curve",
+                        lambda p: {k: 2 * c for k, c in right(p).items()})
+    rec = s2_point_determinant(AbcParams.of(1, 2, 3))
+    assert rec["matrix_matches_reference"]
+    assert rec["ratio_to_reference"] == fe(Fraction(-1, 2))
+    assert rec["pass"] is False
 
 
 def test_point_determinant_catches_a_wrong_reference_curve(monkeypatch):
