@@ -76,16 +76,6 @@ class FieldElem:
         self.num = tuple(f.numerator * (den // f.denominator) for f in c)
         self.den = den
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def of(x) -> "FieldElem":
-        """Coerce an int, Fraction or FieldElem."""
-        o = _coerce(x)
-        if o is None:
-            raise TypeError(f"cannot coerce {x!r} to a rational")
-        return o
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -289,5 +279,8 @@ def root_of_unity(n: int) -> FieldElem:
 
 
 def fe(x) -> FieldElem:
-    """Shorthand coercion used throughout the package."""
-    return FieldElem.of(x)
+    """Coerce an int, Fraction or FieldElem: the shorthand used throughout the package."""
+    o = _coerce(x)
+    if o is None:
+        raise TypeError(f"cannot coerce {x!r} to a rational")
+    return o

@@ -1,15 +1,19 @@
 """Finite Heisenberg groups of order n^3 and their exact character theory.
 
-Group elements are normal forms (i, j, k) standing for e1^i e2^j z^k with z
-the commutator [e1, e2], central of order n.  From e2 e1 = e1 e2 z^-1 the
-product rule is
+A group is its order n: the group law and the classes are functions of n
+and an element.  Elements are normal forms (i, j, k) standing for
+e1^i e2^j z^k with z the commutator [e1, e2], central of order n; the
+identity is (0, 0, 0).  From e2 e1 = e1 e2 z^-1 the product rule is
 
     (i1,j1,k1)(i2,j2,k2) = (i1+i2, j1+j2, k1+k2 - j1*i2)   (mod n).
 
+``inv`` and ``elements`` are the tests' brute-force oracle.
+
 Conjugating by e1 or e2 moves k by a multiple of i or j, so the class of
 (i, j, k) is {(i, j, k + t*d)} with d = gcd(i, j, n): n/d elements, with
-(i, j, k mod d) as its representative.  Summing d over all (i, j) gives 5,
-11 and 22 classes for n = 2, 3, 4, one per irreducible.
+(i, j, k mod d) as its representative (``class_of``).  Summing d over all
+(i, j) gives 5, 11 and 22 classes (``classes``) for n = 2, 3, 4, one per
+irreducible.
 
 Every representation is given and stored in one form: the monomial matrices
 of the generators e1 and e2 over Q(zeta_12), column j as (target row, nonzero
@@ -17,9 +21,9 @@ scalar), so products, powers and traces cost O(dim) and every trace and
 inner product is exact.  A character is a class function, kept as its values
 on the class representatives, so traces, powers and inner products run over
 the classes rather than the n^3 elements.  Characters decide
-decompositions: decompose reads the group and the degree from the character
-itself, and multiplicities that fail to be nonnegative integers raise, since
-that can only mean the input matrices violate the presentation.
+decompositions: decompose reads n and the degree from the character itself,
+and multiplicities that fail to be nonnegative integers raise, since that
+can only mean the input matrices violate the presentation.
 
 A tensor power acts monomially on words, and e1 and e2 generate the group,
 so its fixed vectors are read off the orbits of the basis words under the
@@ -35,7 +39,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import NotASubrepError, RepresentationInvalidError, ShapeError
 from .field import ONE, ZERO, FieldElem, fe, mul_i4, ratio, root_of_unity
-from .freealg import Subspace, index_to_word, span_rows
+from .freealg import Subspace, index_to_word, proportional, span_rows
 
 # Column j of a monomial matrix as (target row, nonzero scalar).
 Monomial = tuple[tuple[int, FieldElem], ...]
@@ -54,101 +58,74 @@ def _mono_powers(a: Monomial, n: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+def mul(n: int, g, h):
+    return ((g[0] + h[0]) % n, (g[1] + h[1]) % n, (g[2] + h[2] - g[1] * h[0]) % n)
+
+
+def inv(n: int, g):
+    """The h with mul(n, g, h) = (0, 0, 0)."""
+    i, j, k = g
+    return ((-i) % n, (-j) % n, (-k - j * i) % n)
+
+
+def elements(n: int):
+    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+
+
+def class_of(n: int, g):
+    """The representative (i, j, k mod gcd(i, j, n)) of the class of g."""
+    i, j, k = g
+    return (i, j, k % gcd(i, j, n))
+
+
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+def classes(n: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """(representative, size) for every conjugacy class, in element order."""
     return tuple(((i, j, k), n // d) for i in range(n) for j in range(n)
                  for d in (gcd(i, j, n),) for k in range(d))
 
 
-class HeisenbergGroup:
-    """The finite Heisenberg group on two generators of order n."""
-
-    def __init__(self, n: int) -> None:
-        if n < 2:
-            raise ShapeError("order must be >= 2")
-        self.n = n
-
-    @property
-    def order(self) -> int:
-        return self.n ** 3
-
-    def identity(self):
-        return (0, 0, 0)
-
-    def mul(self, g, h):
-        n = self.n
-        return ((g[0] + h[0]) % n, (g[1] + h[1]) % n, (g[2] + h[2] - g[1] * h[0]) % n)
-
-    def inv(self, g):
-        n = self.n
-        # solve g * h = identity
-        i, j, k = g
-        return ((-i) % n, (-j) % n, (-k - j * i) % n)
-
-    def elements(self):
-        n = self.n
-        return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-
-    def class_of(self, g):
-        """The representative (i, j, k mod gcd(i, j, n)) of the class of g."""
-        i, j, k = g
-        return (i, j, k % gcd(i, j, self.n))
-
-    def classes(self):
-        """(representative, size) for every conjugacy class, in element order."""
-        return _classes(self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, HeisenbergGroup) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("heisenberg", self.n))
-
-    def __repr__(self):
-        return f"HeisenbergGroup({self.n})"
-
-
 class Character:
-    """Exact class function on a Heisenberg group, kept as its nonzero values
-    on class representatives.
+    """Exact class function on the Heisenberg group of order n^3, kept as its
+    nonzero values on class representatives.
 
     ``values`` may name any elements; two different values on one class
     raise RepresentationInvalidError, since no class function has them.
     """
 
-    def __init__(self, group: HeisenbergGroup, values: dict) -> None:
-        self.group = group
+    def __init__(self, n: int, values: dict) -> None:
+        self.n = n
         on_classes: dict = {}
         for g, v in values.items():
-            c, x = group.class_of(g), fe(v)
+            c, x = class_of(n, g), fe(v)
             if on_classes.setdefault(c, x) != x:
                 raise RepresentationInvalidError(
-                    f"{x} and {on_classes[c]} on one class of {group}")
+                    f"{x} and {on_classes[c]} on one class of H{n}")
         self.values = {c: x for c, x in on_classes.items() if x}
 
     def __call__(self, g) -> FieldElem:
-        return self.values.get(self.group.class_of(g), ZERO)
+        return self.values.get(class_of(self.n, g), ZERO)
 
     def inner(self, other: "Character") -> FieldElem:
         """<self, other> = |G|^-1 sum |C| chi(C) conj(psi(C)) over the classes C
         in both supports, summed as integer numerators and divided once."""
         terms = [(size, mul_i4(a.num, b.conj().num), a.den * b.den)
-                 for c, size in self.group.classes()
+                 for c, size in classes(self.n)
                  if (a := self.values.get(c)) and (b := other.values.get(c))]
         den = lcm(*(d for _, _, d in terms))
         acc = tuple(sum(size * (den // d) * num[t] for size, num, d in terms) for t in range(4))
-        return ratio(acc, den * self.group.order)
+        return ratio(acc, den * self.n ** 3)
 
     def __mul__(self, other: "Character") -> "Character":
-        return Character(self.group, {c: v * other(c) for c, v in self.values.items()})
+        return Character(self.n, {c: v * other(c) for c, v in self.values.items()})
 
     def __pow__(self, d: int) -> "Character":
-        return Character(self.group, {c: self(c) ** d for c, _ in self.group.classes()})
+        return Character(self.n, {c: self(c) ** d for c, _ in classes(self.n)})
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
-        return self.group == other.group and self.values == other.values
+        return self.n == other.n and self.values == other.values
 
 
 class GroupRep:
@@ -162,8 +139,8 @@ class GroupRep:
     relations read them and matrix((i, j, k)) is two monomial products.
     """
 
-    def __init__(self, group: HeisenbergGroup, e1: Monomial, e2: Monomial, label: str) -> None:
-        self.group = group
+    def __init__(self, n: int, e1: Monomial, e2: Monomial, label: str) -> None:
+        self.n = n
         self.e1 = tuple((r, fe(s)) for r, s in e1)
         self.e2 = tuple((r, fe(s)) for r, s in e2)
         self.label = label
@@ -172,7 +149,6 @@ class GroupRep:
                                                for r, s in self.e1 + self.e2):
             raise RepresentationInvalidError(
                 f"{label}: e1 and e2 are not monomial matrices of one size")
-        n = group.n
         p1, p2 = _mono_powers(self.e1, n), _mono_powers(self.e2, n)
         if p1[n] != p1[0] or p2[n] != p2[0]:
             raise RepresentationInvalidError(f"{label}: generator order is not {n}")
@@ -203,7 +179,7 @@ class GroupRep:
             def trace(m: Monomial) -> FieldElem:
                 return sum((s for j, (r, s) in enumerate(m) if r == j), ZERO)
             self._character = Character(
-                self.group, {c: trace(self.matrix(c)) for c, _ in self.group.classes()})
+                self.n, {c: trace(self.matrix(c)) for c, _ in classes(self.n)})
         return self._character
 
     def __repr__(self):
@@ -218,7 +194,6 @@ class TensorPowerRep:
             raise ShapeError("negative tensor power")
         self.base = base
         self.degree = degree
-        self.group = base.group
         self.dim = base.dim ** degree
 
     def character(self) -> Character:
@@ -245,12 +220,7 @@ class TensorPowerRep:
 
     def eigenvalue(self, g, row):
         """The scalar s with g . row = s * row; None if there is none or row is zero."""
-        if not row:
-            return None
-        image = self.act_row(g, row)
-        col, coeff = next(iter(row.items()))
-        s = image.get(col, ZERO) / coeff
-        return s if image == {c: v * s for c, v in row.items()} else None
+        return proportional(self.act_row(g, row), row) if row else None
 
     def __repr__(self):
         return f"TensorPowerRep({self.base.label}, degree={self.degree})"
@@ -269,27 +239,26 @@ def irrep_table(n: int) -> tuple[GroupRep, ...]:
     """
     if n not in (2, 3, 4):
         raise ShapeError(f"no irreducible table for n={n}")
-    g = HeisenbergGroup(n)
     om = root_of_unity(n)
     reps = []
     for i in range(n):
         for j in range(n):
-            reps.append(GroupRep(g, ((0, om ** i),), ((0, om ** j),),
+            reps.append(GroupRep(n, ((0, om ** i),), ((0, om ** j),),
                                  f"H{n}:chi_{{{i},{j}}}"))
     shift = tuple(((c - 1) % n, ONE) for c in range(n))     # x_k -> x_{k-1}
     if n == 2:
-        reps.append(GroupRep(g, shift, ((0, ONE), (1, -ONE)), "H2:V"))
+        reps.append(GroupRep(n, shift, ((0, ONE), (1, -ONE)), "H2:V"))
     elif n == 3:
-        reps.append(GroupRep(g, shift, tuple(enumerate((ONE, om, om ** 2))), "H3:V1"))
-        reps.append(GroupRep(g, shift, tuple(enumerate((ONE, om ** 2, om))), "H3:V2"))
+        reps.append(GroupRep(n, shift, tuple(enumerate((ONE, om, om ** 2))), "H3:V1"))
+        reps.append(GroupRep(n, shift, tuple(enumerate((ONE, om ** 2, om))), "H3:V2"))
     else:
         ii = root_of_unity(4)
         for i in range(2):
             for j in range(2):
-                reps.append(GroupRep(g, ((1, ii ** i), (0, ii ** i)),
+                reps.append(GroupRep(n, ((1, ii ** i), (0, ii ** i)),
                                      ((0, ii ** j), (1, -ii ** j)), f"H4:V_{{{i},{j}}}"))
-        reps.append(GroupRep(g, shift, tuple(enumerate(ii ** k for k in range(4))), "H4:V1"))
-        reps.append(GroupRep(g, shift, tuple(enumerate((-ii) ** k for k in range(4))), "H4:V3"))
+        reps.append(GroupRep(n, shift, tuple(enumerate(ii ** k for k in range(4))), "H4:V1"))
+        reps.append(GroupRep(n, shift, tuple(enumerate((-ii) ** k for k in range(4))), "H4:V3"))
     return tuple(reps)
 
 
@@ -300,7 +269,7 @@ def decompose(chi: Character) -> dict[str, int]:
     """
     out: dict[str, int] = {}
     dim_sum = 0
-    for irr in irrep_table(chi.group.n):
+    for irr in irrep_table(chi.n):
         m = chi.inner(irr.character())
         if not m.is_integer() or m.num[0] < 0:
             raise RepresentationInvalidError(
@@ -309,7 +278,7 @@ def decompose(chi: Character) -> dict[str, int]:
         if mult:
             out[irr.label] = mult
             dim_sum += mult * irr.dim
-    degree = chi(chi.group.identity())
+    degree = chi((0, 0, 0))
     if dim_sum != degree:
         raise RepresentationInvalidError(
             f"multiplicities account for dimension {dim_sum}, expected {degree}")
@@ -318,9 +287,8 @@ def decompose(chi: Character) -> dict[str, int]:
 
 def antisymmetric_character(rep: GroupRep) -> Character:
     """Character of the exterior square: (chi(g)^2 - chi(g^2)) / 2 on each class."""
-    chi = rep.character()
-    g = rep.group
-    return Character(g, {c: (chi(c) ** 2 - chi(g.mul(c, c))) / 2 for c, _ in g.classes()})
+    chi, n = rep.character(), rep.n
+    return Character(n, {c: (chi(c) ** 2 - chi(mul(n, c, c))) / 2 for c, _ in classes(n)})
 
 
 def is_subrep(s: Subspace, tp: TensorPowerRep) -> bool:

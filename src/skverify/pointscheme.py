@@ -232,12 +232,7 @@ def _rational(c) -> Fraction:
 
 def point_text(v) -> str:
     """``[1:-1/3:-2]``: the point with its first nonzero coordinate scaled to 1."""
-    return "[" + ":".join(str(c) for c in _lead_one(v)) + "]"
-
-
-def _lead_one(v) -> tuple[Fraction, ...]:
-    lead = next(c for c in v if c)
-    return tuple(Fraction(c, lead) for c in v)
+    return str(AbcParams.of(*v))
 
 
 def on_hesse(p: AbcParams, pt: tuple) -> bool:
@@ -511,7 +506,7 @@ def verify_c3_description(p: AbcParams, q: Quotient) -> dict:
     """
     tau = point(*p)
     # the one smoothness check: hesse_third raises SingularCurveError
-    tangent = _lead_one(hesse_third(p, tau, tau))
+    tangent = tuple(AbcParams.of(*hesse_third(p, tau, tau)))
     cents = q.centralizer_slice(3)
     record: dict = {"centralizer_dim": cents.dim}
     if cents.dim != 1:

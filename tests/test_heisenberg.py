@@ -15,11 +15,11 @@ from skverify.errors import NotASubrepError, RepresentationInvalidError
 from skverify.families import AbcParams, build_s3
 from skverify.field import ONE, ZERO, fe, root_of_unity
 from skverify.freealg import NcPoly, Subspace, index_to_word, span, span_rows
-from skverify.heisenberg import (Character, GroupRep, HeisenbergGroup, TensorPowerRep,
-                                 antisymmetric_character, decompose,
-                                 h2_gen_rep, h3_gen_rep,
-                                 h4_gen_rep, h4_pm_basis,
-                                 invariant_subspace, irrep_table, is_subrep,
+from skverify.heisenberg import (Character, GroupRep, TensorPowerRep,
+                                 antisymmetric_character, class_of, classes, decompose,
+                                 elements, h2_gen_rep, h3_gen_rep,
+                                 h4_gen_rep, h4_pm_basis, inv,
+                                 invariant_subspace, irrep_table, is_subrep, mul,
                                  twist_equivalence_table)
 from skverify.veronese import quadratic_images
 
@@ -66,16 +66,16 @@ def pm_rep():
     basis = dense_cols(h4_pm_basis())
     binv = mat_inv(basis)
     e1, e2 = (monomial(mat_mul(binv, mat_mul(dense(e), basis))) for e in (rep.e1, rep.e2))
-    return GroupRep(rep.group, e1, e2, "H4:V1(pm)")
+    return GroupRep(rep.n, e1, e2, "H4:V1(pm)")
 
 
 def averaged(tp, rows):
     """Span of the exact averaging projector |G|^-1 sum_g g applied to each row."""
-    scale = fe(1) / tp.group.order
+    scale = fe(1) / tp.base.n ** 3
     out = []
     for row in rows:
         acc = {}
-        for g in tp.group.elements():
+        for g in elements(tp.base.n):
             for c, v in tp.act_row(g, row).items():
                 acc[c] = acc.get(c, ZERO) + v
         out.append({c: v * scale for c, v in acc.items() if v})
@@ -84,11 +84,10 @@ def averaged(tp, rows):
 
 def test_group_orders_and_inverses():
     for n in (2, 3, 4):
-        G = HeisenbergGroup(n)
-        elems = list(G.elements())
+        elems = elements(n)
         assert len(elems) == n ** 3
         for g in elems[:10]:
-            assert G.mul(g, G.inv(g)) == G.identity()
+            assert mul(n, g, inv(n, g)) == (0, 0, 0)
 
 
 def test_generator_reps_satisfy_weyl_commutation():
@@ -121,17 +120,16 @@ def test_irrep_tables_complete():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_classes_match_brute_force_conjugation(n):
-    G = HeisenbergGroup(n)
-    elems = G.elements()
-    brute = {frozenset(G.mul(G.mul(h, g), G.inv(h)) for h in elems) for g in elems}
-    classes = G.classes()
-    got = {frozenset(g for g in elems if G.class_of(g) == c) for c, _ in classes}
+    elems = elements(n)
+    brute = {frozenset(mul(n, mul(n, h, g), inv(n, h)) for h in elems) for g in elems}
+    reps = classes(n)
+    got = {frozenset(g for g in elems if class_of(n, g) == c) for c, _ in reps}
     assert got == brute
-    for c, size in classes:
-        assert G.class_of(c) == c
-        assert size == len({G.mul(G.mul(h, c), G.inv(h)) for h in elems})
-    assert sum(size for _, size in classes) == n ** 3
-    assert len(classes) == len(irrep_table(n))
+    for c, size in reps:
+        assert class_of(n, c) == c
+        assert size == len({mul(n, mul(n, h, c), inv(n, h)) for h in elems})
+    assert sum(size for _, size in reps) == n ** 3
+    assert len(reps) == len(irrep_table(n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -139,22 +137,21 @@ def test_characters_are_traces_on_every_element(n):
     # oracle: the trace of the dense matrix of each group element
     for rep in irrep_table(n):
         chi = rep.character()
-        for g in rep.group.elements():
+        for g in elements(n):
             m = dense(rep.matrix(g))
             assert chi(g) == sum((m[i][i] for i in range(rep.dim)), ZERO), (rep.label, g)
 
 
 def test_character_rejects_two_values_on_one_class():
-    G = HeisenbergGroup(4)
     g = (1, 2, 0)
-    h = G.mul(G.mul((0, 1, 0), g), G.inv((0, 1, 0)))
-    assert h != g and G.class_of(h) == G.class_of(g)
+    h = mul(4, mul(4, (0, 1, 0), g), inv(4, (0, 1, 0)))
+    assert h != g and class_of(4, h) == class_of(4, g)
     with pytest.raises(RepresentationInvalidError):
-        Character(G, {g: 1, h: 2})
+        Character(4, {g: 1, h: 2})
     with pytest.raises(RepresentationInvalidError):
-        Character(G, {g: 1, h: 0})
-    chi = Character(G, {g: 3, h: 3})
-    assert chi(g) == chi(h) == fe(3) and chi.values == {G.class_of(g): fe(3)}
+        Character(4, {g: 1, h: 0})
+    chi = Character(4, {g: 3, h: 3})
+    assert chi(g) == chi(h) == fe(3) and chi.values == {class_of(4, g): fe(3)}
 
 
 def test_character_is_computed_once_per_rep():
@@ -163,20 +160,19 @@ def test_character_is_computed_once_per_rep():
 
 
 def test_rep_matrices_respect_group_law():
-    G = HeisenbergGroup(3)
     rep = h3_gen_rep()
-    elems = list(G.elements())
+    elems = elements(3)
     for g in elems[:6]:
         for h in elems[:6]:
             assert (mat_mul(dense(rep.matrix(g)), dense(rep.matrix(h)))
-                    == dense(rep.matrix(G.mul(g, h))))
-        assert mat_inv(dense(rep.matrix(g))) == dense(rep.matrix(G.inv(g)))
+                    == dense(rep.matrix(mul(3, g, h))))
+        assert mat_inv(dense(rep.matrix(g))) == dense(rep.matrix(inv(3, g)))
 
 
 def test_monomial_matrices_match_dense_products():
     reps = irrep_table(2) + irrep_table(3) + irrep_table(4) + (pm_rep(),)
     for rep in reps:
-        n = rep.group.n
+        n = rep.n
         e1, e2 = dense(rep.e1), dense(rep.e2)
 
         def powers(m):
@@ -188,7 +184,7 @@ def test_monomial_matrices_match_dense_products():
         p1, p2 = powers(e1), powers(e2)
         z = mat_mul(mat_mul(e1, e2), mat_mul(p1[n - 1], p2[n - 1]))
         pz = powers(z)
-        for i, j, k in rep.group.elements():
+        for i, j, k in elements(n):
             want = mat_mul(p1[i], mat_mul(p2[j], pz[k]))
             assert dense(rep.matrix((i, j, k))) == want, (rep.label, (i, j, k))
 
@@ -198,7 +194,7 @@ def test_tensor_action_matches_dense_kronecker_product():
     for rep, d in ((h3_gen_rep(), 3), (pm_rep(), 2)):
         tp = TensorPowerRep(rep, d)
         words = [index_to_word(c, rep.dim, d) for c in range(tp.dim)]
-        for g in rep.group.elements():
+        for g in elements(rep.n):
             m = dense(rep.matrix(g))
             for col, word in enumerate(words):
                 want = {}
@@ -234,15 +230,15 @@ def dense_power(m, d):
 def test_eigenvalue_matches_dense_oracle(rep):
     # oracle: g . v = s v solved for s by linalg.solve_columns, with g . v
     # from the dense tensor-power matrix
-    n = rep.group.n
-    elements = {(i % n, j % n, k % n) for i, j, k in
-                ((1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 0), (0, 2, 0))}
+    n = rep.n
+    some = {(i % n, j % n, k % n) for i, j, k in
+            ((1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 0), (0, 2, 0))}
     found = set()
     for d in (1, 2):
         tp = TensorPowerRep(rep, d)
         units = [{c: ONE} for c in range(tp.dim)]
         rows = units + [{a: ONE, b: ONE} for a in range(tp.dim) for b in range(a + 1, tp.dim)]
-        for g in sorted(elements):
+        for g in sorted(some):
             m = dense_power(rep.matrix(g), d)
             for row in rows:
                 image = {i: x for i in range(tp.dim)
@@ -260,15 +256,14 @@ def test_eigenvalue_matches_dense_oracle(rep):
 def test_inner_matches_sum_over_every_element(n, gen_rep):
     # oracle: the sum over all n^3 group elements
     def full(a, b):
-        return sum((a(g) * b(g).conj() for g in a.group.elements()), ZERO) / a.group.order
+        return sum((a(g) * b(g).conj() for g in elements(n)), ZERO) / n ** 3
 
     chars = [r.character() for r in irrep_table(n)]
     chars.append(TensorPowerRep(gen_rep(), 2).character())
     for a in chars:
         for b in chars:
             assert a.inner(b) == full(a, b)
-    G = chars[0].group
-    dense = Character(G, {g: chars[-1](g) for g in G.elements()})
+    dense = Character(n, {g: chars[-1](g) for g in elements(n)})
     assert dense == chars[-1] and all(dense.values.values())
 
 
@@ -284,10 +279,9 @@ def test_antisymmetric_square_of_four_dim_rep():
 
 
 def test_decompose_character_rejects_non_characters():
-    G = HeisenbergGroup(2)
     rep = h2_gen_rep()
     chi = rep.character()
-    broken = Character(G, {g: v + fe(1) if g == G.identity() else v
+    broken = Character(2, {g: v + fe(1) if g == (0, 0, 0) else v
                            for g, v in chi.values.items()})
     with pytest.raises(RepresentationInvalidError):
         decompose(broken)
@@ -295,10 +289,9 @@ def test_decompose_character_rejects_non_characters():
 
 def test_bad_generator_matrices_rejected():
     # order-4 matrices cannot represent the order-2 group
-    G = HeisenbergGroup(2)
     bad = h4_gen_rep()
     with pytest.raises(RepresentationInvalidError):
-        GroupRep(G, bad.e1, bad.e2, "broken")
+        GroupRep(2, bad.e1, bad.e2, "broken")
 
 
 @pytest.mark.parametrize("e1, e2", [
@@ -309,7 +302,7 @@ def test_bad_generator_matrices_rejected():
 ], ids=("row-out-of-range", "zero-scalar-e1", "zero-scalar-e2", "unequal-sizes"))
 def test_bad_monomial_input_rejected(e1, e2):
     with pytest.raises(RepresentationInvalidError):
-        GroupRep(HeisenbergGroup(2), e1, e2, "broken")
+        GroupRep(2, e1, e2, "broken")
 
 
 @pytest.mark.parametrize("rep, d", [
@@ -340,7 +333,7 @@ def joint_kernel(tp, s=None):
 def cyclic_span(tp):
     """A stable subspace: the span of the images of e_0 + 2 e_last (of e_0 in dimension 1)."""
     row = {0: ONE, tp.dim - 1: fe(2)} if tp.dim > 1 else {0: ONE}
-    return span_rows(tp.base.dim, tp.degree, [tp.act_row(g, row) for g in tp.group.elements()])
+    return span_rows(tp.base.dim, tp.degree, [tp.act_row(g, row) for g in elements(tp.base.n)])
 
 
 # every irreducible at degrees 1-4 (H4 at 1-3), and the coordinate H4 rep in
@@ -384,7 +377,7 @@ def power_sum(tp, i, j):
     fixed by that element, so its line is stable under it, if not under both
     generators."""
     out = {}
-    for k in range(tp.group.n):
+    for k in range(tp.base.n):
         for c, v in tp.act_row((k * i, k * j, 0), {0: ONE}).items():
             out[c] = out.get(c, ZERO) + v
     return {c: v for c, v in out.items() if v}

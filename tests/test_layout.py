@@ -11,7 +11,8 @@ normalising gcd per coefficient. No module imports dataclasses, and starting
 the command loads neither it nor inspect: every run is a fresh interpreter.
 Every name a module, demo or test imports is read somewhere in it. The
 benchmark in ``perfbench/`` reads the package by attribute and by module name,
-which no test of the package sees, so those names are checked here too.
+which no test of the package sees, so those names are checked here too, and
+so are the check ids it requires of every run.
 Every function, class, non-dunder method and module-level name the package
 defines at top level is read by name somewhere in the package, its demos, its
 tests or the benchmark: code or a table that nothing reads is deleted, not
@@ -25,7 +26,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from skverify import families, field, sampling
+from skverify import cli, families, field, sampling
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skverify"
@@ -185,3 +186,23 @@ def test_benchmark_reads_only_existing_names():
                   and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
     for layer in layers:
         importlib.import_module(f"skverify.{layer}")
+
+
+def test_benchmark_check_ids_are_table_rows():
+    # perfbench/run.py fails any run that lacks one of its CHECK_IDS, so a
+    # check row of the command may only go once the benchmark stops asking for it
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    check_ids = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and any(getattr(t, "id", None) == "CHECK_IDS" for t in node.targets))
+    tables = {"s3": cli.S3, "s2": cli.S2, "s4": cli.S4, "quotient": cli.QUOTIENT,
+              "reps": cli.REPS}
+    assert check_ids.keys() == tables.keys()
+    # run.py also asks every s4 run for s4-minors, outside CHECK_IDS
+    wanted = [(tables[name], ids) for name, ids in check_ids.items()]
+    wanted.append((cli.S4_MINORS, ("s4-minors",)))
+    missing = [cid for table, ids in wanted for cid in ids
+               if cid not in {row[0] for row in table}]
+    assert not missing, (f"perfbench/run.py requires check ids that no table row has: "
+                         f"{missing}; retiring a check id needs a change to the benchmark "
+                         f"first (see CHANGES.md)")

@@ -25,7 +25,7 @@ from skverify.pointscheme import (BASE, ORIGIN, X0, X1, Y0, Y1, _integer_matrix,
                                   point_text, s2_point_determinant, s3_degree3_overlap,
                                   s4_minor_membership, order_of, verify_c3_description)
 from skverify.graded import Presentation, Quotient
-from skverify.heisenberg import GroupRep, HeisenbergGroup
+from skverify.heisenberg import GroupRep
 from skverify.veronese import verify_c4_central
 
 CURVES = [AbcParams.of(1, 2, 3), AbcParams.of(1, Fraction(-1, 3), -2),
@@ -406,10 +406,9 @@ def test_wrong_invariant_basis_or_action_is_caught(monkeypatch):
     assert rec["pass"] is False
     monkeypatch.undo()
     # the cycle alone, without diag(1, w, w^2), fixes more than the meet
-    g = HeisenbergGroup(3)
     cycle = tuple(((c - 1) % 3, fe(1)) for c in range(3))
     monkeypatch.setattr(pointscheme, "h3_gen_rep",
-                        lambda: GroupRep(g, cycle, tuple((c, fe(1)) for c in range(3)), "cycle"))
+                        lambda: GroupRep(3, cycle, tuple((c, fe(1)) for c in range(3)), "cycle"))
     rec = s3_degree3_overlap(p)
     assert rec["invariant_is_meet"] is False
     assert rec["invariant_dim"] == 5
@@ -700,4 +699,38 @@ def test_minor_membership_catches_a_wrong_reference_matrix(monkeypatch):
     _negate_entry(monkeypatch, "s4_reference_matrix", 2, 3)
     rec = s4_minor_membership(*SQRT_TRIPLES[0])
     assert rec["matrix_matches_reference"] is False
+    assert rec["pass"] is False
+
+
+# a nondegenerate square-root point: alpha (-16/49, -9/25, 841/1369), lambda -32/7
+SQRT_POINT = (fe(Fraction(4, 7)), fe(Fraction(3, 5)), fe(Fraction(29, 37)))
+
+
+def test_minor_membership_point_is_nondegenerate():
+    rec = s4_minor_membership(*SQRT_POINT)
+    assert rec["alpha"] == (fe(Fraction(-16, 49)), fe(Fraction(-9, 25)), fe(Fraction(841, 1369)))
+    assert sampling.alpha_reject_reason(rec["alpha"]) is None
+    assert rec["lambda"] == fe(Fraction(-32, 7))
+    assert rec["all_members"] and rec["perturbed_failures"] >= 1 and rec["pass"]
+
+
+def test_minor_membership_catches_a_wrong_pencil(monkeypatch):
+    # the quadrics at lambda + 1: some minor leaves their span
+    right = pointscheme._quadrics
+    monkeypatch.setattr(pointscheme, "_quadrics", lambda lam: right(lam + fe(1)))
+    rec = s4_minor_membership(*SQRT_POINT)
+    assert rec["all_members"] is False
+    assert not all(rec["memberships"])
+    assert rec["pass"] is False
+
+
+def test_minor_membership_catches_a_perturbation_that_is_the_true_pencil(monkeypatch):
+    # the perturbed pencil, asked for at lambda + 1, is the one at lambda:
+    # every minor stays in it, so nothing escapes
+    right, lam = pointscheme._quadrics, fe(Fraction(-32, 7))
+    monkeypatch.setattr(pointscheme, "_quadrics",
+                        lambda x: right(lam if x == lam + fe(1) else x))
+    rec = s4_minor_membership(*SQRT_POINT)
+    assert rec["all_members"]
+    assert rec["perturbed_failures"] == 0
     assert rec["pass"] is False

@@ -268,6 +268,16 @@ def test_central_pair_certificate():
         assert rec["second_translate_in_span"]
 
 
+def test_central_pair_catches_a_larger_centralizer():
+    # the abelianized s4 algebra is commutative: all four dimensions of its
+    # degree 2 are central, twice the pair's span
+    vm = build_veronese(AbcParams.of(1, 2, 3))
+    rec = verify_central_pair(vm._replace(s4=Quotient(vm.s4.p.abelianized())))
+    assert rec["centralizer_dim"] == 4
+    assert rec["centralizer_is_pair_span"] is False
+    assert rec["pass"] is False
+
+
 def test_quotient_checks_share_one_s4_engine(monkeypatch, capsys):
     # build_veronese builds the engine at the sextuple; the central pair and
     # the quotient Hilbert check both read it and build no other
