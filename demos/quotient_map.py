@@ -1,9 +1,9 @@
 """The squaring map from the four-generator family onto the two-generator one.
 
 Send the four generators to x^2+y^2, x^2-y^2, xy+yx, xy-yx.  The kernel of
-the induced map on quadrics is computed from scratch: one linear solve in it
-per commutator/anticommutator relation gives that relation's coefficient,
-and the six relations and a leftover diagonal one span it.  The sign
+the induced map on quadrics is computed from scratch: the ratio of the
+commutator's and the anticommutator's residues modulo it gives each
+relation's coefficient, and the six relations and a leftover diagonal one span it.  The sign
 characters are read from the group actions.  Nothing here is typed in from a
 table; the closed forms are only compared at the end.
 """

@@ -26,9 +26,8 @@ and multiplicities that fail to be nonnegative integers raise, since that
 can only mean the input matrices violate the presentation.
 
 A tensor power acts monomially on words, and e1 and e2 generate the group,
-so its fixed vectors are read off the orbits of the basis words under the
-two generators: an orbit carries one fixed vector when the scalars along
-its generator edges agree, and none otherwise.
+so its fixed vectors are the joint kernel of e1 - 1 and e2 - 1
+(``invariant_subspace``).
 """
 
 from __future__ import annotations
@@ -304,42 +303,24 @@ def is_subrep(s: Subspace, tp: TensorPowerRep) -> bool:
 
 
 def invariant_subspace(tp: TensorPowerRep, s: Subspace | None = None) -> Subspace:
-    """Fixed vectors of the generators e1 and e2, one per orbit of basis words.
+    """Fixed vectors of the generators e1 and e2: the kernel of e1 - 1 stacked
+    on e2 - 1, with one equation per (generator, word).
 
-    A generator sends word c to v * word r, so a fixed vector x has
-    x[r] = v * x[c].  Walking an orbit from its first word with x = 1 fixes x
-    on the whole orbit; the orbit carries a fixed vector exactly when every
-    generator edge agrees with that walk.  With ``s`` given, which must be
-    stable, returns s meet the fixed vectors; otherwise the fixed vectors of
-    the full degree-d component.
+    A generator sends word c to v * word r, so column c holds v at r and -1
+    at c.  With ``s`` given, which must be stable, returns s meet the fixed
+    vectors; otherwise the fixed vectors of the full degree-d component.
     """
     if s is not None and not is_subrep(s, tp):
         raise NotASubrepError("subspace is not stable under the group")
-    edges = [[next(iter(tp.act_row(g, {c: ONE}).items())) for c in range(tp.dim)]
-             for g in ((1, 0, 0), (0, 1, 0))]
-    seen: set = set()
-    fixed = []
-    for root in range(tp.dim):
-        if root in seen:
-            continue
-        seen.add(root)
-        x = {root: ONE}
-        todo = [root]
-        consistent = True
-        while todo:
-            c = todo.pop()
-            for gen in edges:
-                r, v = gen[c]
-                want = x[c] * v
-                if r not in x:
-                    x[r] = want
-                    seen.add(r)
-                    todo.append(r)
-                elif x[r] != want:
-                    consistent = False
-        if consistent:
-            fixed.append(x)
-    inv = span_rows(tp.base.dim, tp.degree, fixed)
+    cols = []
+    for c in range(tp.dim):
+        col: dict = {}
+        for gen, g in enumerate(((1, 0, 0), (0, 1, 0))):
+            ((r, v),) = tp.act_row(g, {c: ONE}).items()
+            col[gen, r] = v
+            col[gen, c] = col.get((gen, c), ZERO) - ONE
+        cols.append(col)
+    inv = span_rows(tp.base.dim, tp.degree, linalg.column_kernel(cols))
     return inv if s is None else inv.meet(s)
 
 

@@ -146,17 +146,17 @@ def point_module_step(q: Quotient, pt: tuple) -> tuple[int, ...]:
     for a c with pt[c] != 0 are the next point.  Degree 2 is read whatever the
     run's degree cutoff; no standard word left or several raises RankError."""
     n = q.p.ngens
-    forms = linalg.nullspace([{a: fe(x) for a, x in enumerate(pt) if x}], n)
-    pivots, rows = linalg.rref(q.normal_row({a * n + b: v for a, v in form.items()}, 2)
-                               for form in forms for b in range(n))
-    free = [w for w in q.standard(2) if w not in pivots]
+    forms = linalg.column_kernel([{0: fe(x)} for x in pt])
+    sub = span_rows(n, 2, [q.normal_row({a * n + b: v for a, v in form.items()}, 2)
+                           for form in forms for b in range(n)])
+    free = [w for w in q.standard(2) if w not in sub.pivots]
     if not free:
         raise RankError("degree 2 of the module is zero: no successor point")
     if len(free) > 1:
         raise RankError("degree 2 of the module has dimension > 1: successor not unique")
     c = next(a for a, x in enumerate(pt) if x)
-    return point(*(linalg.reduce_mod(q.normal_row({c * n + b: ONE}, 2), pivots, rows)
-                   .get(free[0], 0) for b in range(n)))
+    return point(*(sub.reduce_row(q.normal_row({c * n + b: ONE}, 2)).get(free[0], 0)
+                   for b in range(n)))
 
 
 def s2_reference_matrix(p: AbcParams) -> list[list[linalg.Row]]:
@@ -276,7 +276,8 @@ def _require_on(cubic: tuple[int, int], v, p: AbcParams):
 def _sum(u, v) -> tuple:
     """u + v by the closed formulas (module docstring), not normalized.
 
-    The coordinates may be integers or field elements alike.
+    Every caller in the package passes primitive integer triples; the
+    formulas are polynomial, so field-element triples work alike.
     """
     x1, y1, z1 = u
     x2, y2, z2 = v
@@ -315,9 +316,9 @@ def _dot(u, v):
 def _third(cubic: tuple[int, int], u, v) -> tuple:
     """Third intersection of the curve with the line (or tangent) through u and v.
 
-    Like _sum it takes integer or field-element triples and does not normalize
-    the result.  u and v are canonical (primitive or normalized), so equal
-    points come as equal triples.
+    Like _sum it is called on primitive integer triples and does not
+    normalize the result.  Equal points must come as equal triples, as
+    primitive ones do.
     """
     if u == v:
         n0, n1, n2 = _grad(cubic, u)

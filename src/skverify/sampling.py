@@ -11,7 +11,6 @@ and the report driver each explicit point, so no sample is judged twice.
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -20,8 +19,6 @@ from .families import (AbcParams, AlphaTriple, alpha_from_abc, s2_central_quarti
                        is_smooth_hesse)
 from .field import fe, root_of_unity
 from .pointscheme import order_of, point
-
-log = logging.getLogger(__name__)
 
 MASK64 = (1 << 64) - 1
 MAX_DRAWS = 1000
@@ -150,7 +147,5 @@ def sample_with_log(kind: str, count: int, seed: int):
         if reason is None:
             out.append(cand)
         else:
-            ev = RejectionEvent(kind, str(cand), reason)
-            events.append(ev)
-            log.debug("rejected %s sample %s: %s", kind, ev.candidate, ev.reason)
+            events.append(RejectionEvent(kind, str(cand), reason))
     return out, events

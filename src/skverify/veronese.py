@@ -9,10 +9,10 @@ generators of the order-8 group action on the 2-generator family.  Mapping
 the four generators of a 4-generator presentation onto them identifies that
 presentation's quotient by one central quadric with the even Veronese of the
 2-generator family.  Everything here is derived, not transcribed: the
-degree-2 kernel of the map (a 7-dimensional space) is computed exactly, and
-each of the six coefficients is one linear solve in it, for the c with
-[v_s, v_t] - c {v_u, v_v} in the kernel, (s, t, u, v) running over
-families.S4_PAIRS.  The six relations at the derived sextuple and the
+degree-2 kernel K of the map (a 7-dimensional space) is computed exactly, and
+each of the six coefficients is the c with [v_s, v_t] - c {v_u, v_v} in K,
+(s, t, u, v) running over families.S4_PAIRS: the ratio of the two residues
+modulo K.  The six relations at the derived sextuple and the
 closed-form extra relation
 
     (a+c) v00^2 + (c-a) v10^2 + (a+b) v01^2 + (b-a) v11^2
@@ -74,10 +74,10 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     """Derive the sextuple and the central pair; the engine of the
     4-generator algebra at the sextuple is built here, once, for every check.
 
-    The coefficient of relation (s, t, u, v) in families.S4_PAIRS is the last
-    unknown of one solve, sum_i x_i k_i + c {v_u, v_v} = [v_s, v_t] over the
-    kernel basis k_i; it is unique because {v_u, v_v} never lies in the
-    kernel.  The six relations at the derived sextuple and the extra quadric
+    The coefficient of relation (s, t, u, v) in families.S4_PAIRS is the ratio
+    of the residues of [v_s, v_t] and {v_u, v_v} modulo the kernel K, and zero
+    when the first residue is; it is unique because {v_u, v_v} never lies in
+    K.  The six relations at the derived sextuple and the extra quadric
     must span the kernel, and are kept as ``kernel_rows``: a wrong coefficient
     puts its relation outside the kernel, and this check catches it.  omega2
     is the first translate from _square_translates, which needs all six nonzero.
@@ -88,22 +88,23 @@ def build_veronese(p: AbcParams) -> VeroneseMap:
     q = Quotient(build_s2(p))
     rows = [q.normal_row((images[i] * images[j]).row, 4)
             for i in range(4) for j in range(4)]
-    kernel = linalg.column_kernel(rows)
-    if len(kernel) != 7:
-        raise VerificationError(f"degree-2 kernel has dimension {len(kernel)}, expected 7")
+    kernel = span_rows(4, 2, linalg.column_kernel(rows))
+    if kernel.dim != 7:
+        raise VerificationError(f"degree-2 kernel has dimension {kernel.dim}, expected 7")
     v = NcPoly.gens(4)
     coeffs = []
     for s, t, u, w in S4_PAIRS:
-        sol = linalg.solve_columns(kernel + [acomm(v[u], v[w]).row], comm(v[s], v[t]).row)
-        if sol is None:
+        lhs = kernel.reduce_row(comm(v[s], v[t]).row)
+        coeff = proportional(lhs, kernel.reduce_row(acomm(v[u], v[w]).row)) if lhs else ZERO
+        if coeff is None:
             raise VerificationError(f"no relation [v{s}, v{t}] - c {{v{u}, v{w}}} in the kernel")
-        coeffs.append(sol[-1])
+        coeffs.append(coeff)
     sextuple = SextupleParams.of(*coeffs)
     a, b, c = fe(p.a), fe(p.b), fe(p.c)
     squares = (a + c, c - a, a + b, b - a)
     extra = _squares(squares)
     kernel_rows = tuple(r.row for r in (*s4_relation_polys(sextuple), extra))
-    if span_rows(4, 2, kernel_rows).rows != span_rows(4, 2, kernel).rows:
+    if span_rows(4, 2, kernel_rows) != kernel:
         raise VerificationError("six relations plus the extra quadric do not span the kernel")
     t1, _ = _square_translates(sextuple)
     return VeroneseMap(params=p, images=tuple(images), sextuple=sextuple, extra=extra,
@@ -156,7 +157,7 @@ def verify_quotient_map(vm: VeroneseMap) -> dict:
     image_signs = [_signs(h2, img.row) for img in vm.images]
     equiv_ok = all(image_signs)
     pm, h4 = h4_pm_basis(), TensorPowerRep(h4_gen_rep(), 1)
-    diag_ok = len(linalg.rref(pm)[0]) == 4 and all(
+    diag_ok = span_rows(4, 1, pm).dim == 4 and all(
         signs is not None and _signs(h4, col, power=2) == signs
         for col, signs in zip(pm, image_signs))
     pushed = [vm.apply(NcPoly._of(4, 2, row)) for row in vm.kernel_rows]

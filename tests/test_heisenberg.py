@@ -315,21 +315,6 @@ def test_invariant_subspace_matches_averaging_projector(rep, d):
     assert invariant_subspace(tp) == averaged(tp, [{c: ONE} for c in range(tp.dim)])
 
 
-def joint_kernel(tp, s=None):
-    """The invariants as the nullspace of the 2*dim rows of e1 - 1 and e2 - 1,
-    met with s when given: the construction the orbit walk replaced."""
-    rows = []
-    for g in ((1, 0, 0), (0, 1, 0)):
-        for c in range(tp.dim):
-            # g sends basis c to v * basis r: row r of g - 1 is v at c, -1 at r
-            ((r, v),) = tp.act_row(g, {c: ONE}).items()
-            row = {c: v}
-            row[r] = row.get(r, ZERO) - ONE
-            rows.append({k: w for k, w in row.items() if w})
-    fixed = span_rows(tp.base.dim, tp.degree, linalg.nullspace(rows, tp.dim))
-    return fixed if s is None else s.meet(fixed)
-
-
 def cyclic_span(tp):
     """A stable subspace: the span of the images of e_0 + 2 e_last (of e_0 in dimension 1)."""
     row = {0: ONE, tp.dim - 1: fe(2)} if tp.dim > 1 else {0: ONE}
@@ -346,14 +331,16 @@ ORBIT_CASES = ([(rep, d) for n in (2, 3, 4) for rep in irrep_table(n)
 @pytest.mark.parametrize("rep, d", ORBIT_CASES,
                          ids=[f"{rep.label}-deg{d}" for rep, d in ORBIT_CASES])
 def test_orbit_walk_matches_joint_kernel(rep, d):
+    # the averaging projector is the oracle, on the whole component and on a
+    # proper stable subspace
     tp = TensorPowerRep(rep, d)
-    assert invariant_subspace(tp) == joint_kernel(tp)
+    assert invariant_subspace(tp) == averaged(tp, [{c: ONE} for c in range(tp.dim)])
     stable = cyclic_span(tp)
     assert is_subrep(stable, tp)
-    assert invariant_subspace(tp, stable) == joint_kernel(tp, stable)
+    assert invariant_subspace(tp, stable) == averaged(tp, stable.rows)
 
 
-def test_orbit_walk_cases_are_not_vacuous():
+def test_invariant_cases_are_not_vacuous():
     # some fixed spaces are empty, some are not, and some stable subspaces
     # are proper and still carry invariants
     dims, proper = set(), False

@@ -17,6 +17,9 @@ Every function, class, non-dunder method and module-level name the package
 defines at top level is read by name somewhere in the package, its demos, its
 tests or the benchmark: code or a table that nothing reads is deleted, not
 kept.
+Span questions in the check layers go through freealg.Subspace and
+linalg.column_kernel: only linalg and freealg read linalg's rref, reduce_mod,
+nullspace or solve_columns.
 """
 
 import ast
@@ -206,3 +209,22 @@ def test_benchmark_check_ids_are_table_rows():
     assert not missing, (f"perfbench/run.py requires check ids that no table row has: "
                          f"{missing}; retiring a check id needs a change to the benchmark "
                          f"first (see CHANGES.md)")
+
+
+ELIMINATION = {"rref", "reduce_mod", "nullspace", "solve_columns"}
+
+
+def test_only_the_core_reads_elimination_routines():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("linalg", "freealg"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "linalg" else set()
+            elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                names = {a.name for a in node.names}
+            else:
+                continue
+            found.update(f"{path.name}:{node.lineno} {n}" for n in names & ELIMINATION)
+    assert not found, f"elimination read outside linalg and freealg: {sorted(found)}"
